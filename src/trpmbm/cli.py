@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg, specs, args.runs, seed, truth=truth, jobs=args.jobs
         )
         written = emit_outputs(reports, args.out)
-    except (ScenarioError, ValueError, OSError) as err:
+    except (ScenarioError, ValueError, OSError, RuntimeError) as err:
         json.dump(
             {"error": type(err).__name__, "message": str(err)},
             sys.stderr,

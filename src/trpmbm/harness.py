@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filter import estimate, initial_posterior, step
+from .filter import KINDS, estimate, initial_posterior, step
 from .metric import MetricBreakdown, Track, TrajMetricParams, branches_as_tracks, trajectory_metric
 from .models import ScenarioConfig, sample_ground_truth, sample_measurement_sequence
 from .trees import TreeTrajectory
@@ -139,7 +139,7 @@ def run_experiment(
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
     for spec in specs:
-        if spec.kind not in ("trpmbm", "trmbm", "tpmbm"):
+        if spec.kind not in KINDS:
             raise ValueError(f"unknown filter kind {spec.kind!r}")
         if spec.lscan < 1:
             raise ValueError(f"window must be >= 1, got {spec.lscan}")

@@ -10,13 +10,19 @@ evaluation step before taking the p-th root.
 
 Tracks that never come within the cutoff of each other cannot profitably
 be matched, so the LP decomposes over connected interaction clusters;
-isolated tracks contribute in closed form.  This keeps per-step evaluation
-cheap at scenario scale.
+isolated tracks contribute in closed form.  A cluster of one estimate and
+one truth is solved in closed form too when the switch penalty is positive:
+matching the pair never costs more than its two dummies (min(d, c)^p <= c^p
+when both are alive, equal costs otherwise), is strictly cheaper at the
+step with d < c that formed the cluster, and any departure from it pays
+switches, so the unique optimum matches the pair at every step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy import sparse
@@ -27,9 +33,18 @@ from .trees import TreeTrajectory, first_own_generation, unique_id
 
 @dataclass(frozen=True)
 class TrajMetricParams:
+    """Exponent p >= 1, cutoff c > 0 and switch penalty gamma >= 0, all finite."""
+
     p: float = 2.0
     c: float = 10.0
     gamma: float = 1.0
+
+    def __post_init__(self):
+        finite = all(math.isfinite(v) for v in (self.p, self.c, self.gamma))
+        if not (finite and self.p >= 1 and self.c > 0 and self.gamma >= 0):
+            raise ValueError(
+                f"metric needs finite p >= 1, c > 0, gamma >= 0; got {self}"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,19 +92,30 @@ def branches_as_tracks(trees: list[TreeTrajectory]) -> list[Track]:
     return tracks
 
 
-def _interacts(a: Track, b: Track, c: float) -> bool:
-    lo = max(a.start, b.start)
-    hi = min(a.end, b.end)
-    if lo > hi:
-        return False
-    pa = a.positions[lo - a.start : hi - a.start + 1]
-    pb = b.positions[lo - b.start : hi - b.start + 1]
-    d = np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1])
-    return bool((d < c).any())
+def _grid(tracks: list[Track], t0: int, T: int) -> np.ndarray:
+    """(T, len(tracks), 2) positions on steps t0..t0+T-1, NaN where not alive."""
+    out = np.full((T, len(tracks), 2), np.nan)
+    for i, tr in enumerate(tracks):
+        out[tr.start - t0 : tr.end - t0 + 1, i] = tr.positions
+    return out
 
 
-def _clusters(est: list[Track], truth: list[Track], c: float):
-    """Connected components of the est-truth interaction graph."""
+def _distances(est: list[Track], truth: list[Track], t0: int, T: int) -> np.ndarray:
+    """(T, n, m) est-truth distances per step, NaN where either is not alive."""
+    diff = _grid(est, t0, T)[:, :, None] - _grid(truth, t0, T)[:, None]
+    return np.hypot(diff[..., 0], diff[..., 1])
+
+
+def _alive(tracks: list[Track], t0: int, T: int) -> np.ndarray:
+    """(T, len(tracks)) mask of the tracks alive on steps t0..t0+T-1."""
+    steps = np.arange(t0, t0 + T)[:, None]
+    starts = np.array([tr.start for tr in tracks], dtype=int)
+    ends = np.array([tr.end for tr in tracks], dtype=int)
+    return (starts <= steps) & (steps <= ends)
+
+
+def _clusters(est: list[Track], truth: list[Track], c: float, k: int):
+    """Connected components of the est-truth interaction graph on steps 1..k."""
     n, m = len(est), len(truth)
     parent = list(range(n + m))
 
@@ -99,15 +125,12 @@ def _clusters(est: list[Track], truth: list[Track], c: float):
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i in range(n):
-        for j in range(m):
-            if _interacts(est[i], truth[j], c):
-                union(i, n + j)
+    # a pair interacts when both are alive and closer than c at some step
+    close = (_distances(est, truth, 1, k) < c).any(axis=0)
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(close))):
+        ri, rj = find(i), find(n + j)
+        if ri != rj:
+            parent[ri] = rj
     groups: dict[int, tuple[list[int], list[int]]] = {}
     for i in range(n):
         groups.setdefault(find(i), ([], []))[0].append(i)
@@ -116,128 +139,101 @@ def _clusters(est: list[Track], truth: list[Track], c: float):
     return list(groups.values())
 
 
-def _alive_steps(track: Track, k: int) -> int:
-    return max(0, min(track.end, k) - track.start + 1)
+# LP variable layout of a cluster with n estimates, m truths and T steps:
+# step t holds W[i, j] at t*S + i*m + j, the est dummies W[i, m] at
+# t*S + n*m + i and the truth dummies W[n, j] at t*S + n*m + n + j, with
+# S = n*m + n + m; the switch variable of pair (i, j) between steps t and
+# t+1 follows at T*S + t*n*m + i*m + j.
+
+
+def _cluster_costs(
+    est: list[Track], truth: list[Track], params: TrajMetricParams, t0: int, T: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """LP cost vector and component tags (0 loc, 1 missed, 2 false, 3 switch)."""
+    p, c = params.p, params.c
+    half = c**p / 2.0
+    n, m = len(est), len(truth)
+    ae = _alive(est, t0, T)[:, :, None]
+    at = _alive(truth, t0, T)[:, None, :]
+    both = ae & at
+    pair_cost = np.where(ae | at, half, 0.0)
+    # math.pow per entry: numpy's vectorised power may round differently
+    pair_cost[both] = np.fromiter(
+        map(math.pow, np.minimum(_distances(est, truth, t0, T)[both], c).tolist(), repeat(p)),
+        float,
+    )
+    pair_tag = np.where(at & ~ae, 1, np.where(ae & ~at, 2, 0))
+
+    S = n * m + n + m
+    cost = np.full(T * S + (T - 1) * n * m, params.gamma**p / 2.0)
+    tag = np.full(len(cost), 3, dtype=np.int8)
+    w_cost = cost[: T * S].reshape(T, S)
+    w_tag = tag[: T * S].reshape(T, S)
+    w_cost[:, : n * m] = pair_cost.reshape(T, n * m)
+    w_tag[:, : n * m] = pair_tag.reshape(T, n * m)
+    dummy_alive = np.hstack([ae[:, :, 0], at[:, 0, :]])
+    w_cost[:, n * m :] = np.where(dummy_alive, half, 0.0)
+    w_tag[:, n * m :] = np.where(dummy_alive, [2] * n + [1] * m, 0)
+    return cost, tag
+
+
+def _constraints(n: int, m: int, T: int) -> dict:
+    """Constraint arguments of ``linprog`` for the cluster LP, matrices in CSR.
+
+    A single step has no switch variables and so no inequalities.
+    """
+    S = n * m + n + m
+    n_var = T * S + (T - 1) * n * m
+    pair = np.arange(n * m).reshape(n, m)
+    # equality: every est row (pairs, then its dummy) and every truth
+    # column (pairs, then its dummy) sums to one at every step
+    est_rows = np.hstack([pair, n * m + np.arange(n)[:, None]])
+    truth_cols = np.hstack([pair.T, n * m + n + np.arange(m)[:, None]])
+    step_cols = np.concatenate([est_rows.ravel(), truth_cols.ravel()])
+    step_rows = np.concatenate([np.repeat(np.arange(n), m + 1), n + np.repeat(np.arange(m), n + 1)])
+    steps = np.arange(T)[:, None]
+    A_eq = sparse.coo_matrix(
+        (
+            np.ones(T * len(step_cols)),
+            ((steps * (n + m) + step_rows).ravel(), (steps * S + step_cols).ravel()),
+        ),
+        shape=(T * (n + m), n_var),
+    ).tocsr()
+    out = {"A_eq": A_eq, "b_eq": np.ones(T * (n + m))}
+
+    # inequalities: e >= |W_{t+1} - W_t| on real pairs, two rows per switch
+    q = np.arange((T - 1) * n * m)
+    if len(q):
+        w0 = (q // (n * m)) * S + q % (n * m)
+        e = T * S + q
+        cols = np.column_stack([w0 + S, w0, e, w0, w0 + S, e]).ravel()
+        out["A_ub"] = sparse.coo_matrix(
+            (np.tile([1.0, -1.0, -1.0], 2 * len(q)), (np.repeat(np.arange(2 * len(q)), 3), cols)),
+            shape=(2 * len(q), n_var),
+        ).tocsr()
+        out["b_ub"] = np.zeros(2 * len(q))
+    return out
 
 
 def _cluster_objective(
     est: list[Track], truth: list[Track], params: TrajMetricParams, k: int
 ) -> np.ndarray:
     """Optimal (localisation, missed, false, switch) p-power cost of a cluster."""
-    p, c, gamma = params.p, params.c, params.gamma
-    half = c**p / 2.0
     n, m = len(est), len(truth)
     t0 = min(tr.start for tr in est + truth)
     T = k - t0 + 1
-    per_step = n * m + n + m
-    n_w = T * per_step
-    n_e = (T - 1) * n * m
-    n_var = n_w + n_e
-
-    def w_index(t, i, j):
-        # j == m is the est dummy column; i == n the truth dummy row
-        base = t * per_step
-        if i < n and j < m:
-            return base + i * m + j
-        if i < n:  # est dummy
-            return base + n * m + i
-        return base + n * m + n + j
-
-    def e_index(t, i, j):
-        return n_w + t * n * m + i * m + j
-
-    cost = np.zeros(n_var)
-    # component tags: 0 loc, 1 missed, 2 false, 3 switch
-    tag = np.zeros(n_var, dtype=np.int8)
-    for t in range(T):
-        step = t0 + t
-        ae = [tr.start <= step <= tr.end for tr in est]
-        at = [tr.start <= step <= tr.end for tr in truth]
-        for i in range(n):
-            for j in range(m):
-                idx = w_index(t, i, j)
-                if ae[i] and at[j]:
-                    d = np.hypot(
-                        *(est[i].positions[step - est[i].start] - truth[j].positions[step - truth[j].start])
-                    )
-                    cost[idx] = min(d, c) ** p
-                    tag[idx] = 0
-                elif at[j]:
-                    cost[idx] = half
-                    tag[idx] = 1
-                elif ae[i]:
-                    cost[idx] = half
-                    tag[idx] = 2
-        for i in range(n):
-            if ae[i]:
-                idx = w_index(t, i, m)
-                cost[idx] = half
-                tag[idx] = 2
-        for j in range(m):
-            if at[j]:
-                idx = w_index(t, n, j)
-                cost[idx] = half
-                tag[idx] = 1
-    if T > 1:
-        cost[n_w:] = gamma**p / 2.0
-        tag[n_w:] = 3
-
-    # equality: rows and columns of every step sum to one
-    rows, cols, vals = [], [], []
-    eq = 0
-    for t in range(T):
-        for i in range(n):
-            for j in range(m + 1):
-                rows.append(eq)
-                cols.append(w_index(t, i, j))
-                vals.append(1.0)
-            eq += 1
-        for j in range(m):
-            for i in range(n + 1):
-                rows.append(eq)
-                cols.append(w_index(t, i, j))
-                vals.append(1.0)
-            eq += 1
-    A_eq = sparse.coo_matrix((vals, (rows, cols)), shape=(eq, n_var)).tocsr()
-    b_eq = np.ones(eq)
-
-    # inequalities: e >= |W_{t+1} - W_t| on real pairs
-    rows, cols, vals = [], [], []
-    ub = 0
-    for t in range(T - 1):
-        for i in range(n):
-            for j in range(m):
-                w0, w1, e = w_index(t, i, j), w_index(t + 1, i, j), e_index(t, i, j)
-                rows += [ub, ub, ub]
-                cols += [w1, w0, e]
-                vals += [1.0, -1.0, -1.0]
-                ub += 1
-                rows += [ub, ub, ub]
-                cols += [w0, w1, e]
-                vals += [1.0, -1.0, -1.0]
-                ub += 1
-    if ub:
-        A_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(ub, n_var)).tocsr()
-        b_ub = np.zeros(ub)
+    cost, tag = _cluster_costs(est, truth, params, t0, T)
+    if n == m == 1 and params.gamma > 0:
+        # the unique optimum matches the pair at every step (module docstring)
+        x = np.zeros(len(cost))
+        x[: T * 3 : 3] = 1.0
     else:
-        A_ub, b_ub = None, None
-
-    res = linprog(
-        cost,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"metric LP failed: {res.message}")
-    parts = np.zeros(4)
-    contrib = cost * res.x
-    for comp in range(4):
-        parts[comp] = contrib[tag == comp].sum()
-    return parts
+        res = linprog(cost, **_constraints(n, m, T), bounds=(0, None), method="highs")
+        if res.status != 0:
+            raise RuntimeError(f"metric LP failed: {res.message}")
+        x = res.x
+    contrib = cost * x
+    return np.array([contrib[tag == comp].sum() for comp in range(4)])
 
 
 def trajectory_metric(
@@ -266,15 +262,15 @@ def trajectory_metric(
     p = params.p
     half = params.c**p / 2.0
     parts = np.zeros(4)  # loc, missed, false, switch (p-power costs)
-    for eidx, tidx in _clusters(est_k, truth_k, params.c):
+    for eidx, tidx in _clusters(est_k, truth_k, params.c, k):
         ce = [est_k[i] for i in eidx]
         ct = [truth_k[j] for j in tidx]
         if ce and ct:
             parts += _cluster_objective(ce, ct, params, k)
         elif ct:
-            parts[1] += half * sum(_alive_steps(t, k) for t in ct)
+            parts[1] += half * sum(len(t.positions) for t in ct)
         else:
-            parts[2] += half * sum(_alive_steps(t, k) for t in ce)
+            parts[2] += half * sum(len(t.positions) for t in ce)
 
     scaled = parts / k
     total = float(scaled.sum() ** (1.0 / p))

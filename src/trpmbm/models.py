@@ -217,6 +217,25 @@ def _matrix(value, shape, what, problems) -> np.ndarray:
     return arr
 
 
+def _section_problems(data: dict) -> list[str]:
+    """Sections of the wrong JSON type ('modes' may be null next to 'rho')."""
+    problems = []
+    for key in ("measurement", "filters"):
+        if key in data and not isinstance(data[key], dict):
+            problems.append(f"{key}: expected an object, got {data[key]!r:.60}")
+    for key in ("modes", "birth"):
+        value = data.get(key)
+        if key not in data or (key == "modes" and value is None):
+            continue
+        if not isinstance(value, list):
+            problems.append(f"{key}: expected a list of objects, got {value!r:.60}")
+            continue
+        for i, entry in enumerate(value):
+            if not isinstance(entry, dict):
+                problems.append(f"{key}[{i}]: expected an object, got {entry!r:.60}")
+    return problems
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read a JSON scenario file; blank files mean 'all defaults'.
 
@@ -238,7 +257,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
-    problems: list[str] = []
+    problems = _section_problems(data)
+    if problems:
+        raise ScenarioError(f"{source}:\n  " + "\n  ".join(problems))
     base = default_scenario()
 
     unknown = set(data) - _TOP_KEYS
@@ -246,7 +267,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
         problems.append(f"unknown fields: {sorted(unknown)}")
 
     modes = list(base.modes)
-    if "modes" in data or "rho" in data:
+    if data.get("modes") is not None or "rho" in data:
         raw_modes = data.get("modes")
         if raw_modes is None:
             # rho given alone: keep defaults truncated/checked against it

@@ -14,6 +14,8 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +99,164 @@ def metric_by_enumeration(est, truth, params, k: int) -> float:
             for pi in matchings
         }
     return (min(best.values()) / k) ** (1.0 / p)
+
+
+def clusters_by_pairs(est, truth, c: float):
+    """Interaction clusters by a pairwise overlap test and union-find.
+
+    Reference for ``trpmbm.metric._clusters``: the same groups in the same
+    order (first appearance over estimates, then truths).
+    """
+    n, m = len(est), len(truth)
+    parent = list(range(n + m))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def interacts(a, b):
+        lo, hi = max(a.start, b.start), min(a.end, b.end)
+        if lo > hi:
+            return False
+        pa = a.positions[lo - a.start : hi - a.start + 1]
+        pb = b.positions[lo - b.start : hi - b.start + 1]
+        return bool((np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1]) < c).any())
+
+    for i in range(n):
+        for j in range(m):
+            if interacts(est[i], truth[j]):
+                ra, rb = find(i), find(n + j)
+                if ra != rb:
+                    parent[ra] = rb
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), ([], []))[0].append(i)
+    for j in range(m):
+        groups.setdefault(find(n + j), ([], []))[1].append(j)
+    return list(groups.values())
+
+
+def lp_by_loops(est, truth, params, k: int):
+    """Cost vector, component tags, A_eq and A_ub of one cluster's metric LP.
+
+    Entry-by-entry assembly with explicit index functions: the reference
+    for the vectorised assembly in ``trpmbm.metric``.
+    """
+    p, c, gamma = params.p, params.c, params.gamma
+    half = c**p / 2.0
+    n, m = len(est), len(truth)
+    t0 = min(tr.start for tr in est + truth)
+    T = k - t0 + 1
+    per_step = n * m + n + m
+    n_w = T * per_step
+    n_e = (T - 1) * n * m
+    n_var = n_w + n_e
+
+    def w_index(t, i, j):
+        # j == m is the est dummy column; i == n the truth dummy row
+        base = t * per_step
+        if i < n and j < m:
+            return base + i * m + j
+        if i < n:  # est dummy
+            return base + n * m + i
+        return base + n * m + n + j
+
+    def e_index(t, i, j):
+        return n_w + t * n * m + i * m + j
+
+    cost = np.zeros(n_var)
+    # component tags: 0 loc, 1 missed, 2 false, 3 switch
+    tag = np.zeros(n_var, dtype=np.int8)
+    for t in range(T):
+        step = t0 + t
+        ae = [tr.start <= step <= tr.end for tr in est]
+        at = [tr.start <= step <= tr.end for tr in truth]
+        for i in range(n):
+            for j in range(m):
+                idx = w_index(t, i, j)
+                if ae[i] and at[j]:
+                    d = np.hypot(
+                        *(est[i].positions[step - est[i].start] - truth[j].positions[step - truth[j].start])
+                    )
+                    cost[idx] = min(d, c) ** p
+                    tag[idx] = 0
+                elif at[j]:
+                    cost[idx] = half
+                    tag[idx] = 1
+                elif ae[i]:
+                    cost[idx] = half
+                    tag[idx] = 2
+        for i in range(n):
+            if ae[i]:
+                idx = w_index(t, i, m)
+                cost[idx] = half
+                tag[idx] = 2
+        for j in range(m):
+            if at[j]:
+                idx = w_index(t, n, j)
+                cost[idx] = half
+                tag[idx] = 1
+    if T > 1:
+        cost[n_w:] = gamma**p / 2.0
+        tag[n_w:] = 3
+
+    # equality: rows and columns of every step sum to one
+    rows, cols, vals = [], [], []
+    eq = 0
+    for t in range(T):
+        for i in range(n):
+            for j in range(m + 1):
+                rows.append(eq)
+                cols.append(w_index(t, i, j))
+                vals.append(1.0)
+            eq += 1
+        for j in range(m):
+            for i in range(n + 1):
+                rows.append(eq)
+                cols.append(w_index(t, i, j))
+                vals.append(1.0)
+            eq += 1
+    A_eq = sparse.coo_matrix((vals, (rows, cols)), shape=(eq, n_var)).tocsr()
+
+    # inequalities: e >= |W_{t+1} - W_t| on real pairs
+    rows, cols, vals = [], [], []
+    ub = 0
+    for t in range(T - 1):
+        for i in range(n):
+            for j in range(m):
+                w0, w1, e = w_index(t, i, j), w_index(t + 1, i, j), e_index(t, i, j)
+                rows += [ub, ub, ub]
+                cols += [w1, w0, e]
+                vals += [1.0, -1.0, -1.0]
+                ub += 1
+                rows += [ub, ub, ub]
+                cols += [w0, w1, e]
+                vals += [1.0, -1.0, -1.0]
+                ub += 1
+    A_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(ub, n_var)).tocsr() if ub else None
+    return cost, tag, A_eq, A_ub
+
+
+def parts_by_lp(est, truth, params, k: int) -> np.ndarray:
+    """(localisation, missed, false, switch) of the loop-assembled LP, solved by HiGHS."""
+    cost, tag, A_eq, A_ub = lp_by_loops(est, truth, params, k)
+    res = linprog(
+        cost,
+        A_ub=A_ub,
+        b_ub=None if A_ub is None else np.zeros(A_ub.shape[0]),
+        A_eq=A_eq,
+        b_eq=np.ones(A_eq.shape[0]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    parts = np.zeros(4)
+    contrib = cost * res.x
+    for comp in range(4):
+        parts[comp] = contrib[tag == comp].sum()
+    return parts
 
 
 # ---------------------------------------------------------------------------

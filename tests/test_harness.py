@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trpmbm
 from trpmbm.cli import main
 from trpmbm.harness import FilterSpec, emit_outputs, rms_curves, run_experiment
 from trpmbm.models import default_scenario, sample_ground_truth
@@ -141,13 +143,42 @@ def test_cli_error_paths(tmp_path, capsys):
     assert payload["error"] == "ScenarioError"
 
 
+@pytest.mark.parametrize(
+    "scenario, field",
+    [({"modes": [1]}, "modes[0]"), ({"measurement": []}, "measurement")],
+)
+def test_cli_rejects_wrongly_typed_sections(tmp_path, capsys, scenario, field):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ScenarioError"
+    assert field in payload["message"]
+
+
+def test_cli_reports_runtime_errors(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("metric LP failed: infeasible")
+
+    monkeypatch.setattr("trpmbm.cli.run_experiment", failing)
+    code = main(["--runs", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"error": "RuntimeError", "message": "metric LP failed: infeasible"}
+
+
 def test_cli_subprocess_exit_codes(tmp_path):
+    # the child imports the package from where this process found it
+    src = str(Path(trpmbm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "trpmbm.cli", "--filters", "tpmbm", "--lscan", "2",
          "--runs", "1", "--seed", "2", "--out", str(tmp_path / "o"),
          "--scenario", str(tmp_path / "missing.json")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 1
     assert "error" in result.stderr
