@@ -31,11 +31,12 @@ from .gaussian import (
     EndCase,
     GaussianBranchComponent,
     PPPComponent,
-    gate,
+    condition,
+    gate_loglik,
+    innovation,
     l_scan_truncate,
     predict_augment_survive,
     spawn_component,
-    update_last_state,
 )
 from .harness import FilterSpec, RunReport, emit_outputs, rms_curves, run_experiment
 from .metric import (

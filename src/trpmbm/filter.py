@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from .assignment import murty_kbest
@@ -36,62 +35,24 @@ from .gaussian import (
     EndCase,
     GaussianBranchComponent,
     PPPComponent,
-    _chol_with_jitter,
+    condition,
+    gate_loglik,
     innovation,
     l_scan_truncate,
     l_scan_truncate_component,
     predict_augment_survive,
     spawn_component,
-    update_last_state,
 )
-from .models import NX, ScenarioConfig
+from .models import NX, BirthComponent, ScenarioConfig, no_spawning
 from .trees import Branch, TreeTrajectory
 
 LOG_FLOOR = -700.0  # stand-in for log 0 where a finite baseline is required
-_LOG2PI = math.log(2.0 * math.pi)
 
 KINDS = ("trpmbm", "trmbm", "tpmbm")
 
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
-
-
-def _gate_whiten(S: np.ndarray, innovs: np.ndarray, gate: float):
-    """Gated rows, their squared Mahalanobis distances, and 0.5*log|S|.
-
-    innovs has one innovation per row; 2x2 innovation covariances take the
-    closed form, anything else goes through Cholesky.
-    """
-    if S.shape == (2, 2):
-        a, b, c = S[0, 0], S[0, 1], S[1, 1]
-        det = a * c - b * b
-        if det <= 0.0:
-            S = S + JITTER_EYE2
-            a, c = S[0, 0], S[1, 1]
-            det = a * c - b * b
-        u, v = innovs[:, 0], innovs[:, 1]
-        d2 = (c * u * u - 2.0 * b * u * v + a * v * v) / det
-        logdet = 0.5 * math.log(det)
-    else:
-        L = _chol_with_jitter(S)
-        white = solve_triangular(L, innovs.T, lower=True)
-        d2 = (white**2).sum(axis=0)
-        logdet = float(np.log(np.diag(L)).sum())
-    gated = np.flatnonzero(d2 <= gate)
-    return gated, d2[gated], logdet
-
-
-JITTER_EYE2 = 1e-9 * np.eye(2)
-
-
-def _inv_small(S: np.ndarray) -> np.ndarray:
-    """Inverse of a tiny symmetric matrix; closed form for 2x2."""
-    if S.shape == (2, 2):
-        a, b, c = S[0, 0], S[0, 1], S[1, 1]
-        det = a * c - b * b
-        return np.array([[c, -b], [-b, a]]) / det
-    return np.linalg.inv(S)
 
 
 @dataclass(frozen=True)
@@ -140,6 +101,13 @@ def initial_posterior() -> Posterior:
 # ---------------------------------------------------------------------------
 
 
+def _birth_component(b: BirthComponent) -> GaussianBranchComponent:
+    """Single-state Gaussian of a newborn branch, with the birth term's moments."""
+    return GaussianBranchComponent(
+        (1,), np.asarray(b.mean, dtype=float), np.asarray(b.cov, dtype=float), NX
+    )
+
+
 def ppp_predict(
     ppp: tuple[PPPComponent, ...],
     cfg: ScenarioConfig,
@@ -158,10 +126,7 @@ def ppp_predict(
             out.append(PPPComponent(comp.log_weight + log_ps, comp.start_time, moved))
     if include_births:
         for b in cfg.births:
-            gauss = GaussianBranchComponent(
-                (1,), np.asarray(b.mean, dtype=float), np.asarray(b.cov, dtype=float), NX
-            )
-            out.append(PPPComponent(_log(b.weight), k, gauss))
+            out.append(PPPComponent(_log(b.weight), k, _birth_component(b)))
     return tuple(out)
 
 
@@ -253,10 +218,7 @@ def _birth_tree(cfg: ScenarioConfig, k: int) -> BernoulliTree:
     """One Bernoulli tree per birth term (multi-Bernoulli birth mode)."""
     slots = []
     for b in cfg.births:
-        gauss = GaussianBranchComponent(
-            (1,), np.asarray(b.mean, dtype=float), np.asarray(b.cov, dtype=float), NX
-        )
-        density = BranchDensity(k, {k: EndCase(1.0, gauss)})
+        density = BranchDensity(k, {k: EndCase(1.0, _birth_component(b))})
         slots.append(
             BranchSlot((1,), k, (LocalHyp(0.0, min(b.weight, 1.0), density, frozenset()),))
         )
@@ -364,8 +326,7 @@ def update(
         if not np.isfinite(comp.log_weight) or m_k == 0:
             continue
         zhat, S = innovation(comp.comp, meas.H, meas.R)
-        gated, white2, logdet = _gate_whiten(S, Z - zhat, gate)
-        loglik = -0.5 * white2 - logdet - 0.5 * len(zhat) * _LOG2PI
+        gated, loglik = gate_loglik(S, Z - zhat, gate)
         ppp_loglik[qi, gated] = comp.log_weight + _log(p_d) + loglik
     new_tree_logw = np.empty(m_k)
     new_trees = []
@@ -381,7 +342,9 @@ def update(
                 key=lambda q: (col[q], post.ppp[q].start_time, q),
             )
             comp = post.ppp[best]
-            upd, _ = update_last_state(comp.comp, Z[m], meas.H, meas.R)
+            zhat, S = innovation(comp.comp, meas.H, meas.R)
+            (mean,), cov = condition(comp.comp, meas.H, S, Z[m : m + 1] - zhat)
+            upd = replace(comp.comp, mean=mean, cov=cov)
             density = BranchDensity(comp.start_time, {k: EndCase(1.0, upd)})
             start = comp.start_time
         else:
@@ -451,27 +414,17 @@ def update(
                 if m_k == 0:
                     continue
 
-                case_k = h.density.components[k]
-                comp_k = case_k.comp
-                nx = comp_k.nx
-                zhat = meas.H @ comp_k.mean[-nx:]
-                S = meas.H @ comp_k.cov[-nx:, -nx:] @ meas.H.T + meas.R
-                gated, white2, logdet = _gate_whiten(S, Z - zhat, gate)
+                comp_k = h.density.components[k].comp
+                zhat, S = innovation(comp_k, meas.H, meas.R)
+                gated, logliks = gate_loglik(S, Z - zhat, gate)
                 if gated.size == 0:
                     continue
-                logliks = -0.5 * white2 - logdet - 0.5 * len(zhat) * _LOG2PI
-                # shared posterior covariance; means vary with the measurement
-                PHt = comp_k.cov[:, -nx:] @ meas.H.T
-                K = PHt @ _inv_small(S)
-                cov_post = comp_k.cov - K @ S @ K.T
-                cov_post = (cov_post + cov_post.T) / 2.0
+                means, cov_post = condition(comp_k, meas.H, S, Z[gated] - zhat)
                 log_base = h.log_w + _log(h.r) + _log(beta_k) + _log(p_d)
-                innovs = Z[gated] - zhat
                 base_key = (ti, ji, bi)
                 det_meas[base_key] = [int(m) for m in gated]
                 for pos, m in enumerate(gated):
-                    mean_post = comp_k.mean + K @ innovs[pos]
-                    comp_post = replace(comp_k, mean=mean_post, cov=cov_post)
+                    comp_post = replace(comp_k, mean=means[pos], cov=cov_post)
                     det = LocalHyp(
                         log_base + logliks[pos],
                         1.0,
@@ -730,8 +683,6 @@ def step(
     if kind not in KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
     if kind == "tpmbm" and cfg.n_modes > 1:
-        from .models import no_spawning
-
         cfg = no_spawning(cfg)
     Z = np.asarray(Z, dtype=float).reshape(-1, cfg.measurement.H.shape[0])
     pred = predict(post, cfg, kind)

@@ -6,43 +6,30 @@ sizes bounded, states older than the last L steps are split off into
 independent of the live window and are never touched again.  All
 operations here work on the live window only, are pure (inputs are never
 mutated) and resymmetrise covariances on the way out.
+
+Every measurement update goes through one kernel: ``gate_loglik`` gates
+and scores innovations, ``condition`` conditions the live window on them.
+Both take S from ``innovation``, which holds the one jitter policy: it adds
+JITTER * I once when S is not positive definite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .trees import Genealogy, branch_length, validate_genealogy
+from .trees import Genealogy
 
-SYM_TOL = 1e-9
 JITTER = 1e-9
+_LOG2PI = math.log(2.0 * math.pi)
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
     return (P + P.T) / 2.0
-
-
-def _chol_with_jitter(S: np.ndarray) -> np.ndarray:
-    """Cholesky factor of S, retrying once with a small diagonal jitter."""
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return np.linalg.cholesky(S + JITTER * np.eye(S.shape[0]))
-
-
-def gauss_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    """log N(x; mean, cov) via Cholesky."""
-    L = _chol_with_jitter(cov)
-    diff = solve_triangular(L, np.asarray(x, dtype=float) - mean, lower=True)
-    return float(
-        -0.5 * diff @ diff
-        - np.log(np.diag(L)).sum()
-        - 0.5 * len(x) * np.log(2.0 * np.pi)
-    )
 
 
 @dataclass(frozen=True)
@@ -87,22 +74,6 @@ class GaussianBranchComponent:
             at += m
         out[at:, at:] = self.cov
         return out
-
-    def check(self) -> None:
-        """Raise if sizes or genealogy are inconsistent (debug aid)."""
-        marks = validate_genealogy(self.genealogy)
-        if marks[-1] == 0:
-            raise ValueError("component genealogy must be the alive prefix")
-        if branch_length(marks) != self.length:
-            raise ValueError(
-                f"{self.length} states but genealogy implies {branch_length(marks)}"
-            )
-
-
-def component_from_moments(genealogy, mean, cov, nx) -> GaussianBranchComponent:
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov = _sym(np.atleast_2d(np.asarray(cov, dtype=float)))
-    return GaussianBranchComponent(tuple(genealogy), mean, cov, nx)
 
 
 def predict_augment_survive(
@@ -157,57 +128,63 @@ def spawn_component(
 def innovation(
     c: GaussianBranchComponent, H: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted measurement and innovation covariance for the last state."""
+    """Predicted measurement and innovation covariance for the last state.
+
+    S gets JITTER * I when it is not positive definite.
+    """
     nx = c.nx
     last = slice(len(c.mean) - nx, len(c.mean))
     zhat = H @ c.mean[last]
     S = _sym(H @ c.cov[last, last] @ H.T + R)
-    return zhat, S
+    if S.shape == (2, 2):  # the 2x2 closed forms below divide by this det
+        definite = S[0, 0] > 0.0 and S[0, 0] * S[1, 1] - S[0, 1] * S[0, 1] > 0.0
+    else:
+        definite = np.linalg.eigvalsh(S)[0] > 0.0
+    return zhat, S if definite else S + JITTER * np.eye(len(S))
 
 
-def gate(
-    z: np.ndarray,
-    c: GaussianBranchComponent,
-    H: np.ndarray,
-    R: np.ndarray,
-    threshold: float,
-) -> bool:
-    """Ellipsoidal gate: squared Mahalanobis innovation distance <= threshold."""
-    zhat, S = innovation(c, H, R)
-    L = _chol_with_jitter(S)
-    w = solve_triangular(L, np.asarray(z, dtype=float) - zhat, lower=True)
-    return float(w @ w) <= threshold
+def gate_loglik(
+    S: np.ndarray, innovations: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``innovations`` inside the gate and their log N(nu; 0, S).
 
-
-def update_last_state(
-    c: GaussianBranchComponent, z: np.ndarray, H: np.ndarray, R: np.ndarray
-) -> tuple[GaussianBranchComponent, float]:
-    """Condition the live window on a measurement of the last state.
-
-    Returns the updated component and the log of the predictive likelihood
-    N(z; H x_last, H P_last H' + R).  The cross covariances inside the live
-    window make this a fixed-interval smoothing update for the recent past;
-    frozen chunks stay fixed by construction.
+    A row is inside when its squared Mahalanobis distance is <= threshold.
+    S is positive definite, as ``innovation`` returns it; 2x2 takes the
+    closed form, anything else goes through Cholesky.
     """
-    nx = c.nx
-    z = np.asarray(z, dtype=float)
-    n = len(c.mean)
-    last = slice(n - nx, n)
-    zhat = H @ c.mean[last]
-    S = _sym(H @ c.cov[last, last] @ H.T + R)
-    L = _chol_with_jitter(S)
-    innov = z - zhat
-    white = solve_triangular(L, innov, lower=True)
-    loglik = float(
-        -0.5 * white @ white
-        - np.log(np.diag(L)).sum()
-        - 0.5 * len(z) * np.log(2.0 * np.pi)
-    )
-    PHt = c.cov[:, last] @ H.T
-    K = cho_solve((L, True), PHt.T).T
-    new_mean = c.mean + K @ innov
-    new_cov = _sym(c.cov - K @ S @ K.T)
-    return replace(c, mean=new_mean, cov=new_cov), loglik
+    if S.shape == (2, 2):
+        a, b, c = S[0, 0], S[0, 1], S[1, 1]
+        det = a * c - b * b
+        u, v = innovations[:, 0], innovations[:, 1]
+        d2 = (c * u * u - 2.0 * b * u * v + a * v * v) / det
+        half_logdet = 0.5 * math.log(det)
+    else:
+        L = np.linalg.cholesky(S)
+        white = solve_triangular(L, innovations.T, lower=True)
+        d2 = (white**2).sum(axis=0)
+        half_logdet = float(np.log(np.diag(L)).sum())
+    rows = np.flatnonzero(d2 <= threshold)
+    return rows, -0.5 * d2[rows] - half_logdet - 0.5 * S.shape[0] * _LOG2PI
+
+
+def condition(
+    c: GaussianBranchComponent, H: np.ndarray, S: np.ndarray, innovations: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Condition the live window on measurements of the last state.
+
+    Returns one posterior mean per innovation row and the covariance they
+    share.  The cross covariances inside the live window make this a
+    fixed-interval smoothing update for the recent past; frozen chunks stay
+    fixed by construction.
+    """
+    if S.shape == (2, 2):
+        a, b, d = S[0, 0], S[0, 1], S[1, 1]
+        S_inv = np.array([[d, -b], [-b, a]]) / (a * d - b * b)
+    else:
+        S_inv = np.linalg.inv(S)
+    K = c.cov[:, -c.nx :] @ H.T @ S_inv
+    cov = _sym(c.cov - K @ S @ K.T)
+    return [c.mean + K @ nu for nu in innovations], cov
 
 
 def l_scan_truncate_component(
@@ -284,6 +261,3 @@ class PPPComponent:
     start_time: int
     comp: GaussianBranchComponent
 
-    @property
-    def weight(self) -> float:
-        return float(np.exp(self.log_weight))

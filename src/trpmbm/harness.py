@@ -181,8 +181,8 @@ def rms_curves(reports: list[RunReport]) -> dict[str, dict[str, np.ndarray]]:
 
 def _label_key(label: str):
     kind, _, l = label.partition("-L")
-    order = {"trpmbm": 0, "trmbm": 1, "tpmbm": 2}
-    return (order.get(kind, 9), int(l) if l.isdigit() else 0)
+    order = KINDS.index(kind) if kind in KINDS else len(KINDS)
+    return (order, int(l) if l.isdigit() else 0)
 
 
 def _fmt(x: float) -> str:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .trees import TreeTrajectory, targets_at_time, trees_to_text
+from .trees import Branch, TreeTrajectory, targets_at_time, trees_to_text
 
 NX = 4  # state: [px, vx, py, vy]
 NZ = 2
@@ -105,7 +105,6 @@ class FilterParams:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    n_modes: int
     modes: tuple[MotionMode, ...]
     measurement: MeasurementModel
     births: tuple[BirthComponent, ...]
@@ -115,16 +114,16 @@ class ScenarioConfig:
     seed: int = 0
 
     @property
+    def n_modes(self) -> int:
+        return len(self.modes)
+
+    @property
     def survival(self) -> MotionMode:
         return self.modes[0]
 
     @property
     def spawn_modes(self) -> tuple[MotionMode, ...]:
         return self.modes[1:]
-
-    @property
-    def birth_rate(self) -> float:
-        return sum(b.weight for b in self.births)
 
 
 def default_scenario() -> ScenarioConfig:
@@ -170,14 +169,12 @@ def default_scenario() -> ScenarioConfig:
             cov=np.diag([160.0**2, 1.0, 100.0**2, 1.0]),
         ),
     )
-    return ScenarioConfig(
-        n_modes=3, modes=modes, measurement=measurement, births=births
-    )
+    return ScenarioConfig(modes=modes, measurement=measurement, births=births)
 
 
 def no_spawning(cfg: ScenarioConfig) -> ScenarioConfig:
     """The same scenario with the spawning modes removed (single-mode case)."""
-    return replace(cfg, n_modes=1, modes=cfg.modes[:1])
+    return replace(cfg, modes=cfg.modes[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +206,34 @@ _FILTER_KEYS = {
 }
 
 
+def _scalar(section: dict, key: str, default, where: str, problems: list[str]):
+    """``section[key]``, or ``default`` when absent, as the type of ``default``.
+
+    Only JSON numbers are accepted, and integer fields take only integral
+    values.  A bad value is reported as field ``where + key`` and replaced by
+    ``default``, so loading goes on collecting problems.
+    """
+    value = section.get(key, default)
+    kind = type(default)
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        out = kind(value)
+        if out != value and kind is int:
+            raise ValueError
+        return out
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        problems.append(f"{where}{key}: expected {noun}, got {value!r:.60}")
+        return default
+
+
 def _matrix(value, shape, what, problems) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        problems.append(f"{what}: expected numbers, got {value!r:.60}")
+        return np.zeros(shape)
     if arr.shape != shape:
         problems.append(f"{what}: expected shape {shape}, got {arr.shape}")
         return np.zeros(shape)
@@ -271,7 +294,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
         raw_modes = data.get("modes")
         if raw_modes is None:
             # rho given alone: keep defaults truncated/checked against it
-            rho = int(data["rho"])
+            rho = _scalar(data, "rho", len(modes), "", problems)
             if rho < 1:
                 problems.append(f"rho must be >= 1, got {rho}")
             elif rho <= len(modes):
@@ -286,22 +309,19 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
                 unknown = set(m) - _MODE_KEYS
                 if unknown:
                     problems.append(f"modes[{i}]: unknown fields {sorted(unknown)}")
-                prob = float(m.get("prob", 0.0))
+                prob = _scalar(m, "prob", 0.0, f"modes[{i}].", problems)
                 F = _matrix(m.get("F", np.eye(NX)), (NX, NX), f"modes[{i}].F", problems)
                 Q = _matrix(m.get("Q", np.zeros((NX, NX))), (NX, NX), f"modes[{i}].Q", problems)
                 offset = None
-                perp_scale = m.get("perp_scale")
-                if perp_scale is not None:
-                    perp_scale = float(perp_scale)
+                perp_scale = None
+                if m.get("perp_scale") is not None:
+                    perp_scale = _scalar(m, "perp_scale", 0.0, f"modes[{i}].", problems)
                 elif "offset" in m:
-                    offset = np.asarray(m["offset"], dtype=float).reshape(-1)
-                    if offset.shape != (NX,):
-                        problems.append(f"modes[{i}].offset: expected {NX} entries")
-                        offset = np.zeros(NX)
+                    offset = _matrix(m["offset"], (NX,), f"modes[{i}].offset", problems)
                 else:
                     offset = np.zeros(NX)
                 modes.append(MotionMode(i + 1, prob, F, Q, offset, perp_scale))
-            if "rho" in data and int(data["rho"]) != len(modes):
+            if "rho" in data and _scalar(data, "rho", len(modes), "", problems) != len(modes):
                 problems.append(
                     f"rho={data['rho']} does not match {len(modes)} modes"
                 )
@@ -315,8 +335,8 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
         meas = MeasurementModel(
             H=_matrix(m.get("H", meas.H), (NZ, NX), "measurement.H", problems),
             R=_matrix(m.get("R", meas.R), (NZ, NZ), "measurement.R", problems),
-            p_detect=float(m.get("p_detect", meas.p_detect)),
-            clutter_rate=float(m.get("clutter_rate", meas.clutter_rate)),
+            p_detect=_scalar(m, "p_detect", meas.p_detect, "measurement.", problems),
+            clutter_rate=_scalar(m, "clutter_rate", meas.clutter_rate, "measurement.", problems),
             clutter_region=_matrix(
                 m.get("clutter_region", meas.clutter_region),
                 (2, 2),
@@ -334,7 +354,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
                 problems.append(f"birth[{i}]: unknown fields {sorted(unknown)}")
             births.append(
                 BirthComponent(
-                    weight=float(b.get("weight", 0.0)),
+                    weight=_scalar(b, "weight", 0.0, f"birth[{i}].", problems),
                     mean=_matrix(b.get("mean", np.zeros(NX)), (NX,), f"birth[{i}].mean", problems),
                     cov=_matrix(b.get("cov", np.eye(NX)), (NX, NX), f"birth[{i}].cov", problems),
                 )
@@ -348,17 +368,18 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
             problems.append(f"filters: unknown fields {sorted(unknown)}")
             for k in unknown:
                 f.pop(k)
-        filt = replace(filt, **{k: type(getattr(filt, k))(v) for k, v in f.items()})
+        filt = replace(
+            filt, **{k: _scalar(f, k, getattr(filt, k), "filters.", problems) for k in f}
+        )
 
     cfg = ScenarioConfig(
-        n_modes=len(modes),
         modes=tuple(modes),
         measurement=meas,
         births=tuple(births),
-        horizon=int(data.get("horizon", base.horizon)),
+        horizon=_scalar(data, "horizon", base.horizon, "", problems),
         birth_type=str(data.get("birth_type", base.birth_type)),
         filters=filt,
-        seed=int(data.get("seed", base.seed)),
+        seed=_scalar(data, "seed", base.seed, "", problems),
     )
     problems.extend(validate_scenario(cfg))
     if problems:
@@ -368,8 +389,8 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     problems = []
-    if cfg.n_modes != len(cfg.modes) or cfg.n_modes < 1:
-        problems.append(f"rho={cfg.n_modes} inconsistent with {len(cfg.modes)} modes")
+    if not cfg.modes:
+        problems.append("at least one motion mode is required")
     for m in cfg.modes:
         if not 0.0 <= m.prob <= 1.0:
             problems.append(f"mode {m.index}: probability {m.prob} outside [0, 1]")
@@ -475,17 +496,10 @@ def sample_ground_truth(
             x = cfg.births[q].mean + chol_b[q] @ rng.standard_normal(NX)
             trees.append((k, [_GrowingBranch([1], [x])]))
 
-    out = []
-    for start, branches in trees:
-        from .trees import Branch
-
-        out.append(
-            TreeTrajectory(
-                start,
-                [Branch(tuple(b.marks), np.array(b.states)) for b in branches],
-            )
-        )
-    return out
+    return [
+        TreeTrajectory(start, [Branch(tuple(b.marks), np.array(b.states)) for b in branches])
+        for start, branches in trees
+    ]
 
 
 def sample_measurements(

@@ -15,7 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
+
+from trpmbm.gaussian import GaussianBranchComponent
+from trpmbm.trees import branch_length, validate_genealogy
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +351,34 @@ def condition_joint_gaussian(mean, cov, H_full, R, z):
         - 0.5 * len(resid) * np.log(2 * np.pi)
     )
     return post_mean, post_cov, float(loglik)
+
+
+def gauss_logpdf(x, mean, cov) -> float:
+    """log N(x; mean, cov) via Cholesky."""
+    L = np.linalg.cholesky(cov)
+    diff = solve_triangular(L, np.asarray(x, dtype=float) - mean, lower=True)
+    return float(
+        -0.5 * diff @ diff
+        - np.log(np.diag(L)).sum()
+        - 0.5 * len(x) * np.log(2.0 * np.pi)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Gaussian branch components
+# ---------------------------------------------------------------------------
+
+
+def component_from_moments(genealogy, mean, cov, nx) -> GaussianBranchComponent:
+    mean = np.asarray(mean, dtype=float).reshape(-1)
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    return GaussianBranchComponent(tuple(genealogy), mean, (cov + cov.T) / 2.0, nx)
+
+
+def check_component(c: GaussianBranchComponent) -> None:
+    """Raise if a component's sizes or genealogy are inconsistent."""
+    marks = validate_genealogy(c.genealogy)
+    if marks[-1] == 0:
+        raise ValueError("component genealogy must be the alive prefix")
+    if branch_length(marks) != c.length:
+        raise ValueError(f"{c.length} states but genealogy implies {branch_length(marks)}")

@@ -17,13 +17,13 @@ import pytest
 import importlib.resources as resources
 
 from trpmbm.assignment import InfeasibleAssignmentError, murty_kbest
-from trpmbm.discrete import predict_slots, slot_marginal
 from trpmbm.filter import check_posterior, estimate, initial_posterior, step
 from trpmbm.harness import FilterSpec, rms_curves, run_experiment
 from trpmbm.metric import TrajMetricParams, Track, trajectory_metric
 from trpmbm.models import default_scenario, no_spawning, sample_ground_truth, sample_measurement_sequence
 from trpmbm.trees import branch_length, genealogy_for, max_branch_length, parse_trees, unique_id
 
+from discrete import predict_slots, slot_marginal
 from oracles import enumerate_assignments, enumerate_predicted_marginals, metric_by_enumeration
 from test_discrete_prediction import _random_model, _random_slots
 

@@ -10,7 +10,7 @@ exactly on each output slot's Bernoulli marginal.
 import numpy as np
 import pytest
 
-from trpmbm.discrete import (
+from discrete import (
     DiscreteBranchDensity,
     DiscreteEndCase,
     DiscreteModel,

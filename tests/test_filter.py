@@ -29,11 +29,12 @@ from trpmbm.gaussian import (
     EndCase,
     GaussianBranchComponent,
     PPPComponent,
-    gauss_logpdf,
     innovation,
 )
 from trpmbm.models import default_scenario, no_spawning, sample_ground_truth, sample_measurement_sequence
 from trpmbm.trees import targets_at_time
+
+from oracles import gauss_logpdf
 
 CFG = default_scenario()
 
@@ -164,6 +165,25 @@ def test_update_weight_identity():
     rhs = w * (1 - r * 0.9) + w * r * 0.9 * gated_lik
     assert lhs == pytest.approx(rhs, rel=1e-12)
     assert len(det_ws) == 2  # the far measurement is outside the gate
+
+
+def test_update_near_singular_innovation_stays_finite():
+    # exact position knowledge and a vanishing R: S underflows to a singular
+    # matrix, and the jitter policy must hold for gating and the gain alike
+    cfg = replace(CFG, measurement=replace(CFG.measurement, R=1e-200 * np.eye(2)))
+    comp = GaussianBranchComponent((1,), np.array([300.0, 3, 170, 1]), np.diag([0.0, 1, 0, 1]), 4)
+    tree = _one_branch_tree(0.5, {1: EndCase(1.0, comp)})
+    ppp = (PPPComponent(math.log(0.08), 1, comp),)
+    post = Posterior(1, ppp, (tree,), (GlobalHyp(0.0, ((0,),)),))
+    z = np.array([[300.0, 170.0]])
+    upd, maps = update(post, z, cfg)
+    assert (0, 0, 0, 0) in maps.det_index
+    for t in upd.trees:
+        for h in t.slots[0].hyps:
+            if h.density is not None:
+                c = h.density.components[1].comp
+                assert np.isfinite(c.mean).all() and np.isfinite(c.cov).all()
+    assert check_posterior(form_hypotheses(upd, maps, 1, cfg), current_step_measurements=1) == []
 
 
 def test_update_new_tree_existence_ratio():
@@ -346,7 +366,6 @@ def test_step_noiseless_single_target_converges():
         cfg,
         horizon=12,
         modes=(replace(cfg.modes[0], prob=1.0),),
-        n_modes=1,
         measurement=replace(
             cfg.measurement, p_detect=1.0, clutter_rate=0.0, R=1e-6 * np.eye(2)
         ),

@@ -145,7 +145,18 @@ def test_cli_error_paths(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "scenario, field",
-    [({"modes": [1]}, "modes[0]"), ({"measurement": []}, "measurement")],
+    [
+        ({"modes": [1]}, "modes[0]"),
+        ({"measurement": []}, "measurement"),
+        ({"rho": [1]}, "rho"),
+        ({"horizon": None}, "horizon"),
+        ({"modes": [{"prob": None}]}, "modes[0].prob"),
+        ({"filters": {"n_hyp": [2]}}, "filters.n_hyp"),
+        ({"seed": "x"}, "seed"),
+        ({"filters": {"n_hyp": 1.5}}, "filters.n_hyp"),
+        ({"filters": {"lscan": 2.7}}, "filters.lscan"),
+        ({"measurement": {"H": {"a": 1}}}, "measurement.H"),
+    ],
 )
 def test_cli_rejects_wrongly_typed_sections(tmp_path, capsys, scenario, field):
     path = tmp_path / "s.json"
