@@ -32,7 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list out of trpmbm,trmbm,tpmbm (default trpmbm)",
     )
     parser.add_argument(
-        "--lscan", default="5", help="comma list of smoothing windows (default 5)"
+        "--lscan",
+        help="comma list of smoothing windows (default: the scenario's filters.lscan)",
     )
     parser.add_argument("--runs", type=int, default=20, help="Monte-Carlo runs")
     parser.add_argument("--seed", type=int, default=None, help="experiment seed")
@@ -52,7 +53,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_scenario(args.scenario) if args.scenario else default_scenario()
         seed = cfg.seed if args.seed is None else args.seed
         kinds = [k.strip() for k in args.filters.split(",") if k.strip()]
-        windows = [int(l) for l in args.lscan.split(",") if l.strip()]
+        if args.lscan is None:
+            windows = [cfg.filters.lscan]
+        else:
+            windows = [int(l) for l in args.lscan.split(",") if l.strip()]
         specs = [FilterSpec(kind, lscan) for kind in kinds for lscan in windows]
         truth = None
         if args.truth:

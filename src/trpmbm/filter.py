@@ -68,7 +68,6 @@ class LocalHyp:
 @dataclass(frozen=True)
 class BranchSlot:
     branch_id: tuple[int, ...]  # genealogy prefix up to last spawning, tree-relative
-    start_time: int  # absolute step of the branch's first state
     hyps: tuple[LocalHyp, ...]
 
 
@@ -109,10 +108,7 @@ def _birth_component(b: BirthComponent) -> GaussianBranchComponent:
 
 
 def ppp_predict(
-    ppp: tuple[PPPComponent, ...],
-    cfg: ScenarioConfig,
-    k: int,
-    include_births: bool = True,
+    ppp: tuple[PPPComponent, ...], cfg: ScenarioConfig, k: int
 ) -> tuple[PPPComponent, ...]:
     """Survival-thinned continuation of every intensity term, plus births."""
     surv = cfg.survival
@@ -124,9 +120,8 @@ def ppp_predict(
                 comp.comp, surv.F, surv.offset_at(comp.comp.last_mean), surv.Q
             )
             out.append(PPPComponent(comp.log_weight + log_ps, comp.start_time, moved))
-    if include_births:
-        for b in cfg.births:
-            out.append(PPPComponent(_log(b.weight), k, _birth_component(b)))
+    for b in cfg.births:
+        out.append(PPPComponent(_log(b.weight), k, _birth_component(b)))
     return tuple(out)
 
 
@@ -172,24 +167,20 @@ def tree_predict(
                     prev.comp, surv.F, surv.offset_at(prev.comp.last_mean), surv.Q
                 )
                 cases[k] = EndCase(prev.beta * p_s, moved)
-            hyps.append(
-                LocalHyp(h.log_w, h.r, BranchDensity(h.density.start_time, cases), h.assoc)
-            )
+            hyps.append(LocalHyp(h.log_w, h.r, BranchDensity(cases), h.assoc))
             changed = True
         if alive:
             spawnable.append(ji)
         any_change = any_change or changed
-        new_slots.append(
-            slot if not changed else BranchSlot(slot.branch_id, slot.start_time, tuple(hyps))
-        )
+        new_slots.append(slot if not changed else BranchSlot(slot.branch_id, tuple(hyps)))
 
     parent_of: list[int] = []
-    for mode in cfg.spawn_modes:
+    for mark, mode in enumerate(cfg.spawn_modes, start=2):
         for ji in spawnable:
             slot = tree.slots[ji]
             # deterministic alive genealogy of the parent at step k-1
             pad = (k - 1 - tree.start_time + 1) - len(slot.branch_id)
-            child_id = slot.branch_id + (1,) * pad + (mode.index,)
+            child_id = slot.branch_id + (1,) * pad + (mark,)
             hyps = []
             for h in slot.hyps:
                 prev = (
@@ -203,11 +194,11 @@ def tree_predict(
                     prev.comp.last_mean
                 )
                 child = spawn_component(
-                    prev.comp, mode.F, mode.offset_at(predicted_mean), mode.Q, mode.index
+                    prev.comp, mode.F, mode.offset_at(predicted_mean), mode.Q, mark
                 )
-                density = BranchDensity(k, {k: EndCase(1.0, child)})
+                density = BranchDensity({k: EndCase(1.0, child)})
                 hyps.append(LocalHyp(0.0, r_new, density, frozenset()))
-            new_slots.append(BranchSlot(child_id, k, tuple(hyps)))
+            new_slots.append(BranchSlot(child_id, tuple(hyps)))
             parent_of.append(ji)
     if not any_change and not parent_of:
         return tree, parent_of
@@ -218,9 +209,9 @@ def _birth_tree(cfg: ScenarioConfig, k: int) -> BernoulliTree:
     """One Bernoulli tree per birth term (multi-Bernoulli birth mode)."""
     slots = []
     for b in cfg.births:
-        density = BranchDensity(k, {k: EndCase(1.0, _birth_component(b))})
+        density = BranchDensity({k: EndCase(1.0, _birth_component(b))})
         slots.append(
-            BranchSlot((1,), k, (LocalHyp(0.0, min(b.weight, 1.0), density, frozenset()),))
+            BranchSlot((1,), (LocalHyp(0.0, min(b.weight, 1.0), density, frozenset()),))
         )
     return BernoulliTree(k, tuple(slots))
 
@@ -249,7 +240,7 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
                 for g in hypotheses
             )
     else:
-        ppp = ppp_predict(post.ppp, cfg, k, include_births=True)
+        ppp = ppp_predict(post.ppp, cfg, k)
     return Posterior(k, ppp, trees, hypotheses)
 
 
@@ -292,14 +283,13 @@ class UpdateMaps:
     """Bookkeeping linking predicted hypotheses to their updated children.
 
     Only hypotheses with nonzero detectable mass appear in miss_logfactor;
-    absent keys mean a missed-detection factor of exactly 1 (log 0).
+    absent keys mean a missed-detection factor of exactly 1 (log 0).  Both
+    dicts are filled in (tree, slot, hyp) order.
     """
 
-    n_prev_trees: int
     miss_logfactor: dict  # (tree, slot, hyp) -> log(1 - r beta(k) pD), != 0 only
-    det_meas: dict  # (tree, slot, hyp) -> list of gated measurement indices
-    det_index: dict  # (tree, slot, hyp, meas) -> updated hyp index
-    det_logratio: dict  # (tree, slot, hyp, meas) -> log w_det - log w_miss
+    # (tree, slot, hyp) -> {gated meas: (updated hyp index, log w_det - log w_miss)}
+    det_meas: dict
     new_tree_logw: np.ndarray  # per measurement: log(clutter + ppp mass)
 
 
@@ -345,14 +335,14 @@ def update(
             zhat, S = innovation(comp.comp, meas.H, meas.R)
             (mean,), cov = condition(comp.comp, meas.H, S, Z[m : m + 1] - zhat)
             upd = replace(comp.comp, mean=mean, cov=cov)
-            density = BranchDensity(comp.start_time, {k: EndCase(1.0, upd)})
+            density = BranchDensity({k: EndCase(1.0, upd)})
             start = comp.start_time
         else:
             r2, density, start = 0.0, None, k
         hyp_none = LocalHyp(0.0, 0.0, None, frozenset())
         hyp_exist = LocalHyp(log_w2, r2, density, frozenset({(k, m)}))
         new_trees.append(
-            BernoulliTree(start, (BranchSlot((1,), start, (hyp_none, hyp_exist)),))
+            BernoulliTree(start, (BranchSlot((1,), (hyp_none, hyp_exist)),))
         )
     if p_d >= 1.0:
         ppp = ()
@@ -363,8 +353,6 @@ def update(
     # --- Bernoulli trees: missed and detected local hypotheses --------------
     miss_logfactor: dict = {}
     det_meas: dict = {}
-    det_index: dict = {}
-    det_logratio: dict = {}
     trees = []
     for ti, tree in enumerate(post.trees):
         slots = []
@@ -405,7 +393,7 @@ def update(
                     missed = LocalHyp(
                         h.log_w + _log(miss_factor),
                         r_miss,
-                        BranchDensity(h.density.start_time, cases),
+                        BranchDensity(cases),
                         h.assoc,
                     )
                 hyps.append(missed)
@@ -421,38 +409,51 @@ def update(
                     continue
                 means, cov_post = condition(comp_k, meas.H, S, Z[gated] - zhat)
                 log_base = h.log_w + _log(h.r) + _log(beta_k) + _log(p_d)
-                base_key = (ti, ji, bi)
-                det_meas[base_key] = [int(m) for m in gated]
+                dets = det_meas[(ti, ji, bi)] = {}
                 for pos, m in enumerate(gated):
                     comp_post = replace(comp_k, mean=means[pos], cov=cov_post)
-                    det = LocalHyp(
-                        log_base + logliks[pos],
-                        1.0,
-                        BranchDensity(h.density.start_time, {k: EndCase(1.0, comp_post)}),
-                        h.assoc | {(k, int(m))},
+                    log_det = log_base + logliks[pos]
+                    dets[int(m)] = (n_missed + len(detected), log_det - (h.log_w + log_miss))
+                    detected.append(
+                        LocalHyp(
+                            log_det,
+                            1.0,
+                            BranchDensity({k: EndCase(1.0, comp_post)}),
+                            h.assoc | {(k, int(m))},
+                        )
                     )
-                    det_index[(ti, ji, bi, int(m))] = n_missed + len(detected)
-                    det_logratio[(ti, ji, bi, int(m))] = (
-                        log_base + logliks[pos] - (h.log_w + log_miss)
-                    )
-                    detected.append(det)
-            slots.append(BranchSlot(slot.branch_id, slot.start_time, tuple(hyps + detected)))
+            slots.append(BranchSlot(slot.branch_id, tuple(hyps + detected)))
         trees.append(
             tree if not tree_changed else BernoulliTree(tree.start_time, tuple(slots))
         )
 
-    maps = UpdateMaps(
-        len(post.trees), miss_logfactor, det_meas, det_index, det_logratio, new_tree_logw
-    )
     return (
         Posterior(k, ppp, tuple(trees) + tuple(new_trees), post.hypotheses),
-        maps,
+        UpdateMaps(miss_logfactor, det_meas, new_tree_logw),
     )
 
 
 # ---------------------------------------------------------------------------
 # Global hypothesis formation
 # ---------------------------------------------------------------------------
+
+
+def _merged(children) -> tuple[GlobalHyp, ...]:
+    """Global hypotheses from (log_w, selection) pairs, sorted by selection.
+
+    Weights of equal selections are summed in arrival order, then all are
+    normalised.
+    """
+    merged: dict = {}
+    for log_w, sel in children:
+        prev = merged.get(sel)
+        merged[sel] = np.logaddexp(prev, log_w) if prev is not None else log_w
+    if not merged:
+        return ()
+    keys = sorted(merged)
+    logs = np.array([merged[s] for s in keys])
+    logs -= logsumexp(logs)
+    return tuple(GlobalHyp(float(w), s) for s, w in zip(keys, logs))
 
 
 def form_hypotheses(
@@ -480,17 +481,9 @@ def form_hypotheses(
                 if (ti, ji, bi) in maps.det_meas:
                     cols.append((ti, ji, bi))
         baselines[gi] = baseline
-        cols.sort()
         groups.setdefault(tuple(cols), []).append(gi)
 
-    children: dict = {}
-
-    def add_child(log_w: float, selection) -> None:
-        prev = children.get(selection)
-        children[selection] = (
-            np.logaddexp(prev, log_w) if prev is not None else log_w
-        )
-
+    children = []
     for cols, members in groups.items():
         n_cols = len(cols)
         free = sorted({m for key in cols for m in maps.det_meas[key]})
@@ -502,8 +495,8 @@ def form_hypotheses(
         )
         C = np.full((n_free, n_cols + n_free), np.inf)
         for ci, key in enumerate(cols):
-            for m in maps.det_meas[key]:
-                C[free_pos[m], ci] = -maps.det_logratio[key + (m,)]
+            for m, (_, logratio) in maps.det_meas[key].items():
+                C[free_pos[m], ci] = -logratio
         for i, m in enumerate(free):
             C[i, n_cols + i] = -maps.new_tree_logw[m]
 
@@ -529,19 +522,13 @@ def form_hypotheses(
                     assigned_new[m] = False
                     ti, ji, bi = cols[col_pos]
                     row = list(sel[ti])
-                    row[ji] = maps.det_index[(ti, ji, bi, m)]
+                    row[ji] = maps.det_meas[(ti, ji, bi)][m][0]
                     sel[ti] = tuple(row)
                 for m in range(m_k):
                     sel.append((1,) if assigned_new[m] else (0,))
-                add_child(log_w, tuple(sel))
+                children.append((log_w, tuple(sel)))
 
-    if not children:
-        return replace(post, hypotheses=())
-    keys = sorted(children)
-    logs = np.array([children[s] for s in keys])
-    logs -= logsumexp(logs)
-    hyps = tuple(GlobalHyp(float(w), s) for s, w in zip(keys, logs))
-    return replace(post, hypotheses=hyps)
+    return replace(post, hypotheses=_merged(children))
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +551,6 @@ def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
 
     keep_ppp = tuple(c for c in post.ppp if c.log_weight >= _log(f.gamma_ppp))
 
-    # referenced local hypotheses; hypotheses mostly share per-tree selection
-    # rows (children only copy rows they touch), so work per distinct row once
-    n_trees = len(post.trees)
-    tree_rows: list[dict] = [dict() for _ in range(n_trees)]
-    for g in hyps:
-        for ti, row in enumerate(g.selection):
-            tree_rows[ti][row] = None
-    used: dict[tuple[int, int], set[int]] = {}
-    for ti, rows in enumerate(tree_rows):
-        for row in rows:
-            for ji, bi in enumerate(row):
-                used.setdefault((ti, ji), set()).add(bi)
-
     def shrink_hyp(h: LocalHyp) -> LocalHyp:
         if 0.0 < h.r < f.gamma_bern:
             h = LocalHyp(h.log_w, 0.0, None, h.assoc)
@@ -589,50 +563,36 @@ def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
                     if kappa != k
                 }
                 if rest:
-                    h = replace(h, density=BranchDensity(h.density.start_time, rest))
+                    h = replace(h, density=BranchDensity(rest))
                 else:
                     h = LocalHyp(h.log_w, 0.0, None, h.assoc)
         return h
 
+    # hypotheses mostly share per-tree selection rows (children only copy
+    # rows they touch), so each tree works on its distinct rows once
     new_trees = []
-    tree_map: dict[int, int] = {}
-    slot_maps: dict[tuple[int, int], dict[int, int]] = {}
-    slot_keep: dict[int, list[int]] = {}
+    row_maps = []  # per kept tree: (tree index, {old row: new row})
     for ti, tree in enumerate(post.trees):
+        rows = dict.fromkeys(g.selection[ti] for g in hyps)
         slots = []
-        kept_slots = []
-        for ji, slot in enumerate(tree.slots):
-            refs = sorted(used.get((ti, ji), ()))
-            if not refs:
-                continue
-            new_hyps = [shrink_hyp(slot.hyps[bi]) for bi in refs]
+        hyp_maps = []  # per kept slot: (slot index, {old hyp: new hyp})
+        for ji, referenced in enumerate(zip(*rows)):
+            refs = sorted(set(referenced))
+            new_hyps = [shrink_hyp(tree.slots[ji].hyps[bi]) for bi in refs]
             if all(h.r == 0.0 for h in new_hyps):
                 continue
-            slot_maps[(ti, ji)] = {bi: pos for pos, bi in enumerate(refs)}
-            slots.append(BranchSlot(slot.branch_id, slot.start_time, tuple(new_hyps)))
-            kept_slots.append(ji)
+            hyp_maps.append((ji, {bi: pos for pos, bi in enumerate(refs)}))
+            slots.append(BranchSlot(tree.slots[ji].branch_id, tuple(new_hyps)))
         if slots:
-            tree_map[ti] = len(new_trees)
-            slot_keep[ti] = kept_slots
             new_trees.append(BernoulliTree(tree.start_time, tuple(slots)))
+            row_maps.append(
+                (ti, {row: tuple(m[row[ji]] for ji, m in hyp_maps) for row in rows})
+            )
 
-    kept_tis = sorted(tree_map)
-    for ti in kept_tis:
-        rows = tree_rows[ti]
-        for row in rows:
-            rows[row] = tuple(slot_maps[(ti, ji)][row[ji]] for ji in slot_keep[ti])
-
-    remapped: dict = {}
-    for g in hyps:
-        key = tuple(tree_rows[ti][g.selection[ti]] for ti in kept_tis)
-        prev = remapped.get(key)
-        remapped[key] = np.logaddexp(prev, g.log_w) if prev is not None else g.log_w
-
-    keys = sorted(remapped)
-    logs = np.array([remapped[s] for s in keys])
-    logs -= logsumexp(logs)
-    order = sorted(range(len(keys)), key=lambda i: (-logs[i], keys[i]))
-    new_hyps = tuple(GlobalHyp(float(logs[i]), keys[i]) for i in order)
+    merged = _merged(
+        (g.log_w, tuple(rmap[g.selection[ti]] for ti, rmap in row_maps)) for g in hyps
+    )
+    new_hyps = tuple(sorted(merged, key=lambda g: (-g.log_w, g.selection)))
     return Posterior(post.step, keep_ppp, tuple(new_trees), new_hyps)
 
 
@@ -792,7 +752,6 @@ def posterior_to_dict(post: Posterior) -> dict:
                 "slots": [
                     {
                         "branch_id": list(slot.branch_id),
-                        "start_time": slot.start_time,
                         "hypotheses": [
                             {
                                 "log_w": h.log_w,
@@ -801,7 +760,6 @@ def posterior_to_dict(post: Posterior) -> dict:
                                 "density": None
                                 if h.density is None
                                 else {
-                                    "start_time": h.density.start_time,
                                     "components": {
                                         str(kappa): {
                                             "beta": case.beta,

@@ -219,7 +219,6 @@ class EndCase(NamedTuple):
 class BranchDensity:
     """Mixture over branch end times: step kappa -> (beta, Gaussian component)."""
 
-    start_time: int
     components: dict[int, EndCase]
 
     def beta(self, kappa: int) -> float:
@@ -247,7 +246,7 @@ def l_scan_truncate(d: BranchDensity, L: int) -> BranchDensity:
         new[k] = EndCase(case.beta, comp)
     if not changed:
         return d
-    return BranchDensity(d.start_time, new)
+    return BranchDensity(new)
 
 
 @dataclass(frozen=True)

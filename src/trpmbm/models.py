@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +45,11 @@ def perp_unit(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MotionMode:
-    """One transition channel: survival (index 1) or a spawning mode (>= 2).
+    """One transition channel: survival or a spawning mode.
 
     The offset is either a fixed vector or ``perp_scale * perp_unit(x)``.
     """
 
-    index: int
     prob: float
     F: np.ndarray
     Q: np.ndarray
@@ -105,6 +104,7 @@ class FilterParams:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    # survival first; a spawning mode's genealogy mark is its 1-based position
     modes: tuple[MotionMode, ...]
     measurement: MeasurementModel
     births: tuple[BirthComponent, ...]
@@ -151,9 +151,9 @@ def default_scenario() -> ScenarioConfig:
         ]
     )
     modes = (
-        MotionMode(1, 0.99, F1, Q1, offset=np.zeros(NX)),
-        MotionMode(2, 0.01, F2, Q1, perp_scale=5.0),
-        MotionMode(3, 0.01, F3, Q1, perp_scale=-5.0),
+        MotionMode(0.99, F1, Q1, offset=np.zeros(NX)),
+        MotionMode(0.01, F2, Q1, perp_scale=5.0),
+        MotionMode(0.01, F3, Q1, perp_scale=-5.0),
     )
     measurement = MeasurementModel(
         H=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
@@ -191,19 +191,18 @@ _TOP_KEYS = {
     "filters",
     "seed",
 }
-_MODE_KEYS = {"prob", "F", "Q", "offset", "perp_scale"}
-_MEAS_KEYS = {"H", "R", "p_detect", "clutter_rate", "clutter_region"}
-_BIRTH_KEYS = {"weight", "mean", "cov"}
-_FILTER_KEYS = {
-    "n_hyp",
-    "gamma_mbm",
-    "gamma_ppp",
-    "gamma_bern",
-    "gamma_alive",
-    "gamma_estimate",
-    "gate",
-    "lscan",
-}
+_MODE_KEYS, _MEAS_KEYS, _BIRTH_KEYS, _FILTER_KEYS = (
+    {f.name for f in fields(cls)}
+    for cls in (MotionMode, MeasurementModel, BirthComponent, FilterParams)
+)
+
+
+def _known(section: dict, keys: set[str], where: str, problems: list[str]) -> dict:
+    """``section`` without its fields outside ``keys``, which are reported."""
+    unknown = set(section) - keys
+    if unknown:
+        problems.append(f"{where}: unknown fields {sorted(unknown)}")
+    return {k: v for k, v in section.items() if k in keys}
 
 
 def _scalar(section: dict, key: str, default, where: str, problems: list[str]):
@@ -306,9 +305,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
         else:
             modes = []
             for i, m in enumerate(raw_modes):
-                unknown = set(m) - _MODE_KEYS
-                if unknown:
-                    problems.append(f"modes[{i}]: unknown fields {sorted(unknown)}")
+                _known(m, _MODE_KEYS, f"modes[{i}]", problems)
                 prob = _scalar(m, "prob", 0.0, f"modes[{i}].", problems)
                 F = _matrix(m.get("F", np.eye(NX)), (NX, NX), f"modes[{i}].F", problems)
                 Q = _matrix(m.get("Q", np.zeros((NX, NX))), (NX, NX), f"modes[{i}].Q", problems)
@@ -320,7 +317,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
                     offset = _matrix(m["offset"], (NX,), f"modes[{i}].offset", problems)
                 else:
                     offset = np.zeros(NX)
-                modes.append(MotionMode(i + 1, prob, F, Q, offset, perp_scale))
+                modes.append(MotionMode(prob, F, Q, offset, perp_scale))
             if "rho" in data and _scalar(data, "rho", len(modes), "", problems) != len(modes):
                 problems.append(
                     f"rho={data['rho']} does not match {len(modes)} modes"
@@ -329,9 +326,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     meas = base.measurement
     if "measurement" in data:
         m = data["measurement"]
-        unknown = set(m) - _MEAS_KEYS
-        if unknown:
-            problems.append(f"measurement: unknown fields {sorted(unknown)}")
+        _known(m, _MEAS_KEYS, "measurement", problems)
         meas = MeasurementModel(
             H=_matrix(m.get("H", meas.H), (NZ, NX), "measurement.H", problems),
             R=_matrix(m.get("R", meas.R), (NZ, NZ), "measurement.R", problems),
@@ -349,9 +344,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     if "birth" in data:
         births = []
         for i, b in enumerate(data["birth"]):
-            unknown = set(b) - _BIRTH_KEYS
-            if unknown:
-                problems.append(f"birth[{i}]: unknown fields {sorted(unknown)}")
+            _known(b, _BIRTH_KEYS, f"birth[{i}]", problems)
             births.append(
                 BirthComponent(
                     weight=_scalar(b, "weight", 0.0, f"birth[{i}].", problems),
@@ -362,12 +355,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
 
     filt = base.filters
     if "filters" in data:
-        f = dict(data["filters"])
-        unknown = set(f) - _FILTER_KEYS
-        if unknown:
-            problems.append(f"filters: unknown fields {sorted(unknown)}")
-            for k in unknown:
-                f.pop(k)
+        f = _known(data["filters"], _FILTER_KEYS, "filters", problems)
         filt = replace(
             filt, **{k: _scalar(f, k, getattr(filt, k), "filters.", problems) for k in f}
         )
@@ -391,13 +379,13 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     problems = []
     if not cfg.modes:
         problems.append("at least one motion mode is required")
-    for m in cfg.modes:
+    for i, m in enumerate(cfg.modes, start=1):
         if not 0.0 <= m.prob <= 1.0:
-            problems.append(f"mode {m.index}: probability {m.prob} outside [0, 1]")
+            problems.append(f"mode {i}: probability {m.prob} outside [0, 1]")
         if not np.allclose(m.Q, m.Q.T, atol=1e-9):
-            problems.append(f"mode {m.index}: Q not symmetric")
+            problems.append(f"mode {i}: Q not symmetric")
         elif np.linalg.eigvalsh(m.Q).min() < -1e-9:
-            problems.append(f"mode {m.index}: Q not positive semidefinite")
+            problems.append(f"mode {i}: Q not positive semidefinite")
     if not 0.0 <= cfg.measurement.p_detect <= 1.0:
         problems.append(f"p_detect {cfg.measurement.p_detect} outside [0, 1]")
     if cfg.measurement.clutter_rate < 0:
@@ -479,9 +467,7 @@ def sample_ground_truth(
                     if rng.random() < mode.prob:
                         noise = chol_q[mi] @ rng.standard_normal(NX)
                         child = mode.F @ x + mode.offset_at(x) + noise
-                        branches.append(
-                            _GrowingBranch(parent_prefix + [mode.index], [child])
-                        )
+                        branches.append(_GrowingBranch(parent_prefix + [mi + 1], [child]))
         # births at step k
         rng = _stream(seed, run, _TRUTH_BIRTH, k)
         if total_birth > 0:

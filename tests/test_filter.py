@@ -46,18 +46,18 @@ def _component(mean, genealogy=(1,), scale=1.0):
 
 
 def _one_branch_tree(r, beta_cases, start=1, log_w=0.0, assoc=frozenset()):
-    density = BranchDensity(start, beta_cases)
-    slot = BranchSlot((1,), start, (LocalHyp(log_w, r, density, assoc),))
+    density = BranchDensity(beta_cases)
+    slot = BranchSlot((1,), (LocalHyp(log_w, r, density, assoc),))
     return BernoulliTree(start, (slot,))
 
 
 def test_ppp_predict_thins_and_adds_birth():
     comp = PPPComponent(0.0, 1, _component(np.zeros(4)))
-    out = ppp_predict((comp,), CFG, 2, include_births=False)
+    out = ppp_predict((comp,), CFG, 2)[:1]  # the thinned term precedes the births
     assert math.exp(out[0].log_weight) == pytest.approx(0.99, abs=1e-12)
     assert out[0].comp.genealogy == (1, 1)
 
-    births = ppp_predict((), CFG, 5, include_births=True)
+    births = ppp_predict((), CFG, 5)
     assert len(births) == 1
     assert math.exp(births[0].log_weight) == pytest.approx(0.08, abs=1e-12)
     assert births[0].start_time == 5
@@ -90,7 +90,7 @@ def test_tree_predict_beta_split_and_spawn():
         case = h.density.components[3]
         assert case.beta == 1.0
         assert case.comp.genealogy == (1, 1, mode)
-        assert mode_slot.start_time == 3
+        assert list(h.density.components) == [3] and case.comp.length == 1
 
 
 def test_tree_predict_spawned_existence_formula():
@@ -129,7 +129,7 @@ def test_update_detection_confirms_existence():
     post = Posterior(1, (), (tree,), (GlobalHyp(0.0, ((0,),)),))
     z = np.array([[300.0, 170.0]])
     upd, maps = update(post, z, CFG)
-    det = upd.trees[0].slots[0].hyps[maps.det_index[(0, 0, 0, 0)]]
+    det = upd.trees[0].slots[0].hyps[maps.det_meas[(0, 0, 0)][0][0]]
     assert det.r == 1.0
     assert det.density.beta(1) == 1.0
     assert det.assoc == {(1, 0)}
@@ -152,8 +152,9 @@ def test_update_weight_identity():
     missed_w = math.exp(slot.hyps[0].log_w)
     det_ws = [
         math.exp(slot.hyps[idx].log_w)
-        for (ti, ji, bi, m), idx in maps.det_index.items()
+        for (ti, ji, bi), dets in maps.det_meas.items()
         if (ti, ji) == (0, 0)
+        for idx, _ in dets.values()
     ]
     zhat, S = innovation(comp, CFG.measurement.H, CFG.measurement.R)
     gated_lik = sum(
@@ -177,7 +178,7 @@ def test_update_near_singular_innovation_stays_finite():
     post = Posterior(1, ppp, (tree,), (GlobalHyp(0.0, ((0,),)),))
     z = np.array([[300.0, 170.0]])
     upd, maps = update(post, z, cfg)
-    assert (0, 0, 0, 0) in maps.det_index
+    assert 0 in maps.det_meas.get((0, 0, 0), {})
     for t in upd.trees:
         for h in t.slots[0].hyps:
             if h.density is not None:
@@ -187,7 +188,7 @@ def test_update_near_singular_innovation_stays_finite():
 
 
 def test_update_new_tree_existence_ratio():
-    birth = ppp_predict((), CFG, 1, include_births=True)
+    birth = ppp_predict((), CFG, 1)
     post = Posterior(1, birth, (), (GlobalHyp(0.0, ()),))
     z = np.array([[300.0, 170.0]])
     upd, maps = update(post, z, CFG)
@@ -321,7 +322,7 @@ def test_prune_freezes_small_alive_mass():
 
 def test_prune_drops_zero_existence_slots_and_remaps():
     alive = _one_branch_tree(0.9, {1: EndCase(1.0, _component([1.0, 0, 1, 0]))})
-    dead_slot = BranchSlot((1,), 1, (LocalHyp(0.0, 1e-9, None, frozenset()),))
+    dead_slot = BranchSlot((1,), (LocalHyp(0.0, 1e-9, None, frozenset()),))
     doomed = BernoulliTree(1, (dead_slot,))
     post = Posterior(
         1,
@@ -332,6 +333,40 @@ def test_prune_drops_zero_existence_slots_and_remaps():
     out = prune(post, CFG)
     assert len(out.trees) == 1
     assert out.hypotheses[0].selection == ((0,),)
+
+
+def test_prune_remaps_two_slot_tree_and_merges_equal_selections():
+    density = BranchDensity({1: EndCase(1.0, _component([1.0, 0, 1, 0]))})
+    live = tuple(LocalHyp(-float(bi), 0.9, density, frozenset()) for bi in range(5))
+    # every referenced hypothesis of slot 1 has r = 0 once pruned (index 2 is
+    # below gamma_bern); the unreferenced index 1 is alive and does not count
+    dead = (
+        LocalHyp(0.0, 0.0, None, frozenset()),
+        LocalHyp(0.0, 0.5, density, frozenset()),
+        LocalHyp(0.0, 5e-5, density, frozenset()),
+    )
+    two_slot = BernoulliTree(1, (BranchSlot((1,), live), BranchSlot((1, 2), dead)))
+    one_slot = BernoulliTree(1, (BranchSlot((1,), live[:3]),))
+    post = Posterior(
+        2,
+        (),
+        (two_slot, one_slot),
+        (
+            GlobalHyp(math.log(0.4), ((1, 0), (0,))),
+            GlobalHyp(math.log(0.35), ((3, 2), (2,))),
+            GlobalHyp(math.log(0.25), ((3, 0), (2,))),
+        ),
+    )
+    out = prune(post, CFG)
+    assert [len(t.slots) for t in out.trees] == [1, 1]
+    assert [h.log_w for h in out.trees[0].slots[0].hyps] == [-1.0, -3.0]
+    assert [h.log_w for h in out.trees[1].slots[0].hyps] == [0.0, -2.0]
+    # the last two hypotheses differ only in the dropped slot: they merge,
+    # and the merged one leads although its selection sorts last
+    assert [g.selection for g in out.hypotheses] == [((1,), (1,)), ((0,), (0,))]
+    assert math.exp(out.hypotheses[0].log_w) == pytest.approx(0.6, abs=1e-12)
+    assert math.exp(out.hypotheses[1].log_w) == pytest.approx(0.4, abs=1e-12)
+    assert check_posterior(out) == []
 
 
 def test_estimate_threshold_and_end_time():

@@ -191,7 +191,7 @@ def test_lscan_preserves_current_marginal():
 
 def test_lscan_density_shares_untouched_object():
     c = component_from_moments((1,), [1.0], [[1.0]], 1)
-    d = BranchDensity(3, {3: EndCase(1.0, c)})
+    d = BranchDensity({3: EndCase(1.0, c)})
     assert l_scan_truncate(d, 5) is d
 
 

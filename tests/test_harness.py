@@ -128,6 +128,14 @@ def test_cli_end_to_end(tmp_path):
     assert (out / "rms_vs_time.csv").exists()
 
 
+def test_cli_defaults_to_the_scenario_window(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"horizon": 3, "filters": {"lscan": 2}}))
+    out = tmp_path / "results"
+    assert main(["--scenario", str(scenario), "--runs", "1", "--out", str(out)]) == 0
+    assert (out / "timing.csv").read_text().splitlines()[1].startswith("trpmbm,2,")
+
+
 def test_cli_error_paths(tmp_path, capsys):
     code = main(["--filters", "", "--out", str(tmp_path / "x")])
     assert code != 0
