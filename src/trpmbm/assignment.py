@@ -2,15 +2,21 @@
 
 Rows are measurements, columns are association targets; every row must be
 assigned to exactly one column, one column takes at most one row (rows <=
-columns).  Forbidden pairs carry np.inf.  The k-best enumeration uses
-binary-partition subproblems around each extracted solution, each solved
-with the C assignment solver from scipy.
+columns).  Forbidden pairs carry np.inf.  The k-best enumeration (Murty)
+uses binary-partition subproblems around each extracted solution, each
+solved with the C assignment solver from scipy.  A subproblem is solved
+only when a cheap lower bound on its optimum (each free row at its
+cheapest allowed column, the row-minimum relaxation) reaches the front of
+the queue, so most subproblems behind the last returned solution are never
+solved (Miller, Stone & Cox, "Optimizing Murty's ranked assignment
+method", IEEE TAES 1997).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -60,15 +66,70 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, float]:
     return result
 
 
+@functools.lru_cache(maxsize=64)
+def _below_diagonal(n: int) -> np.ndarray:
+    """Read-only mask of the entries (i, t) with i > t of an n x n matrix."""
+    mask = np.tri(n, n, -1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _child_bounds(
+    matrix: np.ndarray, sub: np.ndarray, fixed_cost: float
+) -> np.ndarray:
+    """Lower bounds on the children of a node's best assignment ``sub``.
+
+    Child t pins rows i < t to sub[i], forbids sub[t] to row t and leaves
+    the later rows free over the columns not pinned.  Its optimum is at
+    least the pinned cost plus, for row t, the cheapest column outside
+    sub[:t+1] and, for every later row, the cheapest column outside
+    sub[:t] (each row on its own, columns shared).  With the columns
+    reordered as sub followed by the unused ones, those minima are suffix
+    minima of each row, so all n bounds cost O(n * columns).  The bounds
+    are lowered by a small relative margin so that rounding can never lift
+    one above the total its child is solved to; inf marks an infeasible
+    child.
+    """
+    n = len(sub)
+    unused = np.ones(matrix.shape[1], dtype=bool)
+    unused[sub] = False
+    # columns in the order sub, then the unused ones, then one inf column;
+    # suffix_min[i, j] is the cheapest entry of row i in columns >= j
+    permuted = np.concatenate(
+        [matrix[:, sub], matrix[:, unused], np.full((n, 1), np.inf)], axis=1
+    )
+    suffix_min = np.minimum.accumulate(permuted[:, ::-1], axis=1)[:, ::-1]
+    chosen = permuted.diagonal()  # matrix[i, sub[i]]
+    own = suffix_min.diagonal(1)
+    later = np.where(_below_diagonal(n), suffix_min[:, :n], 0.0)
+    bounds = fixed_cost + (np.cumsum(chosen) - chosen) + own + later.sum(axis=0)
+    scale = abs(fixed_cost) + np.cumsum(np.abs(chosen)) + np.abs(own)
+    scale += np.abs(later).sum(axis=0)
+    finite = np.isfinite(bounds)
+    bounds[finite] -= 1e-9 * scale[finite]
+    return bounds
+
+
+_SOLVED, _TURNS, _BOUNDED = 0, 1, 2
+
+
 def murty_kbest(cost: np.ndarray, K: int) -> list[tuple[np.ndarray, float]]:
     """The min(K, #feasible) cheapest assignments in nondecreasing cost order.
 
     The first entry equals hungarian(cost).  Nodes partition the solution
     space on the best assignment's row order, so no duplicates can occur.
-    Children enter the queue unsolved with their parent's total as a valid
-    lower bound and are only solved (on a matrix shrunk by the pinned rows
-    and columns) if they surface, which keeps solver calls close to the
-    number of extracted solutions.
+
+    The queue replays the plain method, in which an extracted node's
+    children take their turns in row order right away (keyed by the
+    node's total) and each is solved on its turn.  Here a child's turn
+    only queues it under its lower bound (``_child_bounds``); it is solved
+    (on a matrix shrunk by the pinned rows and columns) when that bound
+    surfaces, and never when the bound is infinite.  Queue order numbers
+    (the tiebreak between equal keys) are handed out in the plain method's
+    order, and a turn whose bound lies below the node's total ends the run
+    of turns, because that child could come out before the next turn.  So
+    the solutions and their order, ties included, are those of the plain
+    method.
     """
     cost = np.asarray(cost, dtype=float)
     if K < 1:
@@ -79,30 +140,44 @@ def murty_kbest(cost: np.ndarray, K: int) -> list[tuple[np.ndarray, float]]:
         return [first]
 
     out: list[tuple[np.ndarray, float]] = []
-    counter = itertools.count()
-    # solved node: (total, tiebreak, True, fixed_pairs, fixed_cost, matrix,
-    #               rows, cols, sub_assignment)
-    # lazy child:  (bound, tiebreak, False, fixed_pairs, fixed_cost, matrix,
-    #               rows, cols, (parent_sub, t))
-    heap = [
-        (
-            first[1],
-            next(counter),
-            True,
-            (),
-            0.0,
-            cost,
-            np.arange(n_rows),
-            np.arange(n_cols),
-            first[0],
-        )
-    ]
+    # (key, order, kind, fixed_pairs, fixed_cost, matrix, rows, cols, tail):
+    #   _SOLVED   key = total, tail = sub_assignment
+    #   _TURNS    key = total, tail = (sub_assignment, child bounds, next child)
+    #   _BOUNDED  key = bound, tail = (parent sub_assignment, child t)
+    root = ((), 0.0, cost, np.arange(n_rows), np.arange(n_cols))
+    heap = [(first[1], 0, _SOLVED, *root, first[0])]
+    handed_out = 1  # queue order numbers used so far
 
     while heap and len(out) < K:
-        total, _, solved, fixed, fixed_cost, matrix, rows, cols, tail = heapq.heappop(
+        key, order, kind, fixed, fixed_cost, matrix, rows, cols, tail = heapq.heappop(
             heap
         )
-        if not solved:
+        node = (fixed, fixed_cost, matrix, rows, cols)
+        if kind == _SOLVED:
+            sub = tail
+            full = np.empty(n_rows, dtype=int)
+            for r, c in fixed:
+                full[r] = c
+            full[rows] = cols[sub]
+            out.append((full, key))
+            if len(out) == K:
+                break
+            bounds = _child_bounds(matrix, sub, fixed_cost).tolist()
+            heapq.heappush(heap, (key, handed_out, _TURNS, *node, (sub, bounds, 0)))
+            handed_out += len(sub)
+        elif kind == _TURNS:
+            sub, bounds, first_turn = tail
+            for t in range(first_turn, len(sub)):
+                if bounds[t] == math.inf:
+                    continue
+                heapq.heappush(heap, (bounds[t], handed_out, _BOUNDED, *node, (sub, t)))
+                handed_out += 1
+                if bounds[t] < key and t + 1 < len(sub):
+                    rest = (sub, bounds, t + 1)
+                    turn = order + t + 1 - first_turn
+                    heapq.heappush(heap, (key, turn, _TURNS, *node, rest))
+                    break
+        else:
             sub, t = tail
             col_mask = np.ones(len(cols), dtype=bool)
             col_mask[sub[:t]] = False
@@ -119,8 +194,8 @@ def murty_kbest(cost: np.ndarray, K: int) -> list[tuple[np.ndarray, float]]:
                 heap,
                 (
                     child_fixed_cost + best[1],
-                    next(counter),
-                    True,
+                    order,
+                    _SOLVED,
                     child_fixed,
                     child_fixed_cost,
                     child,
@@ -128,20 +203,5 @@ def murty_kbest(cost: np.ndarray, K: int) -> list[tuple[np.ndarray, float]]:
                     cols[col_mask],
                     best[0],
                 ),
-            )
-            continue
-
-        sub = tail
-        full = np.empty(n_rows, dtype=int)
-        for r, c in fixed:
-            full[r] = c
-        full[rows] = cols[sub]
-        out.append((full, total))
-        if len(out) == K:
-            break
-        for t in range(len(rows)):
-            heapq.heappush(
-                heap,
-                (total, next(counter), False, fixed, fixed_cost, matrix, rows, cols, (sub, t)),
             )
     return out

@@ -300,7 +300,17 @@ def update(
 
     Missed-detection versions sit at the same index as their predicted
     hypothesis, so previous global selections stay valid until
-    form_hypotheses rewires the detected ones.
+    form_hypotheses rewires the detected ones.  The intensity terms and the
+    detectable local hypotheses are each gated against every measurement in
+    one stacked call.
+
+    Approximation: a new tree's Bernoulli keeps the Gaussian of the one
+    intensity term with the largest weighted likelihood for its measurement
+    (ties to the latest start, then the last term), not the mixture over
+    every gated term that the exact update gives; its weight and existence
+    do sum over all terms.  A measurement that no term gates and that
+    clutter cannot explain (zero clutter density) gets the log-weight
+    LOG_FLOOR and starts a zero-existence tree.
     """
     k = post.step
     meas = cfg.measurement
@@ -312,18 +322,22 @@ def update(
 
     # --- Poisson intensity: per-measurement mass and thinning ---------------
     ppp_loglik = np.full((len(post.ppp), m_k), -np.inf)
-    for qi, comp in enumerate(post.ppp):
-        if not np.isfinite(comp.log_weight) or m_k == 0:
-            continue
-        zhat, S = innovation(comp.comp, meas.H, meas.R)
-        gated, loglik = gate_loglik(S, Z - zhat, gate)
-        ppp_loglik[qi, gated] = comp.log_weight + _log(p_d) + loglik
+    live = [qi for qi, c in enumerate(post.ppp) if np.isfinite(c.log_weight)]
+    if live and m_k:
+        zhat, ppp_S = innovation([post.ppp[qi].comp for qi in live], meas.H, meas.R)
+        ppp_innov = Z - zhat[:, None, :]
+        inside, loglik = gate_loglik(ppp_S, ppp_innov, gate)
+        for row, qi in enumerate(live):
+            gated = inside[row]
+            log_base = post.ppp[qi].log_weight + _log(p_d)
+            ppp_loglik[qi, gated] = log_base + loglik[row, gated]
+        row_of = {qi: row for row, qi in enumerate(live)}
     new_tree_logw = np.empty(m_k)
     new_trees = []
     for m in range(m_k):
         col = ppp_loglik[:, m]
         total = float(logsumexp(col)) if len(col) else -np.inf
-        log_w2 = float(np.logaddexp(log_clutter, total))
+        log_w2 = max(float(np.logaddexp(log_clutter, total)), LOG_FLOOR)
         new_tree_logw[m] = log_w2
         if np.isfinite(total):
             r2 = float(math.exp(total - log_w2))
@@ -332,8 +346,10 @@ def update(
                 key=lambda q: (col[q], post.ppp[q].start_time, q),
             )
             comp = post.ppp[best]
-            zhat, S = innovation(comp.comp, meas.H, meas.R)
-            (mean,), cov = condition(comp.comp, meas.H, S, Z[m : m + 1] - zhat)
+            row = row_of[best]
+            (mean,), cov = condition(
+                comp.comp, meas.H, ppp_S[row], ppp_innov[row, m : m + 1]
+            )
             upd = replace(comp.comp, mean=mean, cov=cov)
             density = BranchDensity({k: EndCase(1.0, upd)})
             start = comp.start_time
@@ -350,33 +366,27 @@ def update(
         thin = _log(1.0 - p_d)
         ppp = tuple(replace(c, log_weight=c.log_weight + thin) for c in post.ppp)
 
-    # --- Bernoulli trees: missed and detected local hypotheses --------------
+    # --- Bernoulli trees: missed local hypotheses ---------------------------
+    # one missed hypothesis per predicted one (same index); the detected ones
+    # go behind the full missed block of their slot
     miss_logfactor: dict = {}
-    det_meas: dict = {}
-    trees = []
+    slot_hyps: dict = {}  # tree -> slot -> local hypotheses, touched slots only
+    detectable = []  # (tree, slot, hyp), local hyp, log miss factor, beta(k)
     for ti, tree in enumerate(post.trees):
-        slots = []
-        tree_changed = False
         for ji, slot in enumerate(tree.slots):
             if all(
                 h.density is None or h.r <= 0.0 or h.density.beta(k) <= 0.0
                 for h in slot.hyps
             ):
-                slots.append(slot)  # nothing detectable: untouched
-                continue
-            tree_changed = True
-            # one missed hypothesis per predicted one (same index), then the
-            # detected hypotheses appended behind the full missed block
-            n_missed = len(slot.hyps)
-            hyps: list[LocalHyp] = []
-            detected: list[LocalHyp] = []
+                continue  # nothing detectable: untouched
+            hyps = slot_hyps.setdefault(ti, {})[ji] = []
             for bi, h in enumerate(slot.hyps):
                 beta_k = h.density.beta(k) if h.density is not None else 0.0
-                detectable = h.r * beta_k * p_d
-                if detectable <= 0.0:
+                detectable_mass = h.r * beta_k * p_d
+                if detectable_mass <= 0.0:
                     hyps.append(h)
                     continue
-                miss_factor = 1.0 - detectable
+                miss_factor = 1.0 - detectable_mass
                 norm = 1.0 - p_d * beta_k
                 if norm <= 0.0:
                     # detection was certain: the missed branch cannot exist
@@ -399,33 +409,43 @@ def update(
                 hyps.append(missed)
                 log_miss = max(_log(miss_factor), LOG_FLOOR)
                 miss_logfactor[(ti, ji, bi)] = log_miss
-                if m_k == 0:
-                    continue
+                detectable.append(((ti, ji, bi), h, log_miss, beta_k))
 
-                comp_k = h.density.components[k].comp
-                zhat, S = innovation(comp_k, meas.H, meas.R)
-                gated, logliks = gate_loglik(S, Z - zhat, gate)
-                if gated.size == 0:
-                    continue
-                means, cov_post = condition(comp_k, meas.H, S, Z[gated] - zhat)
-                log_base = h.log_w + _log(h.r) + _log(beta_k) + _log(p_d)
-                dets = det_meas[(ti, ji, bi)] = {}
-                for pos, m in enumerate(gated):
-                    comp_post = replace(comp_k, mean=means[pos], cov=cov_post)
-                    log_det = log_base + logliks[pos]
-                    dets[int(m)] = (n_missed + len(detected), log_det - (h.log_w + log_miss))
-                    detected.append(
-                        LocalHyp(
-                            log_det,
-                            1.0,
-                            BranchDensity({k: EndCase(1.0, comp_post)}),
-                            h.assoc | {(k, int(m))},
-                        )
+    # --- Bernoulli trees: detected local hypotheses -------------------------
+    det_meas: dict = {}
+    if detectable and m_k:
+        comps = [h.density.components[k].comp for _, h, _, _ in detectable]
+        zhat, S = innovation(comps, meas.H, meas.R)
+        innov = Z - zhat[:, None, :]
+        inside, loglik = gate_loglik(S, innov, gate)
+        for row in np.flatnonzero(inside.any(axis=1)):
+            (ti, ji, bi), h, log_miss, beta_k = detectable[row]
+            gated = np.flatnonzero(inside[row])
+            comp_k = comps[row]
+            means, cov_post = condition(comp_k, meas.H, S[row], innov[row, gated])
+            log_base = h.log_w + _log(h.r) + _log(beta_k) + _log(p_d)
+            hyps = slot_hyps[ti][ji]
+            dets = det_meas[(ti, ji, bi)] = {}
+            for m, mean, logl in zip(gated.tolist(), means, loglik[row, gated]):
+                comp_post = replace(comp_k, mean=mean, cov=cov_post)
+                log_det = log_base + logl
+                dets[m] = (len(hyps), log_det - (h.log_w + log_miss))
+                hyps.append(
+                    LocalHyp(
+                        log_det,
+                        1.0,
+                        BranchDensity({k: EndCase(1.0, comp_post)}),
+                        h.assoc | {(k, m)},
                     )
-            slots.append(BranchSlot(slot.branch_id, tuple(hyps + detected)))
-        trees.append(
-            tree if not tree_changed else BernoulliTree(tree.start_time, tuple(slots))
+                )
+
+    trees = list(post.trees)
+    for ti, touched in slot_hyps.items():
+        slots = tuple(
+            BranchSlot(slot.branch_id, tuple(touched[ji])) if ji in touched else slot
+            for ji, slot in enumerate(trees[ti].slots)
         )
+        trees[ti] = BernoulliTree(trees[ti].start_time, slots)
 
     return (
         Posterior(k, ppp, tuple(trees) + tuple(new_trees), post.hypotheses),
@@ -675,8 +695,13 @@ def check_posterior(
     """
     problems = []
     if post.hypotheses:
-        total = sum(math.exp(g.log_w) for g in post.hypotheses)
-        if abs(total - 1.0) > tol:
+        logs = [g.log_w for g in post.hypotheses]
+        bad = sum(not math.isfinite(w) for w in logs)
+        if bad:
+            problems.append(f"{bad} hypothesis log-weights not finite")
+        with np.errstate(over="ignore"):
+            total = float(np.exp(logs).sum())
+        if not abs(total - 1.0) <= tol:  # also catches a NaN total
             problems.append(f"hypothesis weights sum to {total}, not 1")
     for qi, comp in enumerate(post.ppp):
         if any(m != 1 for m in comp.comp.genealogy):

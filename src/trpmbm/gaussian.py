@@ -7,20 +7,21 @@ independent of the live window and are never touched again.  All
 operations here work on the live window only, are pure (inputs are never
 mutated) and resymmetrise covariances on the way out.
 
-Every measurement update goes through one kernel: ``gate_loglik`` gates
-and scores innovations, ``condition`` conditions the live window on them.
-Both take S from ``innovation``, which holds the one jitter policy: it adds
-JITTER * I once when S is not positive definite.
+Every measurement update goes through one kernel: ``innovation`` stacks
+the predicted measurements and innovation covariances of N components,
+``gate_loglik`` gates and scores all of them against every measurement at
+once, and ``condition`` conditions one component's live window on its
+gated measurements.  ``innovation`` holds the one jitter policy: it adds
+JITTER * I once to each S that is not positive definite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .trees import Genealogy
 
@@ -126,45 +127,52 @@ def spawn_component(
 
 
 def innovation(
-    c: GaussianBranchComponent, H: np.ndarray, R: np.ndarray
+    comps: Sequence[GaussianBranchComponent], H: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted measurement and innovation covariance for the last state.
+    """Predicted measurements (N, nz) and innovation covariances (N, nz, nz).
 
-    S gets JITTER * I when it is not positive definite.
+    One row per component, for its last state.  Each S that is not
+    positive definite gets JITTER * I.
     """
-    nx = c.nx
-    last = slice(len(c.mean) - nx, len(c.mean))
-    zhat = H @ c.mean[last]
-    S = _sym(H @ c.cov[last, last] @ H.T + R)
-    if S.shape == (2, 2):  # the 2x2 closed forms below divide by this det
-        definite = S[0, 0] > 0.0 and S[0, 0] * S[1, 1] - S[0, 1] * S[0, 1] > 0.0
+    nx = comps[0].nx
+    means = np.stack([c.mean[-nx:] for c in comps])
+    covs = np.stack([c.cov[-nx:, -nx:] for c in comps])
+    zhat = np.matmul(H, means[:, :, None])[..., 0]
+    S = H @ covs @ H.T + R
+    S = (S + S.swapaxes(1, 2)) / 2.0
+    if S.shape[1:] == (2, 2):  # the 2x2 closed forms below divide by this det
+        a, b, c = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
+        definite = (a > 0.0) & (a * c - b * b > 0.0)
     else:
-        definite = np.linalg.eigvalsh(S)[0] > 0.0
-    return zhat, S if definite else S + JITTER * np.eye(len(S))
+        definite = np.linalg.eigvalsh(S)[:, 0] > 0.0
+    S[~definite] += JITTER * np.eye(S.shape[1])
+    return zhat, S
 
 
 def gate_loglik(
     S: np.ndarray, innovations: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``innovations`` inside the gate and their log N(nu; 0, S).
+    """Gate mask and log N(nu; 0, S) of (N, M, nz) innovations, both (N, M).
 
-    A row is inside when its squared Mahalanobis distance is <= threshold.
-    S is positive definite, as ``innovation`` returns it; 2x2 takes the
-    closed form, anything else goes through Cholesky.
+    Row n of ``innovations`` holds every measurement's innovation against
+    component n, whose S[n] is positive definite, as ``innovation`` returns
+    it.  A pair is inside when its squared Mahalanobis distance is <=
+    threshold.  2x2 takes the closed form, anything else goes through
+    Cholesky.
     """
-    if S.shape == (2, 2):
-        a, b, c = S[0, 0], S[0, 1], S[1, 1]
+    nz = S.shape[1]
+    if nz == 2:
+        a, b, c = S[:, 0, 0, None], S[:, 0, 1, None], S[:, 1, 1, None]
         det = a * c - b * b
-        u, v = innovations[:, 0], innovations[:, 1]
+        u, v = innovations[..., 0], innovations[..., 1]
         d2 = (c * u * u - 2.0 * b * u * v + a * v * v) / det
-        half_logdet = 0.5 * math.log(det)
+        half_logdet = np.array([[0.5 * math.log(x)] for x in det[:, 0].tolist()])
     else:
         L = np.linalg.cholesky(S)
-        white = solve_triangular(L, innovations.T, lower=True)
-        d2 = (white**2).sum(axis=0)
-        half_logdet = float(np.log(np.diag(L)).sum())
-    rows = np.flatnonzero(d2 <= threshold)
-    return rows, -0.5 * d2[rows] - half_logdet - 0.5 * S.shape[0] * _LOG2PI
+        white = np.linalg.solve(L, innovations.swapaxes(1, 2))
+        d2 = (white**2).sum(axis=1)
+        half_logdet = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)[:, None]
+    return d2 <= threshold, -0.5 * d2 - half_logdet - 0.5 * nz * _LOG2PI
 
 
 def condition(

@@ -10,7 +10,9 @@ Gaussian conditioning.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -18,12 +20,14 @@ from scipy import sparse
 from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
-from trpmbm.gaussian import GaussianBranchComponent
+from trpmbm.assignment import _solve, hungarian
+from trpmbm.gaussian import JITTER, GaussianBranchComponent
 from trpmbm.trees import branch_length, validate_genealogy
 
 
 # ---------------------------------------------------------------------------
-# Assignment: exhaustive enumeration over injections rows -> columns
+# Assignment: exhaustive enumeration over injections rows -> columns, and
+# Murty k-best with every child solved
 # ---------------------------------------------------------------------------
 
 
@@ -46,6 +50,90 @@ def enumerate_assignments(cost: np.ndarray, K: int) -> list[tuple[tuple[int, ...
         ((float(t), tuple(int(c) for c in row)) for t, row in zip(totals[ok], table[ok])),
     )
     return [(cols, t) for t, cols in pairs[:K]]
+
+
+def murty_every_child(cost: np.ndarray, K: int) -> list[tuple[np.ndarray, float]]:
+    """Murty k-best that solves every child as soon as its parent is extracted.
+
+    The ranked-assignment reference for ``trpmbm.assignment.murty_kbest``:
+    children enter the queue keyed by their parent's total, which is always
+    the queue minimum, so each one is solved right away.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    n_rows, n_cols = cost.shape
+    first = hungarian(cost)
+    if K == 1 or n_rows == 0:
+        return [first]
+
+    out: list[tuple[np.ndarray, float]] = []
+    counter = itertools.count()
+    # solved node: (total, tiebreak, True, fixed_pairs, fixed_cost, matrix,
+    #               rows, cols, sub_assignment)
+    # lazy child:  (bound, tiebreak, False, fixed_pairs, fixed_cost, matrix,
+    #               rows, cols, (parent_sub, t))
+    heap = [
+        (
+            first[1],
+            next(counter),
+            True,
+            (),
+            0.0,
+            cost,
+            np.arange(n_rows),
+            np.arange(n_cols),
+            first[0],
+        )
+    ]
+
+    while heap and len(out) < K:
+        total, _, solved, fixed, fixed_cost, matrix, rows, cols, tail = heapq.heappop(
+            heap
+        )
+        if not solved:
+            sub, t = tail
+            col_mask = np.ones(len(cols), dtype=bool)
+            col_mask[sub[:t]] = False
+            child = matrix[t:][:, col_mask]
+            child[0, int(col_mask[: sub[t]].sum())] = np.inf
+            best = _solve(child)
+            if best is None:
+                continue
+            child_fixed = fixed + tuple(
+                (int(rows[i]), int(cols[sub[i]])) for i in range(t)
+            )
+            child_fixed_cost = fixed_cost + float(matrix[np.arange(t), sub[:t]].sum())
+            heapq.heappush(
+                heap,
+                (
+                    child_fixed_cost + best[1],
+                    next(counter),
+                    True,
+                    child_fixed,
+                    child_fixed_cost,
+                    child,
+                    rows[t:],
+                    cols[col_mask],
+                    best[0],
+                ),
+            )
+            continue
+
+        sub = tail
+        full = np.empty(n_rows, dtype=int)
+        for r, c in fixed:
+            full[r] = c
+        full[rows] = cols[sub]
+        out.append((full, total))
+        if len(out) == K:
+            break
+        for t in range(len(rows)):
+            heapq.heappush(
+                heap,
+                (total, next(counter), False, fixed, fixed_cost, matrix, rows, cols, (sub, t)),
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +470,41 @@ def check_component(c: GaussianBranchComponent) -> None:
         raise ValueError("component genealogy must be the alive prefix")
     if branch_length(marks) != c.length:
         raise ValueError(f"{c.length} states but genealogy implies {branch_length(marks)}")
+
+
+def innovation_one(c: GaussianBranchComponent, H, R) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted measurement and jittered innovation covariance of one component.
+
+    The per-component reference for the stacked ``trpmbm.gaussian.innovation``.
+    """
+    nx = c.nx
+    last = slice(len(c.mean) - nx, len(c.mean))
+    zhat = H @ c.mean[last]
+    S = H @ c.cov[last, last] @ H.T + R
+    S = (S + S.T) / 2.0
+    if S.shape == (2, 2):
+        definite = S[0, 0] > 0.0 and S[0, 0] * S[1, 1] - S[0, 1] * S[0, 1] > 0.0
+    else:
+        definite = np.linalg.eigvalsh(S)[0] > 0.0
+    return zhat, S if definite else S + JITTER * np.eye(len(S))
+
+
+def gate_loglik_one(S, innovations, threshold) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``innovations`` inside the gate of one S and their log N(nu; 0, S).
+
+    The per-component reference for the stacked ``trpmbm.gaussian.gate_loglik``.
+    """
+    if S.shape == (2, 2):
+        a, b, c = S[0, 0], S[0, 1], S[1, 1]
+        det = a * c - b * b
+        u, v = innovations[:, 0], innovations[:, 1]
+        d2 = (c * u * u - 2.0 * b * u * v + a * v * v) / det
+        half_logdet = 0.5 * math.log(det)
+    else:
+        L = np.linalg.cholesky(S)
+        white = solve_triangular(L, innovations.T, lower=True)
+        d2 = (white**2).sum(axis=0)
+        half_logdet = float(np.log(np.diag(L)).sum())
+    rows = np.flatnonzero(d2 <= threshold)
+    log2pi = math.log(2.0 * math.pi)
+    return rows, -0.5 * d2[rows] - half_logdet - 0.5 * S.shape[0] * log2pi

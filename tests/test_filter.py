@@ -29,12 +29,11 @@ from trpmbm.gaussian import (
     EndCase,
     GaussianBranchComponent,
     PPPComponent,
-    innovation,
 )
 from trpmbm.models import default_scenario, no_spawning, sample_ground_truth, sample_measurement_sequence
 from trpmbm.trees import targets_at_time
 
-from oracles import gauss_logpdf
+from oracles import gauss_logpdf, innovation_one
 
 CFG = default_scenario()
 
@@ -134,7 +133,7 @@ def test_update_detection_confirms_existence():
     assert det.density.beta(1) == 1.0
     assert det.assoc == {(1, 0)}
     # detected weight = w * r * beta * pD * N(z)
-    zhat, S = innovation(comp, CFG.measurement.H, CFG.measurement.R)
+    zhat, S = innovation_one(comp, CFG.measurement.H, CFG.measurement.R)
     want = math.log(0.5) + math.log(0.9) + gauss_logpdf(z[0], zhat, S)
     assert det.log_w == pytest.approx(want, abs=1e-9)
 
@@ -156,7 +155,7 @@ def test_update_weight_identity():
         if (ti, ji) == (0, 0)
         for idx, _ in dets.values()
     ]
-    zhat, S = innovation(comp, CFG.measurement.H, CFG.measurement.R)
+    zhat, S = innovation_one(comp, CFG.measurement.H, CFG.measurement.R)
     gated_lik = sum(
         math.exp(gauss_logpdf(z, zhat, S))
         for z in Z
@@ -196,7 +195,7 @@ def test_update_new_tree_existence_ratio():
     hyp0, hyp1 = upd.trees[0].slots[0].hyps
     assert hyp0.r == 0.0 and hyp0.log_w == 0.0
     comp = birth[0].comp
-    zhat, S = innovation(comp, CFG.measurement.H, CFG.measurement.R)
+    zhat, S = innovation_one(comp, CFG.measurement.H, CFG.measurement.R)
     mass = 0.08 * 0.9 * math.exp(gauss_logpdf(z[0], zhat, S))
     clutter = CFG.measurement.clutter_density
     assert math.exp(hyp1.log_w) == pytest.approx(clutter + mass, rel=1e-12)
@@ -249,7 +248,7 @@ def test_form_hypotheses_weights_match_event_enumeration():
 
     p_d = CFG.measurement.p_detect
     clutter = CFG.measurement.clutter_density
-    zhat, S = innovation(comp, CFG.measurement.H, CFG.measurement.R)
+    zhat, S = innovation_one(comp, CFG.measurement.H, CFG.measurement.R)
     lik = [math.exp(gauss_logpdf(z, zhat, S)) for z in Z]
     miss = 1 - r * p_d
     events = {
@@ -465,3 +464,40 @@ def test_posterior_snapshot_is_json_ready():
 def test_step_rejects_unknown_kind():
     with pytest.raises(ValueError):
         step(initial_posterior(), np.zeros((0, 2)), CFG, kind="nope")
+
+
+@pytest.mark.parametrize("kind", flt.KINDS)
+def test_zero_clutter_unexplained_measurement_starts_empty_tree(kind):
+    # no clutter and nothing gates the far measurement: its new tree must
+    # get a floored weight, not -inf (which normalised every weight to NaN)
+    cfg = replace(CFG, measurement=replace(CFG.measurement, clutter_rate=0.0))
+    post = step(initial_posterior(), np.array([[1e5, 1e5]]), cfg, kind, validate=True)
+    assert all(math.isfinite(g.log_w) for g in post.hypotheses)
+    post = step(post, np.zeros((0, 2)), cfg, kind, validate=True)
+    assert all(math.isfinite(g.log_w) for g in post.hypotheses)
+    assert estimate(post, cfg) == []
+
+
+@pytest.mark.parametrize("kind", flt.KINDS)
+def test_no_detection_and_no_clutter_keeps_weights_finite(kind):
+    # scans from the default model fed to a filter that can explain none
+    truth = sample_ground_truth(replace(CFG, horizon=12), seed=3)
+    meas = sample_measurement_sequence(truth, replace(CFG, horizon=12), seed=3)
+    assert sum(len(Z) for Z in meas) > 0
+    cfg = replace(
+        CFG, measurement=replace(CFG.measurement, p_detect=0.0, clutter_rate=0.0)
+    )
+    post = initial_posterior()
+    for Z in meas:
+        post = step(post, Z, cfg, kind, validate=True)
+    assert all(math.isfinite(g.log_w) for g in post.hypotheses)
+
+
+def test_check_posterior_reports_non_finite_weights():
+    tree = _one_branch_tree(0.6, {1: EndCase(1.0, _component([1.0, 0, 2, 0]))})
+    for log_ws in ([math.nan], [math.nan, 0.0], [0.0, -math.inf], [math.inf]):
+        post = Posterior(1, (), (tree,), tuple(GlobalHyp(w, ((0,),)) for w in log_ws))
+        problems = check_posterior(post)
+        assert any("not finite" in p for p in problems), log_ws
+    ok = Posterior(1, (), (tree,), (GlobalHyp(0.0, ((0,),)),))
+    assert check_posterior(ok) == []

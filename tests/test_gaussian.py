@@ -29,17 +29,17 @@ def _rand_component(rng, length, nx=2, genealogy=None):
 
 def _update_one(c, z, H, R):
     """Condition ``c`` on one measurement through the gate/update kernel."""
-    zhat, S = innovation(c, H, R)
-    innov = (np.asarray(z, dtype=float) - zhat)[None]
-    _, (loglik,) = gate_loglik(S, innov, math.inf)
-    (mean,), cov = condition(c, H, S, innov)
+    zhat, S = innovation([c], H, R)
+    innov = np.asarray(z, dtype=float) - zhat[:, None, :]
+    _, ((loglik,),) = gate_loglik(S, innov, math.inf)
+    (mean,), cov = condition(c, H, S[0], innov[0])
     return replace(c, mean=mean, cov=cov), float(loglik)
 
 
 def _gated(z, c, H, R, threshold):
-    zhat, S = innovation(c, H, R)
-    rows, _ = gate_loglik(S, (np.asarray(z, dtype=float) - zhat)[None], threshold)
-    return rows.size == 1
+    zhat, S = innovation([c], H, R)
+    ((inside,),), _ = gate_loglik(S, np.asarray(z, dtype=float) - zhat[:, None, :], threshold)
+    return bool(inside)
 
 
 def test_predict_augment_reference_value():
@@ -121,10 +121,10 @@ def test_update_matches_joint_conditioning():
         A = rng.normal(size=(nz, nz))
         R = A @ A.T + 0.1 * np.eye(nz)
         Z = rng.normal(size=(3, nz)) * 3
-        zhat, S = innovation(c, H, R)
-        rows, logliks = gate_loglik(S, Z - zhat, math.inf)
+        (zhat,), (S,) = innovation([c], H, R)
+        (inside,), (logliks,) = gate_loglik(S[None], (Z - zhat)[None], math.inf)
         means, cov = condition(c, H, S, Z - zhat)
-        assert list(rows) == [0, 1, 2]
+        assert list(np.flatnonzero(inside)) == [0, 1, 2]
         lifted = np.zeros((nz, 2 * length))
         lifted[:, -2:] = H
         for z, mean, loglik in zip(Z, means, logliks):
@@ -220,7 +220,7 @@ def test_operations_keep_covariances_symmetric():
 def test_component_check_and_innovation():
     c = component_from_moments((1, 1), np.zeros(4), np.eye(4), 2)
     check_component(c)
-    zhat, S = innovation(c, np.eye(2), np.eye(2))
+    (zhat,), (S,) = innovation([c], np.eye(2), np.eye(2))
     assert np.allclose(zhat, [0.0, 0.0])
     assert np.allclose(S, 2 * np.eye(2))
     bad = GaussianBranchComponent((1, 0), np.zeros(2), np.eye(2), 2)

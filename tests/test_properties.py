@@ -1,0 +1,104 @@
+"""Property tests: the stacked gate kernel and the posterior invariants."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trpmbm.filter import KINDS, check_posterior, initial_posterior, step
+from trpmbm.gaussian import GaussianBranchComponent, gate_loglik, innovation
+from trpmbm.models import BirthComponent, default_scenario
+from oracles import gate_loglik_one, innovation_one
+
+CFG = default_scenario()
+
+
+def _components(rng, n, nx, flat_last):
+    """n components with live windows of 1-4 states; ``flat_last`` zeroes the
+    covariance of each last state, so S is R alone."""
+    out = []
+    for _ in range(n):
+        dim = int(rng.integers(1, 5)) * nx
+        A = rng.normal(size=(dim, dim)) * rng.uniform(0.1, 30.0)
+        cov = A @ A.T
+        if flat_last:
+            cov[-nx:, :] = 0.0
+            cov[:, -nx:] = 0.0
+        mean = rng.normal(size=dim) * 100.0
+        out.append(GaussianBranchComponent((1,) * (dim // nx), mean, cov, nx))
+    return out
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    m=st.integers(0, 6),
+    nz=st.sampled_from([1, 2]),
+    nx=st.sampled_from([2, 4]),
+    singular=st.booleans(),
+    threshold=st.sampled_from([1.0, 15.0, math.inf]),
+)
+def test_stacked_gate_matches_per_component_formulas(
+    seed, n, m, nz, nx, singular, threshold
+):
+    rng = np.random.default_rng(seed)
+    comps = _components(rng, n, nx, flat_last=singular)
+    H = rng.normal(size=(nz, nx))
+    if singular:
+        R = 1e-200 * np.eye(nz)  # S underflows to singular: jitter needed
+    else:
+        B = rng.normal(size=(nz, nz))
+        R = B @ B.T + 0.1 * np.eye(nz)
+    Z = rng.normal(size=(m, nz)) * 30.0
+
+    zhat, S = innovation(comps, H, R)
+    inside, loglik = gate_loglik(S, Z - zhat[:, None, :], threshold)
+    assert zhat.shape == (n, nz) and S.shape == (n, nz, nz)
+    assert inside.shape == loglik.shape == (n, m)
+    for i, c in enumerate(comps):
+        zhat_i, S_i = innovation_one(c, H, R)
+        rows, loglik_i = gate_loglik_one(S_i, Z - zhat_i, threshold)
+        assert np.array_equal(zhat[i], zhat_i)
+        assert np.array_equal(S[i], S_i)
+        assert np.array_equal(np.flatnonzero(inside[i]), rows)
+        if nz == 2:
+            assert np.array_equal(loglik[i, rows], loglik_i)
+        else:
+            np.testing.assert_allclose(loglik[i, rows], loglik_i, rtol=1e-12, atol=1e-12)
+
+
+_point = st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 400.0))
+_near_birth = st.tuples(st.floats(280.0, 320.0), st.floats(150.0, 190.0))
+_scan = st.tuples(
+    st.lists(st.one_of(_point, _near_birth), max_size=3),
+    st.one_of(st.none(), st.tuples(_near_birth, st.integers(2, 4))),
+).map(lambda parts: parts[0] + ([parts[1][0]] * parts[1][1] if parts[1] else []))
+
+
+@settings(max_examples=100)
+@given(
+    kind=st.sampled_from(KINDS),
+    p_d=st.sampled_from([0.0, 0.9, 1.0]),
+    p_s=st.sampled_from([0.0, 0.99, 1.0]),
+    clutter=st.sampled_from([0.0, 10.0]),
+    birth_weight=st.sampled_from([0.0, 0.08]),
+    scans=st.lists(_scan, min_size=1, max_size=6),
+)
+def test_step_keeps_posterior_invariants(kind, p_d, p_s, clutter, birth_weight, scans):
+    # zero clutter, certain or impossible detection and survival, no births,
+    # empty scans and bursts of co-located measurements
+    birth = CFG.births[0]
+    cfg = replace(
+        CFG,
+        modes=(replace(CFG.modes[0], prob=p_s),) + CFG.modes[1:],
+        measurement=replace(CFG.measurement, p_detect=p_d, clutter_rate=clutter),
+        births=(BirthComponent(birth_weight, birth.mean, birth.cov),),
+    )
+    post = initial_posterior()
+    for points in scans:
+        Z = np.array(points, dtype=float).reshape(-1, 2)
+        post = step(post, Z, cfg, kind, validate=True)
+        assert check_posterior(post) == []
