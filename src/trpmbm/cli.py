@@ -56,7 +56,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.lscan is None:
             windows = [cfg.filters.lscan]
         else:
-            windows = [int(l) for l in args.lscan.split(",") if l.strip()]
+            try:
+                windows = [int(l) for l in args.lscan.split(",") if l.strip()]
+            except ValueError:
+                raise ValueError(
+                    f"--lscan: expected a comma list of integers, got {args.lscan!r}"
+                ) from None
         specs = [FilterSpec(kind, lscan) for kind in kinds for lscan in windows]
         truth = None
         if args.truth:

@@ -6,6 +6,14 @@ holds branch slots; each slot holds local hypotheses (one per measurement
 history) with a weight, an existence probability and an end-time mixture
 of Gaussians over the branch's state sequence.
 
+The global hypotheses form one look-up table: ``Posterior.sel`` has one
+row per global hypothesis and one column per slot, with the trees' slots
+in tree-major order (each tree spans as many columns as it has slots), and
+each entry is the index of the local hypothesis that the row picks in that
+slot; ``Posterior.log_w`` holds the rows' log-weights.  Every stage works
+on these arrays.  ``Posterior.hypotheses`` is a read-only view of the table
+as per-tree ``GlobalHyp`` records, for readers outside the step.
+
 One filtering step runs: predict (branch survival mass redistribution plus
 one new potential branch per spawning mode per parent slot), window
 truncation, measurement update (missed/detected local hypotheses, new
@@ -24,7 +32,8 @@ operation returns a new posterior and shares unchanged pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -83,16 +92,33 @@ class GlobalHyp:
     selection: tuple[tuple[int, ...], ...]  # per tree, per slot: local hyp index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Posterior:
+    """Intensity, Bernoulli trees and the global-hypothesis table over them.
+
+    Stages never write to the arrays, so posteriors may share them.  Between
+    ``update`` and ``form_hypotheses`` the new trees have no columns.
+    """
+
     step: int
     ppp: tuple[PPPComponent, ...]
     trees: tuple[BernoulliTree, ...]
-    hypotheses: tuple[GlobalHyp, ...]
+    log_w: np.ndarray  # (H,) global-hypothesis log-weights
+    sel: np.ndarray  # (H, slots) int32: local-hypothesis index per slot
+
+    @cached_property
+    def hypotheses(self) -> tuple[GlobalHyp, ...]:
+        """The table as per-tree selections, for readers outside the step."""
+        ends = np.cumsum([len(t.slots) for t in self.trees], dtype=int).tolist()
+        spans = [(a, b) for a, b in zip([0] + ends, ends) if b <= self.sel.shape[1]]
+        return tuple(
+            GlobalHyp(w, tuple(tuple(row[a:b]) for a, b in spans))
+            for w, row in zip(self.log_w.tolist(), self.sel.tolist())
+        )
 
 
 def initial_posterior() -> Posterior:
-    return Posterior(0, (), (), (GlobalHyp(0.0, ()),))
+    return Posterior(0, (), (), np.zeros(1), np.zeros((1, 0), dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +209,7 @@ def tree_predict(
             child_id = slot.branch_id + (1,) * pad + (mark,)
             hyps = []
             for h in slot.hyps:
-                prev = (
-                    h.density.components.get(k - 1) if h.density is not None else None
-                )
+                prev = h.density.components.get(k - 1) if h.density is not None else None
                 if prev is None:
                     hyps.append(LocalHyp(0.0, 0.0, None, frozenset()))
                     continue
@@ -217,60 +241,49 @@ def _birth_tree(cfg: ScenarioConfig, k: int) -> BernoulliTree:
 
 
 def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Posterior:
+    """Spawned slots copy their parent's column, after their tree's columns;
+    the birth tree of 'trmbm' gets zero columns."""
     k = post.step + 1
-    results = [tree_predict(t, cfg, k) for t in post.trees]
-    trees = tuple(r[0] for r in results)
-    hypotheses = tuple(
-        GlobalHyp(
-            g.log_w,
-            tuple(
-                s + tuple(s[p] for p in parents) if parents else s
-                for s, (_, parents) in zip(g.selection, results)
-            ),
-        )
-        for g in post.hypotheses
-    )
+    trees, cols = [], []
+    start = 0
+    for tree in post.trees:
+        new, parents = tree_predict(tree, cfg, k)
+        trees.append(new)
+        cols += range(start, start + len(tree.slots))
+        cols += (start + p for p in parents)
+        start += len(tree.slots)
+    sel = post.sel[:, cols]
     if kind == "trmbm":
         ppp = ()
         birth = _birth_tree(cfg, k)
         if birth.slots:
-            trees = trees + (birth,)
-            hypotheses = tuple(
-                GlobalHyp(g.log_w, g.selection + ((0,) * len(birth.slots),))
-                for g in hypotheses
-            )
+            trees.append(birth)
+            sel = np.hstack([sel, np.zeros((len(sel), len(birth.slots)), sel.dtype)])
     else:
         ppp = ppp_predict(post.ppp, cfg, k)
-    return Posterior(k, ppp, trees, hypotheses)
+    return Posterior(k, ppp, tuple(trees), post.log_w, sel)
 
 
 def truncate_window(post: Posterior, lscan: int) -> Posterior:
+    """Live windows cut to their last ``lscan`` states; unchanged pieces are shared."""
     ppp = tuple(
-        replace(c, comp=l_scan_truncate_component(c.comp, lscan)) for c in post.ppp
+        PPPComponent(c.log_weight, c.start_time, l_scan_truncate_component(c.comp, lscan))
+        for c in post.ppp
     )
     trees = []
     for tree in post.trees:
         slots = []
-        tree_changed = False
         for slot in tree.slots:
             hyps = []
-            changed = False
             for h in slot.hyps:
-                if h.density is None:
-                    hyps.append(h)
-                    continue
-                density = l_scan_truncate(h.density, lscan)
-                if density is h.density:
-                    hyps.append(h)
-                else:
-                    hyps.append(replace(h, density=density))
-                    changed = True
-            slots.append(
-                slot if not changed else replace(slot, hyps=tuple(hyps))
-            )
-            tree_changed = tree_changed or changed
-        trees.append(tree if not tree_changed else replace(tree, slots=tuple(slots)))
-    return replace(post, ppp=ppp, trees=tuple(trees))
+                density = l_scan_truncate(h.density, lscan) if h.density is not None else None
+                same = density is h.density
+                hyps.append(h if same else LocalHyp(h.log_w, h.r, density, h.assoc))
+            same = all(a is b for a, b in zip(hyps, slot.hyps))
+            slots.append(slot if same else BranchSlot(slot.branch_id, tuple(hyps)))
+        same = all(a is b for a, b in zip(slots, tree.slots))
+        trees.append(tree if same else BernoulliTree(tree.start_time, tuple(slots)))
+    return Posterior(post.step, ppp, tuple(trees), post.log_w, post.sel)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +295,15 @@ def truncate_window(post: Posterior, lscan: int) -> Posterior:
 class UpdateMaps:
     """Bookkeeping linking predicted hypotheses to their updated children.
 
-    Only hypotheses with nonzero detectable mass appear in miss_logfactor;
-    absent keys mean a missed-detection factor of exactly 1 (log 0).  Both
-    dicts are filled in (tree, slot, hyp) order.
+    Keys are (column, hyp): a slot's column in the global-hypothesis table
+    and a local hypothesis of that slot.  Only hypotheses with nonzero
+    detectable mass appear in miss_logfactor; absent keys mean a
+    missed-detection factor of exactly 1 (log 0).  Both dicts are filled in
+    (column, hyp) order.
     """
 
-    miss_logfactor: dict  # (tree, slot, hyp) -> log(1 - r beta(k) pD), != 0 only
-    # (tree, slot, hyp) -> {gated meas: (updated hyp index, log w_det - log w_miss)}
+    miss_logfactor: dict  # (column, hyp) -> log(1 - r beta(k) pD), != 0 only
+    # (column, hyp) -> {gated meas: (updated hyp index, log w_det - log w_miss)}
     det_meas: dict
     new_tree_logw: np.ndarray  # per measurement: log(clutter + ppp mass)
 
@@ -350,30 +365,31 @@ def update(
             (mean,), cov = condition(
                 comp.comp, meas.H, ppp_S[row], ppp_innov[row, m : m + 1]
             )
-            upd = replace(comp.comp, mean=mean, cov=cov)
-            density = BranchDensity({k: EndCase(1.0, upd)})
+            density = BranchDensity({k: EndCase(1.0, comp.comp.with_live(mean, cov))})
             start = comp.start_time
         else:
             r2, density, start = 0.0, None, k
         hyp_none = LocalHyp(0.0, 0.0, None, frozenset())
         hyp_exist = LocalHyp(log_w2, r2, density, frozenset({(k, m)}))
-        new_trees.append(
-            BernoulliTree(start, (BranchSlot((1,), (hyp_none, hyp_exist)),))
-        )
+        new_trees.append(BernoulliTree(start, (BranchSlot((1,), (hyp_none, hyp_exist)),)))
     if p_d >= 1.0:
         ppp = ()
     else:
         thin = _log(1.0 - p_d)
-        ppp = tuple(replace(c, log_weight=c.log_weight + thin) for c in post.ppp)
+        ppp = tuple(
+            PPPComponent(c.log_weight + thin, c.start_time, c.comp) for c in post.ppp
+        )
 
     # --- Bernoulli trees: missed local hypotheses ---------------------------
     # one missed hypothesis per predicted one (same index); the detected ones
     # go behind the full missed block of their slot
     miss_logfactor: dict = {}
     slot_hyps: dict = {}  # tree -> slot -> local hypotheses, touched slots only
-    detectable = []  # (tree, slot, hyp), local hyp, log miss factor, beta(k)
+    detectable = []  # (column, hyp), slot's hyps, local hyp, log miss factor, beta(k)
+    col = -1
     for ti, tree in enumerate(post.trees):
         for ji, slot in enumerate(tree.slots):
+            col += 1
             if all(
                 h.density is None or h.r <= 0.0 or h.density.beta(k) <= 0.0
                 for h in slot.hyps
@@ -401,43 +417,32 @@ def update(
                             cases[kappa] = EndCase(beta, case.comp)
                     r_miss = h.r * (1.0 - beta_k * p_d) / miss_factor
                     missed = LocalHyp(
-                        h.log_w + _log(miss_factor),
-                        r_miss,
-                        BranchDensity(cases),
-                        h.assoc,
+                        h.log_w + _log(miss_factor), r_miss, BranchDensity(cases), h.assoc
                     )
                 hyps.append(missed)
                 log_miss = max(_log(miss_factor), LOG_FLOOR)
-                miss_logfactor[(ti, ji, bi)] = log_miss
-                detectable.append(((ti, ji, bi), h, log_miss, beta_k))
+                miss_logfactor[(col, bi)] = log_miss
+                detectable.append(((col, bi), hyps, h, log_miss, beta_k))
 
     # --- Bernoulli trees: detected local hypotheses -------------------------
     det_meas: dict = {}
     if detectable and m_k:
-        comps = [h.density.components[k].comp for _, h, _, _ in detectable]
+        comps = [h.density.components[k].comp for _, _, h, _, _ in detectable]
         zhat, S = innovation(comps, meas.H, meas.R)
         innov = Z - zhat[:, None, :]
         inside, loglik = gate_loglik(S, innov, gate)
         for row in np.flatnonzero(inside.any(axis=1)):
-            (ti, ji, bi), h, log_miss, beta_k = detectable[row]
+            key, hyps, h, log_miss, beta_k = detectable[row]
             gated = np.flatnonzero(inside[row])
             comp_k = comps[row]
             means, cov_post = condition(comp_k, meas.H, S[row], innov[row, gated])
             log_base = h.log_w + _log(h.r) + _log(beta_k) + _log(p_d)
-            hyps = slot_hyps[ti][ji]
-            dets = det_meas[(ti, ji, bi)] = {}
+            dets = det_meas[key] = {}
             for m, mean, logl in zip(gated.tolist(), means, loglik[row, gated]):
-                comp_post = replace(comp_k, mean=mean, cov=cov_post)
                 log_det = log_base + logl
                 dets[m] = (len(hyps), log_det - (h.log_w + log_miss))
-                hyps.append(
-                    LocalHyp(
-                        log_det,
-                        1.0,
-                        BranchDensity({k: EndCase(1.0, comp_post)}),
-                        h.assoc | {(k, m)},
-                    )
-                )
+                density = BranchDensity({k: EndCase(1.0, comp_k.with_live(mean, cov_post))})
+                hyps.append(LocalHyp(log_det, 1.0, density, h.assoc | {(k, m)}))
 
     trees = list(post.trees)
     for ti, touched in slot_hyps.items():
@@ -448,7 +453,7 @@ def update(
         trees[ti] = BernoulliTree(trees[ti].start_time, slots)
 
     return (
-        Posterior(k, ppp, tuple(trees) + tuple(new_trees), post.hypotheses),
+        Posterior(k, ppp, tuple(trees) + tuple(new_trees), post.log_w, post.sel),
         UpdateMaps(miss_logfactor, det_meas, new_tree_logw),
     )
 
@@ -458,22 +463,30 @@ def update(
 # ---------------------------------------------------------------------------
 
 
-def _merged(children) -> tuple[GlobalHyp, ...]:
-    """Global hypotheses from (log_w, selection) pairs, sorted by selection.
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows, and where each run of equal
+    rows starts in that order."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(first)
 
-    Weights of equal selections are summed in arrival order, then all are
-    normalised.
+
+def _by_weight(log_w: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Row order by decreasing weight, then increasing selection."""
+    return np.lexsort((*sel.T[::-1], -log_w))
+
+
+def _merged(log_w: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order with normalised log-weights.
+
+    Weights of equal rows are summed in arrival order.
     """
-    merged: dict = {}
-    for log_w, sel in children:
-        prev = merged.get(sel)
-        merged[sel] = np.logaddexp(prev, log_w) if prev is not None else log_w
-    if not merged:
-        return ()
-    keys = sorted(merged)
-    logs = np.array([merged[s] for s in keys])
+    order, starts = _runs(sel)
+    logs = np.logaddexp.reduceat(log_w[order], starts)
     logs -= logsumexp(logs)
-    return tuple(GlobalHyp(float(w), s) for s, w in zip(keys, logs))
+    return logs, sel[order[starts]]
 
 
 def form_hypotheses(
@@ -484,27 +497,28 @@ def form_hypotheses(
     Rows are this step's measurements; columns are detectable selected
     local hypotheses plus one new-tree column per measurement.  Parents
     sharing the same detectable selection share one assignment problem.
-    Children are merged on identical selections and renormalised.
+    A child copies its parent's row, takes the assigned detections in their
+    columns and gets one column per new tree (1: the measurement started
+    it).  Children are merged on identical rows and renormalised.
     """
     n_hyp = cfg.filters.n_hyp
+    keys = list(maps.miss_logfactor)
+    # match[g, j]: parent g selects the j-th hypothesis with detectable mass
+    match = post.sel[:, [c for c, _ in keys]] == np.array([b for _, b in keys], np.intp)
+    # the missed-detection factors of the selected ones, summed in key order
+    miss = np.where(match, [maps.miss_logfactor[key] for key in keys], 0.0)
+    baselines = np.hstack([np.zeros((len(miss), 1)), miss]).cumsum(axis=1)[:, -1]
+    # parents sharing the selected hypotheses that gate a measurement share
+    # one assignment problem; only equal parents can have equal children,
+    # and those share a group in arrival order, so the group order is free
+    det_keys = [j for j, key in enumerate(keys) if key in maps.det_meas]
+    det = match[:, det_keys]
+    order, starts = _runs(det)
 
-    # Parents sharing the same detectable selected hypotheses (those with at
-    # least one gated measurement) share the same assignment problem.
-    groups: dict = {}
-    baselines = {}
-    for gi, g in enumerate(post.hypotheses):
-        cols = []
-        baseline = 0.0
-        for (ti, ji, bi), log_miss in maps.miss_logfactor.items():
-            if g.selection[ti][ji] == bi:
-                baseline += log_miss
-                if (ti, ji, bi) in maps.det_meas:
-                    cols.append((ti, ji, bi))
-        baselines[gi] = baseline
-        groups.setdefault(tuple(cols), []).append(gi)
-
-    children = []
-    for cols, members in groups.items():
+    child_w, child_sel = [], []
+    for lo, hi in zip(starts, [*starts[1:], len(order)]):
+        members = order[lo:hi]
+        cols = [keys[det_keys[j]] for j in np.flatnonzero(det[members[0]])]
         n_cols = len(cols)
         free = sorted({m for key in cols for m in maps.det_meas[key]})
         free_pos = {m: i for i, m in enumerate(free)}
@@ -520,35 +534,32 @@ def form_hypotheses(
         for i, m in enumerate(free):
             C[i, n_cols + i] = -maps.new_tree_logw[m]
 
-        k_max = max(
-            max(1, math.ceil(n_hyp * math.exp(post.hypotheses[gi].log_w)))
-            for gi in members
-        )
+        weights = post.log_w[members].tolist()
+        k_want = [max(1, math.ceil(n_hyp * math.exp(w))) for w in weights]
         solutions = (
-            murty_kbest(C, k_max) if n_free else [(np.zeros(0, dtype=int), 0.0)]
+            murty_kbest(C, max(k_want)) if n_free else [(np.zeros(0, dtype=int), 0.0)]
         )
-
-        for gi in members:
-            g = post.hypotheses[gi]
-            k_want = max(1, math.ceil(n_hyp * math.exp(g.log_w)))
-            for assignment, cost in solutions[:k_want]:
-                log_w = g.log_w + baselines[gi] - (forced_cost + cost)
-                sel = list(g.selection)
-                assigned_new = [True] * m_k
-                for row_pos, col_pos in enumerate(assignment):
-                    if col_pos >= n_cols:
-                        continue
+        # per solution: the group's columns and the new-tree columns of a child
+        picks = np.tile(np.array([b for _, b in cols], post.sel.dtype), (len(solutions), 1))
+        new = np.ones((len(solutions), m_k), dtype=post.sel.dtype)
+        for s, (assignment, _) in enumerate(solutions):
+            for row_pos, col_pos in enumerate(assignment):
+                if col_pos < n_cols:
                     m = free[row_pos]
-                    assigned_new[m] = False
-                    ti, ji, bi = cols[col_pos]
-                    row = list(sel[ti])
-                    row[ji] = maps.det_meas[(ti, ji, bi)][m][0]
-                    sel[ti] = tuple(row)
-                for m in range(m_k):
-                    sel.append((1,) if assigned_new[m] else (0,))
-                children.append((log_w, tuple(sel)))
+                    new[s, m] = 0
+                    picks[s, col_pos] = maps.det_meas[cols[col_pos]][m][0]
+        costs = np.array([cost for _, cost in solutions])
 
-    return replace(post, hypotheses=_merged(children))
+        take = np.minimum(k_want, len(solutions))
+        parent = np.repeat(members, take)
+        sol = np.concatenate([np.arange(t) for t in take])
+        rows = post.sel[parent]
+        rows[:, [c for c, _ in cols]] = picks[sol]
+        child_sel.append(np.hstack([rows, new[sol]]))
+        child_w.append(post.log_w[parent] + baselines[parent] - (forced_cost + costs[sol]))
+
+    log_w, sel = _merged(np.concatenate(child_w), np.vstack(child_sel))
+    return Posterior(post.step, post.ppp, post.trees, log_w, sel)
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +568,20 @@ def form_hypotheses(
 
 
 def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
-    """Hypothesis, Bernoulli, intensity and end-time pruning, then remapping."""
+    """Hypothesis, Bernoulli, intensity and end-time pruning, then remapping.
+
+    Each kept column's local hypotheses shrink to the ones a kept row
+    references, renumbered in order; a column whose remaining hypotheses
+    all have r = 0 is dropped, and a tree without columns with it.
+    """
     f = cfg.filters
     k = post.step
-    if not post.hypotheses:
-        return Posterior(post.step, (), (), ())
 
-    hyps = [g for g in post.hypotheses if g.log_w >= _log(f.gamma_mbm)]
-    if not hyps:
-        hyps = [max(post.hypotheses, key=lambda g: g.log_w)]
-    hyps.sort(key=lambda g: (-g.log_w, g.selection))
-    hyps = hyps[: f.n_hyp]
+    keep = np.flatnonzero(post.log_w >= _log(f.gamma_mbm))
+    if not len(keep):
+        keep = np.array([np.argmax(post.log_w)])
+    keep = keep[_by_weight(post.log_w[keep], post.sel[keep])][: f.n_hyp]
+    sel = post.sel[keep]
 
     keep_ppp = tuple(c for c in post.ppp if c.log_weight >= _log(f.gamma_ppp))
 
@@ -583,41 +597,46 @@ def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
                     if kappa != k
                 }
                 if rest:
-                    h = replace(h, density=BranchDensity(rest))
+                    h = LocalHyp(h.log_w, h.r, BranchDensity(rest), h.assoc)
                 else:
                     h = LocalHyp(h.log_w, 0.0, None, h.assoc)
         return h
 
-    # hypotheses mostly share per-tree selection rows (children only copy
-    # rows they touch), so each tree works on its distinct rows once
+    # per column: the referenced hyps in increasing order, and every entry
+    # renumbered to its rank among them
+    order = np.argsort(sel, axis=0, kind="stable")
+    ranked = np.take_along_axis(sel, order, axis=0)
+    first = np.ones(sel.shape, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    np.put_along_axis(sel, order, np.cumsum(first, axis=0) - 1, axis=0)
+    refs = np.split(ranked.T[first.T], np.cumsum(first.sum(axis=0))[:-1])
+
     new_trees = []
-    row_maps = []  # per kept tree: (tree index, {old row: new row})
-    for ti, tree in enumerate(post.trees):
-        rows = dict.fromkeys(g.selection[ti] for g in hyps)
+    cols = []  # kept columns
+    col = 0
+    for tree in post.trees:
         slots = []
-        hyp_maps = []  # per kept slot: (slot index, {old hyp: new hyp})
-        for ji, referenced in enumerate(zip(*rows)):
-            refs = sorted(set(referenced))
-            new_hyps = [shrink_hyp(tree.slots[ji].hyps[bi]) for bi in refs]
-            if all(h.r == 0.0 for h in new_hyps):
-                continue
-            hyp_maps.append((ji, {bi: pos for pos, bi in enumerate(refs)}))
-            slots.append(BranchSlot(tree.slots[ji].branch_id, tuple(new_hyps)))
+        for slot in tree.slots:
+            new_hyps = tuple(shrink_hyp(slot.hyps[bi]) for bi in refs[col].tolist())
+            if any(h.r != 0.0 for h in new_hyps):
+                slots.append(BranchSlot(slot.branch_id, new_hyps))
+                cols.append(col)
+            col += 1
         if slots:
             new_trees.append(BernoulliTree(tree.start_time, tuple(slots)))
-            row_maps.append(
-                (ti, {row: tuple(m[row[ji]] for ji, m in hyp_maps) for row in rows})
-            )
 
-    merged = _merged(
-        (g.log_w, tuple(rmap[g.selection[ti]] for ti, rmap in row_maps)) for g in hyps
-    )
-    new_hyps = tuple(sorted(merged, key=lambda g: (-g.log_w, g.selection)))
-    return Posterior(post.step, keep_ppp, tuple(new_trees), new_hyps)
+    log_w, sel = _merged(post.log_w[keep], sel[:, cols])
+    order = _by_weight(log_w, sel)
+    return Posterior(post.step, keep_ppp, tuple(new_trees), log_w[order], sel[order])
 
 
-def best_hypothesis(post: Posterior) -> GlobalHyp:
-    return max(post.hypotheses, key=lambda g: (g.log_w, g.selection))
+def _best_row(post: Posterior) -> int:
+    """The heaviest global hypothesis; ties go to the largest selection."""
+    best = int(np.argmax(post.log_w))
+    top = np.flatnonzero(post.log_w == post.log_w[best])
+    if len(top) > 1 and post.sel.shape[1]:
+        best = int(top[np.lexsort(post.sel[top].T[::-1])[-1]])
+    return best
 
 
 def estimate(post: Posterior, cfg: ScenarioConfig) -> list[TreeTrajectory]:
@@ -626,15 +645,15 @@ def estimate(post: Posterior, cfg: ScenarioConfig) -> list[TreeTrajectory]:
     Each reported branch carries its most likely end time's genealogy
     (zero-padded to the tree horizon) and mean state sequence.
     """
-    if not post.hypotheses:
+    if not len(post.log_w):
         return []
-    best = best_hypothesis(post)
+    picks = iter(post.sel[_best_row(post)].tolist())
     out = []
-    for ti, tree in enumerate(post.trees):
+    for tree in post.trees:
         horizon = post.step - tree.start_time + 1
         branches = []
-        for ji, slot in enumerate(tree.slots):
-            h = slot.hyps[best.selection[ti][ji]]
+        for slot in tree.slots:
+            h = slot.hyps[next(picks)]
             if h.r <= cfg.filters.gamma_estimate or h.density is None:
                 continue
             kappa = h.density.most_likely_end()
@@ -694,27 +713,26 @@ def check_posterior(
     existence Bernoullis).
     """
     problems = []
-    if post.hypotheses:
-        logs = [g.log_w for g in post.hypotheses]
-        bad = sum(not math.isfinite(w) for w in logs)
+    if len(post.log_w):
+        bad = int(np.count_nonzero(~np.isfinite(post.log_w)))
         if bad:
             problems.append(f"{bad} hypothesis log-weights not finite")
         with np.errstate(over="ignore"):
-            total = float(np.exp(logs).sum())
+            total = float(np.exp(post.log_w).sum())
         if not abs(total - 1.0) <= tol:  # also catches a NaN total
             problems.append(f"hypothesis weights sum to {total}, not 1")
     for qi, comp in enumerate(post.ppp):
         if any(m != 1 for m in comp.comp.genealogy):
             problems.append(f"intensity term {qi}: genealogy not all ones")
-    for g in post.hypotheses:
+    slots = [slot for tree in post.trees for slot in tree.slots]
+    for row in post.sel.tolist():
         seen: set = set()
-        for ti, sel in enumerate(g.selection):
-            for ji, bi in enumerate(sel):
-                h = post.trees[ti].slots[ji].hyps[bi]
-                dup = h.assoc & seen
-                if dup:
-                    problems.append(f"measurements {sorted(dup)} associated twice")
-                seen |= h.assoc
+        for slot, bi in zip(slots, row):
+            h = slot.hyps[bi]
+            dup = h.assoc & seen
+            if dup:
+                problems.append(f"measurements {sorted(dup)} associated twice")
+            seen |= h.assoc
         if current_step_measurements is not None:
             want = {(post.step, m) for m in range(current_step_measurements)}
             got = {pair for pair in seen if pair[0] == post.step}
@@ -725,24 +743,20 @@ def check_posterior(
     for ti, tree in enumerate(post.trees):
         for ji, slot in enumerate(tree.slots):
             for bi, h in enumerate(slot.hyps):
+                where = f"tree {ti} slot {ji} hyp {bi}"
                 if not 0.0 <= h.r <= 1.0 + 1e-12:
-                    problems.append(f"tree {ti} slot {ji} hyp {bi}: r={h.r}")
-                if h.density is not None:
-                    s = h.density.beta_total()
-                    if abs(s - 1.0) > tol:
-                        problems.append(
-                            f"tree {ti} slot {ji} hyp {bi}: beta sums to {s}"
-                        )
-                    for kappa, case in h.density.components.items():
-                        for P in (case.comp.cov, *case.comp.frozen_covs):
-                            if np.abs(P - P.T).max() > tol:
-                                problems.append(
-                                    f"tree {ti} slot {ji} hyp {bi} end {kappa}: cov asymmetric"
-                                )
-                            elif np.linalg.eigvalsh(P).min() < -tol:
-                                problems.append(
-                                    f"tree {ti} slot {ji} hyp {bi} end {kappa}: cov not PSD"
-                                )
+                    problems.append(f"{where}: r={h.r}")
+                if h.density is None:
+                    continue
+                s = h.density.beta_total()
+                if abs(s - 1.0) > tol:
+                    problems.append(f"{where}: beta sums to {s}")
+                for kappa, case in h.density.components.items():
+                    for P in (case.comp.cov, *case.comp.frozen_covs):
+                        if np.abs(P - P.T).max() > tol:
+                            problems.append(f"{where} end {kappa}: cov asymmetric")
+                        elif np.linalg.eigvalsh(P).min() < -tol:
+                            problems.append(f"{where} end {kappa}: cov not PSD")
     return problems
 
 
@@ -755,11 +769,21 @@ def posterior_to_dict(post: Posterior) -> dict:
     """JSON-ready snapshot of the full posterior (debugging aid)."""
 
     def comp_dict(c: GaussianBranchComponent) -> dict:
-        return {
-            "genealogy": list(c.genealogy),
-            "mean": c.full_mean().tolist(),
-            "cov": c.full_cov().tolist(),
-        }
+        mean, cov = c.full_mean().tolist(), c.full_cov().tolist()
+        return {"genealogy": list(c.genealogy), "mean": mean, "cov": cov}
+
+    def hyp_dict(h: LocalHyp) -> dict:
+        density = None
+        if h.density is not None:
+            cases = sorted(h.density.components.items())
+            comps = {str(t): {"beta": c.beta, **comp_dict(c.comp)} for t, c in cases}
+            density = {"components": comps}
+        assoc = sorted(h.assoc)
+        return {"log_w": h.log_w, "r": h.r, "associations": assoc, "density": density}
+
+    def slot_dict(slot: BranchSlot) -> dict:
+        hyps = [hyp_dict(h) for h in slot.hyps]
+        return {"branch_id": list(slot.branch_id), "hypotheses": hyps}
 
     return {
         "step": post.step,
@@ -772,37 +796,8 @@ def posterior_to_dict(post: Posterior) -> dict:
             for c in post.ppp
         ],
         "trees": [
-            {
-                "start_time": tree.start_time,
-                "slots": [
-                    {
-                        "branch_id": list(slot.branch_id),
-                        "hypotheses": [
-                            {
-                                "log_w": h.log_w,
-                                "r": h.r,
-                                "associations": sorted(h.assoc),
-                                "density": None
-                                if h.density is None
-                                else {
-                                    "components": {
-                                        str(kappa): {
-                                            "beta": case.beta,
-                                            **comp_dict(case.comp),
-                                        }
-                                        for kappa, case in sorted(
-                                            h.density.components.items()
-                                        )
-                                    },
-                                },
-                            }
-                            for h in slot.hyps
-                        ],
-                    }
-                    for slot in tree.slots
-                ],
-            }
-            for tree in post.trees
+            {"start_time": t.start_time, "slots": [slot_dict(s) for s in t.slots]}
+            for t in post.trees
         ],
         "hypotheses": [
             {"log_w": g.log_w, "selection": [list(s) for s in g.selection]}

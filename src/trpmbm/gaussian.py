@@ -18,7 +18,7 @@ JITTER * I once to each S that is not positive definite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -62,6 +62,12 @@ class GaussianBranchComponent:
     def last_mean(self) -> np.ndarray:
         return self.mean[-self.nx:]
 
+    def with_live(self, mean: np.ndarray, cov: np.ndarray) -> GaussianBranchComponent:
+        """This component with new live-window moments."""
+        return GaussianBranchComponent(
+            self.genealogy, mean, cov, self.nx, self.frozen_means, self.frozen_covs
+        )
+
     def full_mean(self) -> np.ndarray:
         return np.concatenate([*self.frozen_means, self.mean])
 
@@ -97,8 +103,8 @@ def predict_augment_survive(
     top = np.hstack([P, cross])
     bottom = np.hstack([cross.T, corner])
     new_cov = _sym(np.vstack([top, bottom]))
-    return replace(
-        c, genealogy=c.genealogy + (1,), mean=new_mean, cov=new_cov
+    return GaussianBranchComponent(
+        c.genealogy + (1,), new_mean, new_cov, nx, c.frozen_means, c.frozen_covs
     )
 
 
@@ -207,12 +213,13 @@ def l_scan_truncate_component(
     cut = (w - L) * c.nx
     frozen_mean = c.mean[:cut].copy()
     frozen_cov = _sym(c.cov[:cut, :cut].copy())
-    return replace(
-        c,
-        mean=c.mean[cut:].copy(),
-        cov=_sym(c.cov[cut:, cut:].copy()),
-        frozen_means=c.frozen_means + (frozen_mean,),
-        frozen_covs=c.frozen_covs + (frozen_cov,),
+    return GaussianBranchComponent(
+        c.genealogy,
+        c.mean[cut:].copy(),
+        _sym(c.cov[cut:, cut:].copy()),
+        c.nx,
+        c.frozen_means + (frozen_mean,),
+        c.frozen_covs + (frozen_cov,),
     )
 
 

@@ -78,12 +78,12 @@ def run_filter_on(
         post = step(post, Z, cfg_f, kind=spec.kind)
         est = estimate(post, cfg_f)
         seconds += time.perf_counter() - t0
-        if not all(np.isfinite(g.log_w) for g in post.hypotheses):
+        if not np.isfinite(post.log_w).all():
             raise RuntimeError(f"{spec.label}: non-finite hypothesis weight at step {k}")
         breakdowns.append(
             trajectory_metric(branches_as_tracks(est), truth_tracks, metric_params, k)
         )
-        n_hyp.append(len(post.hypotheses))
+        n_hyp.append(len(post.log_w))
         n_local.append(sum(len(s.hyps) for t in post.trees for s in t.slots))
         n_trees.append(len(post.trees))
     stats = {
@@ -138,6 +138,8 @@ def run_experiment(
         raise ValueError("no filters requested")
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
+    if jobs < 1:
+        raise ValueError(f"need at least one job, got {jobs}")
     for spec in specs:
         if spec.kind not in KINDS:
             raise ValueError(f"unknown filter kind {spec.kind!r}")

@@ -208,9 +208,9 @@ def _known(section: dict, keys: set[str], where: str, problems: list[str]) -> di
 def _scalar(section: dict, key: str, default, where: str, problems: list[str]):
     """``section[key]``, or ``default`` when absent, as the type of ``default``.
 
-    Only JSON numbers are accepted, and integer fields take only integral
-    values.  A bad value is reported as field ``where + key`` and replaced by
-    ``default``, so loading goes on collecting problems.
+    Only finite JSON numbers are accepted, and integer fields take only
+    integral values.  A bad value is reported as field ``where + key`` and
+    replaced by ``default``, so loading goes on collecting problems.
     """
     value = section.get(key, default)
     kind = type(default)
@@ -218,11 +218,11 @@ def _scalar(section: dict, key: str, default, where: str, problems: list[str]):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError
         out = kind(value)
-        if out != value and kind is int:
+        if (out != value and kind is int) or not math.isfinite(out):
             raise ValueError
         return out
     except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
+        noun = "an integer" if kind is int else "a finite number"
         problems.append(f"{where}{key}: expected {noun}, got {value!r:.60}")
         return default
 
@@ -230,11 +230,14 @@ def _scalar(section: dict, key: str, default, where: str, problems: list[str]):
 def _matrix(value, shape, what, problems) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         problems.append(f"{what}: expected numbers, got {value!r:.60}")
         return np.zeros(shape)
     if arr.shape != shape:
         problems.append(f"{what}: expected shape {shape}, got {arr.shape}")
+        return np.zeros(shape)
+    if not np.isfinite(arr).all():
+        problems.append(f"{what}: expected finite numbers, got {value!r:.60}")
         return np.zeros(shape)
     return arr
 

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
+from scipy.special import logsumexp
 
 from trpmbm.assignment import _solve, hungarian
 from trpmbm.gaussian import JITTER, GaussianBranchComponent
@@ -508,3 +509,19 @@ def gate_loglik_one(S, innovations, threshold) -> tuple[np.ndarray, np.ndarray]:
     rows = np.flatnonzero(d2 <= threshold)
     log2pi = math.log(2.0 * math.pi)
     return rows, -0.5 * d2[rows] - half_logdet - 0.5 * S.shape[0] * log2pi
+
+
+def merged_by_dict(log_w, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows merged by a dict over row tuples, then sorted and normalised.
+
+    The loop reference for ``trpmbm.filter._merged``: equal rows' weights are
+    summed with ``np.logaddexp`` in arrival order.
+    """
+    merged: dict = {}
+    for w, row in zip(log_w.tolist(), rows.tolist()):
+        key = tuple(row)
+        merged[key] = np.logaddexp(merged[key], w) if key in merged else w
+    keys = sorted(merged)
+    logs = np.array([merged[key] for key in keys])
+    logs -= logsumexp(logs)
+    return logs, np.array(keys, dtype=np.intp).reshape(len(keys), rows.shape[1])

@@ -9,9 +9,7 @@ from trpmbm import filter as flt
 from trpmbm.filter import (
     BernoulliTree,
     BranchSlot,
-    GlobalHyp,
     LocalHyp,
-    Posterior,
     check_posterior,
     estimate,
     form_hypotheses,
@@ -34,6 +32,7 @@ from trpmbm.models import default_scenario, no_spawning, sample_ground_truth, sa
 from trpmbm.trees import targets_at_time
 
 from oracles import gauss_logpdf, innovation_one
+from tables import posterior
 
 CFG = default_scenario()
 
@@ -114,21 +113,21 @@ def test_frozen_branch_spawns_nothing():
 
 def test_update_missed_detection_reference_values():
     tree = _one_branch_tree(0.5, {1: EndCase(1.0, _component([300.0, 3, 170, 1]))})
-    post = Posterior(1, (), (tree,), (GlobalHyp(0.0, ((0,),)),))
+    post = posterior(1, (), (tree,), (0.0, ((0,),)))
     upd, maps = update(post, np.zeros((0, 2)), CFG)
     h = upd.trees[0].slots[0].hyps[0]
     assert math.exp(h.log_w) == pytest.approx(0.55, abs=1e-12)
     assert h.r == pytest.approx(0.05 / 0.55, abs=1e-12)
-    assert maps.miss_logfactor[(0, 0, 0)] == pytest.approx(math.log(0.55), abs=1e-12)
+    assert maps.miss_logfactor[(0, 0)] == pytest.approx(math.log(0.55), abs=1e-12)
 
 
 def test_update_detection_confirms_existence():
     comp = _component([300.0, 3, 170, 1])
     tree = _one_branch_tree(0.5, {1: EndCase(1.0, comp)})
-    post = Posterior(1, (), (tree,), (GlobalHyp(0.0, ((0,),)),))
+    post = posterior(1, (), (tree,), (0.0, ((0,),)))
     z = np.array([[300.0, 170.0]])
     upd, maps = update(post, z, CFG)
-    det = upd.trees[0].slots[0].hyps[maps.det_meas[(0, 0, 0)][0][0]]
+    det = upd.trees[0].slots[0].hyps[maps.det_meas[(0, 0)][0][0]]
     assert det.r == 1.0
     assert det.density.beta(1) == 1.0
     assert det.assoc == {(1, 0)}
@@ -144,15 +143,15 @@ def test_update_weight_identity():
     comp = _component([295.0, 3, 168, 1])
     w, r = 0.37, 0.81
     tree = _one_branch_tree(r, {1: EndCase(1.0, comp)}, log_w=math.log(w))
-    post = Posterior(1, (), (tree,), (GlobalHyp(0.0, ((0,),)),))
+    post = posterior(1, (), (tree,), (0.0, ((0,),)))
     Z = np.array([[295.0, 168.0], [301.0, 166.0], [900.0, 900.0]])
     upd, maps = update(post, Z, CFG)
     slot = upd.trees[0].slots[0]
     missed_w = math.exp(slot.hyps[0].log_w)
     det_ws = [
         math.exp(slot.hyps[idx].log_w)
-        for (ti, ji, bi), dets in maps.det_meas.items()
-        if (ti, ji) == (0, 0)
+        for (col, bi), dets in maps.det_meas.items()
+        if col == 0
         for idx, _ in dets.values()
     ]
     zhat, S = innovation_one(comp, CFG.measurement.H, CFG.measurement.R)
@@ -174,10 +173,10 @@ def test_update_near_singular_innovation_stays_finite():
     comp = GaussianBranchComponent((1,), np.array([300.0, 3, 170, 1]), np.diag([0.0, 1, 0, 1]), 4)
     tree = _one_branch_tree(0.5, {1: EndCase(1.0, comp)})
     ppp = (PPPComponent(math.log(0.08), 1, comp),)
-    post = Posterior(1, ppp, (tree,), (GlobalHyp(0.0, ((0,),)),))
+    post = posterior(1, ppp, (tree,), (0.0, ((0,),)))
     z = np.array([[300.0, 170.0]])
     upd, maps = update(post, z, cfg)
-    assert 0 in maps.det_meas.get((0, 0, 0), {})
+    assert 0 in maps.det_meas.get((0, 0), {})
     for t in upd.trees:
         for h in t.slots[0].hyps:
             if h.density is not None:
@@ -188,7 +187,7 @@ def test_update_near_singular_innovation_stays_finite():
 
 def test_update_new_tree_existence_ratio():
     birth = ppp_predict((), CFG, 1)
-    post = Posterior(1, birth, (), (GlobalHyp(0.0, ()),))
+    post = posterior(1, birth, (), (0.0, ()))
     z = np.array([[300.0, 170.0]])
     upd, maps = update(post, z, CFG)
     assert len(upd.trees) == 1
@@ -210,10 +209,10 @@ def test_update_new_tree_existence_ratio():
 def test_form_hypotheses_no_measurements_single_child():
     tree = _one_branch_tree(0.5, {1: EndCase(1.0, _component([300.0, 3, 170, 1]))})
     parents = (
-        GlobalHyp(math.log(0.7), ((0,),)),
-        GlobalHyp(math.log(0.3), ((0,),)),
+        (math.log(0.7), ((0,),)),
+        (math.log(0.3), ((0,),)),
     )
-    post = Posterior(1, (), (tree,), parents)
+    post = posterior(1, (), (tree,), *parents)
     upd, maps = update(post, np.zeros((0, 2)), CFG)
     formed = form_hypotheses(upd, maps, 0, CFG)
     # identical selections merge; weights stay normalised
@@ -223,7 +222,7 @@ def test_form_hypotheses_no_measurements_single_child():
 
 def test_form_hypotheses_detection_vs_new_tree():
     tree = _one_branch_tree(0.5, {1: EndCase(1.0, _component([300.0, 3, 170, 1]))})
-    post = Posterior(1, (), (tree,), (GlobalHyp(0.0, ((0,),)),))
+    post = posterior(1, (), (tree,), (0.0, ((0,),)))
     z = np.array([[300.0, 170.0]])
     upd, maps = update(post, z, CFG)
     formed = form_hypotheses(upd, maps, 1, CFG)
@@ -241,7 +240,7 @@ def test_form_hypotheses_weights_match_event_enumeration():
     comp = _component([300.0, 3, 170, 1])
     w, r = 1.0, 0.6
     tree = _one_branch_tree(r, {2: EndCase(1.0, comp)}, start=1)
-    post = Posterior(2, (), (tree,), (GlobalHyp(0.0, ((0,),)),))
+    post = posterior(2, (), (tree,), (0.0, ((0,),)))
     Z = np.array([[299.0, 170.5], [302.0, 169.0]])
     upd, maps = update(post, Z, CFG)
     formed = form_hypotheses(upd, maps, 2, CFG)
@@ -266,7 +265,7 @@ def test_hypothesis_budget_follows_parent_weight():
     comp = _component([300.0, 3, 170, 1])
     tree = _one_branch_tree(0.6, {2: EndCase(1.0, comp)}, start=1)
     cfg1 = replace(CFG, filters=replace(CFG.filters, n_hyp=1))
-    post = Posterior(2, (), (tree,), (GlobalHyp(0.0, ((0,),)),))
+    post = posterior(2, (), (tree,), (0.0, ((0,),)))
     Z = np.array([[299.0, 170.5], [302.0, 169.0]])
     upd, maps = update(post, Z, cfg1)
     formed = form_hypotheses(upd, maps, 2, cfg1)
@@ -287,11 +286,12 @@ def test_prune_wide_open_thresholds_keep_everything():
         ),
     )
     tree = _one_branch_tree(0.5, {2: EndCase(1.0, _component([300.0, 3, 170, 1], (1, 1)))})
-    post = Posterior(
+    post = posterior(
         2,
         ppp_predict((), cfg, 2),
         (tree,),
-        (GlobalHyp(math.log(0.6), ((0,),)), GlobalHyp(math.log(0.4), ((0,),))),
+        (math.log(0.6), ((0,),)),
+        (math.log(0.4), ((0,),)),
     )
     out = prune(post, cfg)
     assert len(out.ppp) == 1
@@ -309,7 +309,7 @@ def test_prune_freezes_small_alive_mass():
     cases[2] = EndCase(5e-5, cases[2].comp)
     cases[1] = EndCase(1 - 5e-5, cases[1].comp)
     tree = _one_branch_tree(0.9, cases)
-    post = Posterior(2, (), (tree,), (GlobalHyp(0.0, ((0,),)),))
+    post = posterior(2, (), (tree,), (0.0, ((0,),)))
     out = prune(post, CFG)
     h = out.trees[0].slots[0].hyps[0]
     assert 2 not in h.density.components
@@ -323,11 +323,11 @@ def test_prune_drops_zero_existence_slots_and_remaps():
     alive = _one_branch_tree(0.9, {1: EndCase(1.0, _component([1.0, 0, 1, 0]))})
     dead_slot = BranchSlot((1,), (LocalHyp(0.0, 1e-9, None, frozenset()),))
     doomed = BernoulliTree(1, (dead_slot,))
-    post = Posterior(
+    post = posterior(
         1,
         (),
         (alive, doomed),
-        (GlobalHyp(0.0, ((0,), (0,))),),
+        (0.0, ((0,), (0,))),
     )
     out = prune(post, CFG)
     assert len(out.trees) == 1
@@ -346,15 +346,13 @@ def test_prune_remaps_two_slot_tree_and_merges_equal_selections():
     )
     two_slot = BernoulliTree(1, (BranchSlot((1,), live), BranchSlot((1, 2), dead)))
     one_slot = BernoulliTree(1, (BranchSlot((1,), live[:3]),))
-    post = Posterior(
+    post = posterior(
         2,
         (),
         (two_slot, one_slot),
-        (
-            GlobalHyp(math.log(0.4), ((1, 0), (0,))),
-            GlobalHyp(math.log(0.35), ((3, 2), (2,))),
-            GlobalHyp(math.log(0.25), ((3, 0), (2,))),
-        ),
+        (math.log(0.4), ((1, 0), (0,))),
+        (math.log(0.35), ((3, 2), (2,))),
+        (math.log(0.25), ((3, 0), (2,))),
     )
     out = prune(post, CFG)
     assert [len(t.slots) for t in out.trees] == [1, 1]
@@ -375,15 +373,15 @@ def test_estimate_threshold_and_end_time():
         2: EndCase(0.7, _component([1.0, 0, 2, 0, 3, 0, 4, 0], (1, 1))),
     }
     high = _one_branch_tree(0.41, beta_mix)
-    post = Posterior(
-        2, (), (low, high), (GlobalHyp(0.0, ((0,), (0,))),)
+    post = posterior(
+        2, (), (low, high), (0.0, ((0,), (0,)))
     )
     est = estimate(post, CFG)
     assert len(est) == 1  # the r=0.39 branch is omitted at threshold 0.4
     branch = est[0].branches[0]
     assert branch.genealogy == (1, 1)  # most likely end time wins
     assert branch.states.shape == (2, 4)
-    assert estimate(Posterior(1, (), (), (GlobalHyp(0.0, ()),)), CFG) == []
+    assert estimate(posterior(1, (), (), (0.0, ())), CFG) == []
 
 
 def test_step_empty_everything_stays_empty():
@@ -454,7 +452,7 @@ def test_mode_reduction_matches_single_mode_exactly():
 
 def test_posterior_snapshot_is_json_ready():
     tree = _one_branch_tree(0.6, {1: EndCase(1.0, _component([1.0, 0, 2, 0]))})
-    post = Posterior(1, ppp_predict((), CFG, 1), (tree,), (GlobalHyp(0.0, ((0,),)),))
+    post = posterior(1, ppp_predict((), CFG, 1), (tree,), (0.0, ((0,),)))
     text = json.dumps(posterior_to_dict(post))
     data = json.loads(text)
     assert data["step"] == 1
@@ -496,8 +494,8 @@ def test_no_detection_and_no_clutter_keeps_weights_finite(kind):
 def test_check_posterior_reports_non_finite_weights():
     tree = _one_branch_tree(0.6, {1: EndCase(1.0, _component([1.0, 0, 2, 0]))})
     for log_ws in ([math.nan], [math.nan, 0.0], [0.0, -math.inf], [math.inf]):
-        post = Posterior(1, (), (tree,), tuple(GlobalHyp(w, ((0,),)) for w in log_ws))
+        post = posterior(1, (), (tree,), *((w, ((0,),)) for w in log_ws))
         problems = check_posterior(post)
         assert any("not finite" in p for p in problems), log_ws
-    ok = Posterior(1, (), (tree,), (GlobalHyp(0.0, ((0,),)),))
+    ok = posterior(1, (), (tree,), (0.0, ((0,),)))
     assert check_posterior(ok) == []

@@ -94,6 +94,12 @@ def test_emit_outputs_rejects_empty():
         emit_outputs([], "/tmp/nowhere")
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_run_experiment_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match="job"):
+        run_experiment(_small_cfg(2), [FilterSpec("tpmbm", 1)], n_runs=1, seed=1, jobs=jobs)
+
+
 def test_rms_aggregation_matches_definition():
     cfg = _small_cfg(6)
     specs = [FilterSpec("tpmbm", 2)]
@@ -149,6 +155,12 @@ def test_cli_error_paths(tmp_path, capsys):
     assert code != 0
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "ScenarioError"
+
+    code = main(["--lscan", "x", "--out", str(tmp_path / "z")])
+    assert code != 0
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValueError"
+    assert "--lscan" in payload["message"]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -224,6 +225,28 @@ def test_scenario_validation_collects_problems():
     text = str(err.value)
     for frag in ("p_detect", "clutter_rate", "n_hyp", "lscan"):
         assert frag in text
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"birth": [{"cov": [[NaN, NaN, NaN, NaN], [NaN, NaN, NaN, NaN],'
+         ' [NaN, NaN, NaN, NaN], [NaN, NaN, NaN, NaN]], "weight": 1}]}', "birth[0].cov"),
+        ('{"filters": {"gate": NaN}}', "filters.gate"),
+        ('{"measurement": {"clutter_region": [[0, NaN], [0, 400]]}}', "measurement.clutter_region"),
+        ('{"measurement": {"clutter_rate": Infinity}}', "measurement.clutter_rate"),
+        ('{"modes": [{"prob": 0.9, "F": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -Infinity]]}]}',
+         "modes[0].F"),
+        # an integer too large for a float overflowed numpy's conversion
+        ('{"birth": [{"mean": [1' + "0" * 400 + ', 0, 0, 0]}]}', "birth[0].mean"),
+    ],
+    ids=["nan-cov", "nan-gate", "nan-clutter-region", "inf-clutter-rate", "inf-F", "huge-int-mean"],
+)
+def test_loader_rejects_non_finite_values(tmp_path, text, field):
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match=re.escape(field)):
+        load_scenario(path)
 
 
 def test_exports(tmp_path):

@@ -1,16 +1,26 @@
-"""Property tests: the stacked gate kernel and the posterior invariants."""
+"""Property tests: the stacked gate kernel, the row merge of the
+global-hypothesis table, the posterior invariants and the scenario loader."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trpmbm.filter import KINDS, check_posterior, initial_posterior, step
+from trpmbm.filter import KINDS, _merged, check_posterior, initial_posterior, step
 from trpmbm.gaussian import GaussianBranchComponent, gate_loglik, innovation
-from trpmbm.models import BirthComponent, default_scenario
-from oracles import gate_loglik_one, innovation_one
+from trpmbm.models import (
+    BirthComponent,
+    FilterParams,
+    MeasurementModel,
+    MotionMode,
+    ScenarioConfig,
+    ScenarioError,
+    default_scenario,
+    scenario_from_dict,
+)
+from oracles import gate_loglik_one, innovation_one, merged_by_dict
 
 CFG = default_scenario()
 
@@ -70,6 +80,24 @@ def test_stacked_gate_matches_per_component_formulas(
             np.testing.assert_allclose(loglik[i, rows], loglik_i, rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    cols=st.integers(0, 5),
+    values=st.integers(1, 4),
+)
+def test_row_merge_matches_dict_reference(seed, n, cols, values):
+    # few distinct values per column, so many rows repeat
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, values, size=(n, cols)).astype(np.intp)
+    log_w = rng.normal(size=n) * 5.0
+    logs, distinct = _merged(log_w, rows)
+    want_logs, want_rows = merged_by_dict(log_w, rows)
+    assert np.array_equal(distinct, want_rows)
+    assert np.array_equal(logs, want_logs)
+
+
 _point = st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 400.0))
 _near_birth = st.tuples(st.floats(280.0, 320.0), st.floats(150.0, 190.0))
 _scan = st.tuples(
@@ -102,3 +130,55 @@ def test_step_keeps_posterior_invariants(kind, p_d, p_s, clutter, birth_weight, 
         Z = np.array(points, dtype=float).reshape(-1, 2)
         post = step(post, Z, cfg, kind, validate=True)
         assert check_posterior(post) == []
+
+
+_TOP_KEYS = ("rho", "modes", "measurement", "birth", "birth_type", "horizon", "filters", "seed")
+_PLACES = (
+    [(None, key) for key in _TOP_KEYS]
+    + [("measurement", f.name) for f in fields(MeasurementModel)]
+    + [("filters", f.name) for f in fields(FilterParams)]
+    + [("modes", f.name) for f in fields(MotionMode)]
+    + [("birth", f.name) for f in fields(BirthComponent)]
+)
+
+
+# the shape each matrix field expects
+_SHAPES = {"F": (4, 4), "Q": (4, 4), "cov": (4, 4), "H": (2, 4), "R": (2, 2),
+           "clutter_region": (2, 2), "mean": (4,), "offset": (4,)}
+_entry = st.floats() | st.sampled_from([0.0, 1.0, math.nan, math.inf, -math.inf])
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | _entry | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _value_for(key):
+    """Any JSON value; for a matrix field, also well-shaped arrays whose
+    entries may be NaN or infinite."""
+    if key not in _SHAPES:
+        return _json_value
+    shape = _SHAPES[key]
+    array = st.lists(_entry, min_size=shape[-1], max_size=shape[-1])
+    if len(shape) == 2:
+        array = st.lists(array, min_size=shape[0], max_size=shape[0])
+    return _json_value | array
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(_PLACES).flatmap(lambda p: st.tuples(st.just(p), _value_for(p[1]))))
+def test_scenario_loader_gives_config_or_scenario_error(case):
+    # any JSON value under any top-level or section key
+    (section, key), value = case
+    if section is None:
+        data = {key: value}
+    elif section in ("modes", "birth"):
+        data = {section: [{key: value}]}
+    else:
+        data = {section: {key: value}}
+    try:
+        cfg = scenario_from_dict(data)
+    except ScenarioError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
