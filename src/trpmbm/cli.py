@@ -15,9 +15,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .harness import FilterSpec, emit_outputs, run_experiment
-from .models import ScenarioError, default_scenario, load_scenario
-from .trees import parse_trees
+from .models import NX, ScenarioError, default_scenario, load_scenario
+from .trees import TreeTrajectory, parse_trees, validate_tree
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,11 +49,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def read_truth(path: str, n_modes: int) -> list[TreeTrajectory]:
+    """Parse and check a ground-truth file: every tree must pass
+    `validate_tree` and hold finite states of NX numbers each."""
+    try:
+        trees = parse_trees(Path(path).read_text())
+    except ValueError as err:
+        raise ValueError(f"--truth: {err}") from None
+    for ti, tree in enumerate(trees):
+        problems = validate_tree(tree, n_modes)
+        for bi, br in enumerate(tree.branches):
+            if br.states.ndim != 2 or br.states.shape[1] != NX:
+                problems.append(f"branch {bi}: states must have {NX} numbers each")
+            elif not np.isfinite(br.states).all():
+                problems.append(f"branch {bi}: states must be finite")
+        if problems:
+            raise ValueError(f"--truth: tree {ti}: " + "; ".join(problems))
+    return trees
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_scenario(args.scenario) if args.scenario else default_scenario()
         seed = cfg.seed if args.seed is None else args.seed
+        if seed < 0:
+            raise ValueError(f"--seed: expected a non-negative integer, got {seed}")
         kinds = [k.strip() for k in args.filters.split(",") if k.strip()]
         if args.lscan is None:
             windows = [cfg.filters.lscan]
@@ -63,9 +86,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"--lscan: expected a comma list of integers, got {args.lscan!r}"
                 ) from None
         specs = [FilterSpec(kind, lscan) for kind in kinds for lscan in windows]
-        truth = None
-        if args.truth:
-            truth = parse_trees(Path(args.truth).read_text())
+        truth = read_truth(args.truth, cfg.n_modes) if args.truth else None
         reports = run_experiment(
             cfg, specs, args.runs, seed, truth=truth, jobs=args.jobs
         )

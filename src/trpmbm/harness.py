@@ -73,6 +73,7 @@ def run_filter_on(
     breakdowns = []
     n_hyp, n_local, n_trees = [], [], []
     seconds = 0.0
+    bases: dict = {}  # the metric's LP bases, carried from step to step
     for k, Z in enumerate(meas_seq, start=1):
         t0 = time.perf_counter()
         post = step(post, Z, cfg_f, kind=spec.kind)
@@ -81,7 +82,7 @@ def run_filter_on(
         if not np.isfinite(post.log_w).all():
             raise RuntimeError(f"{spec.label}: non-finite hypothesis weight at step {k}")
         breakdowns.append(
-            trajectory_metric(branches_as_tracks(est), truth_tracks, metric_params, k)
+            trajectory_metric(branches_as_tracks(est), truth_tracks, metric_params, k, bases)
         )
         n_hyp.append(len(post.log_w))
         n_local.append(sum(len(s.hyps) for t in post.trees for s in t.slots))

@@ -16,6 +16,18 @@ matching the pair never costs more than its two dummies (min(d, c)^p <= c^p
 when both are alive, equal costs otherwise), is strictly cheaper at the
 step with d < c that formed the cluster, and any departure from it pays
 switches, so the unique optimum matches the pair at every step.
+
+The other clusters are solved by HiGHS, called directly through the module
+scipy ships (``scipy.optimize._highspy``) with the model and options that
+``scipy.optimize.linprog(method="highs")`` would pass, so a cold solve
+gives linprog's result bit for bit.  A caller that scores every step of a
+run keeps a dict of the final bases (`trajectory_metric`'s ``bases``): a
+cluster with the same members and first step as at k-1 then starts its
+dual simplex from that basis, with the new step's columns nonbasic and its
+rows basic, and needs a few pivots instead of a solve from scratch.  Where
+the optimum it reaches may tie with one of another split, the LP is solved
+cold again.  Without the private module, ``linprog`` itself solves every
+LP cold.
 """
 
 from __future__ import annotations
@@ -25,10 +37,15 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
+import scipy.optimize
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .trees import TreeTrajectory, first_own_generation, unique_id
+
+try:  # HiGHS as scipy ships it; the module is private, so it may move
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:
+    _highs = None
 
 
 @dataclass(frozen=True)
@@ -177,8 +194,18 @@ def _cluster_costs(
     return cost, tag
 
 
+def _csr(indices: np.ndarray, row_len: np.ndarray, data: np.ndarray, n_var: int):
+    """CSR matrix of entries listed row after row, ``row_len`` per row."""
+    indptr = np.zeros(len(row_len) + 1, dtype=np.int32)
+    np.cumsum(row_len, out=indptr[1:])
+    return sparse.csr_matrix(
+        (data, indices.astype(np.int32), indptr), shape=(len(row_len), n_var)
+    )
+
+
 def _constraints(n: int, m: int, T: int) -> dict:
-    """Constraint arguments of ``linprog`` for the cluster LP, matrices in CSR.
+    """Constraint arguments of ``scipy.optimize.linprog`` for the cluster LP,
+    matrices in CSR with sorted column indices.
 
     A single step has no switch variables and so no inequalities.
     """
@@ -190,15 +217,13 @@ def _constraints(n: int, m: int, T: int) -> dict:
     est_rows = np.hstack([pair, n * m + np.arange(n)[:, None]])
     truth_cols = np.hstack([pair.T, n * m + n + np.arange(m)[:, None]])
     step_cols = np.concatenate([est_rows.ravel(), truth_cols.ravel()])
-    step_rows = np.concatenate([np.repeat(np.arange(n), m + 1), n + np.repeat(np.arange(m), n + 1)])
-    steps = np.arange(T)[:, None]
-    A_eq = sparse.coo_matrix(
-        (
-            np.ones(T * len(step_cols)),
-            ((steps * (n + m) + step_rows).ravel(), (steps * S + step_cols).ravel()),
-        ),
-        shape=(T * (n + m), n_var),
-    ).tocsr()
+    step_len = np.repeat([m + 1, n + 1], [n, m])
+    A_eq = _csr(
+        (np.arange(T)[:, None] * S + step_cols).ravel(),
+        np.tile(step_len, T),
+        np.ones(T * len(step_cols)),
+        n_var,
+    )
     out = {"A_eq": A_eq, "b_eq": np.ones(T * (n + m))}
 
     # inequalities: e >= |W_{t+1} - W_t| on real pairs, two rows per switch
@@ -206,19 +231,171 @@ def _constraints(n: int, m: int, T: int) -> dict:
     if len(q):
         w0 = (q // (n * m)) * S + q % (n * m)
         e = T * S + q
-        cols = np.column_stack([w0 + S, w0, e, w0, w0 + S, e]).ravel()
-        out["A_ub"] = sparse.coo_matrix(
-            (np.tile([1.0, -1.0, -1.0], 2 * len(q)), (np.repeat(np.arange(2 * len(q)), 3), cols)),
-            shape=(2 * len(q), n_var),
-        ).tocsr()
+        # rows W_{t+1} - W_t - e <= 0 and W_t - W_{t+1} - e <= 0, columns
+        # ascending (w0 < w0 + S < e)
+        cols = np.column_stack([w0, w0 + S, e, w0, w0 + S, e]).ravel()
+        vals = np.tile([-1.0, 1.0, -1.0, 1.0, -1.0, -1.0], len(q))
+        out["A_ub"] = _csr(cols, np.full(2 * len(q), 3), vals, n_var)
         out["b_ub"] = np.zeros(2 * len(q))
     return out
 
 
+def _model(n: int, m: int, T: int) -> tuple[np.ndarray, ...]:
+    """The cluster LP as HiGHS takes it: ``[A_ub; A_eq]`` in CSC arrays
+    (indptr, row indices, values) and the row bounds (lhs, rhs)."""
+    cons = _constraints(n, m, T)
+    A_eq = cons["A_eq"]
+    A_ub = cons.get("A_ub", sparse.csr_matrix((0, A_eq.shape[1])))
+    n_ub = A_ub.shape[0]
+    A = sparse.csr_matrix(
+        (
+            np.concatenate([A_ub.data, A_eq.data]),
+            np.concatenate([A_ub.indices, A_eq.indices]),
+            np.concatenate([A_ub.indptr, A_eq.indptr[1:] + A_ub.nnz]),
+        ),
+        shape=(n_ub + A_eq.shape[0], A_eq.shape[1]),
+    ).tocsc()
+    lhs = np.concatenate([np.full(n_ub, -np.inf), cons["b_eq"]])
+    rhs = np.concatenate([np.zeros(n_ub), cons["b_eq"]])
+    return A.indptr, A.indices, A.data, lhs, rhs
+
+
+def _highs_options():
+    """``linprog(method="highs")``'s options: presolve on, dual simplex,
+    default tolerances, no output."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = False
+    opts.log_to_console = False
+    return opts
+
+
+def _highs_run(cost, model, start=None):
+    """One HiGHS solve of ``model``; the Highs object once it has run, or
+    None if ``start`` was rejected as a basis."""
+    indptr, indices, values, lhs, rhs = model
+    n_col = len(cost)
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    highs.passModel(
+        n_col, len(rhs), len(values),
+        int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize), 0.0,
+        cost, np.zeros(n_col), np.full(n_col, np.inf), lhs, rhs,
+        indptr, indices, values, np.zeros(n_col, dtype=np.int32),
+    )  # fmt: skip
+    if start is not None:
+        basis = _highs.HighsBasis()
+        basis.col_status, basis.row_status = start
+        if highs.setBasis(basis) != _highs.HighsStatus.kOk:
+            return None
+    highs.run()
+    return highs
+
+
+def _highs_solve(cost, model, start=None):
+    """Optimal x of the cluster LP through HiGHS, and its basic variables.
+
+    ``start`` is a (column, row) basis status pair to begin the dual simplex
+    from; a rejected or failed warm start is solved again cold.  The basic
+    variables come as HiGHS lists them: column j as j, row i as -1-i.
+    """
+    highs = None if start is None else _highs_run(cost, model, start)
+    if highs is None or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+        highs = _highs_run(cost, model)
+    status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"metric LP failed: {highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value), highs.getBasicVariables()[1]
+
+
+def _scipy_solve(cost, model, start=None):
+    """``_highs_solve`` through ``scipy.optimize.linprog``, always cold."""
+    indptr, indices, values, lhs, rhs = model
+    A = sparse.csc_array((values, indices, indptr), shape=(len(rhs), len(cost)))
+    n_ub = int(np.isneginf(lhs).sum())
+    ub = {"A_ub": A[:n_ub], "b_ub": rhs[:n_ub]} if n_ub else {}
+    res = scipy.optimize.linprog(
+        cost, **ub, A_eq=A[n_ub:], b_eq=rhs[n_ub:], bounds=(0, None), method="highs"
+    )
+    if res.status != 0:
+        raise RuntimeError(f"metric LP failed: {res.message}")
+    return res.x, None
+
+
+if _highs is not None:
+    _HIGHS_OPTIONS = _highs_options()
+    linprog = _highs_solve
+else:
+    linprog = _scipy_solve
+
+
+def _warm_start(entry, n: int, m: int, T: int):
+    """The basis of a cluster's LP at T steps from its basic variables at
+    T-1 steps, or None if ``entry`` does not fit.
+
+    The old W and switch columns and the old rows keep their statuses at
+    their new indices; the new layer's columns start nonbasic at zero and
+    its rows basic.  Nonbasic rows sit at their upper side: the switch rows
+    have no other, and either side is the value of an equality row.
+    """
+    T_prev, basic = entry
+    S, nm = n * m + n + m, n * m
+    n_ub = 2 * (T - 1) * nm
+    n_col, n_row = T * S + (T - 1) * nm, n_ub + T * (n + m)
+    if T_prev != T - 1 or len(basic) != n_row - 2 * nm - (n + m):
+        return None
+    cols, rows = basic[basic >= 0], -1 - basic[basic < 0]
+    cols = np.where(cols < (T - 1) * S, cols, cols + S)
+    rows = np.where(rows < n_ub - 2 * nm, rows, rows + 2 * nm)
+    col_status = np.full(n_col, _highs.HighsBasisStatus.kLower, dtype=object)
+    col_status[cols] = _highs.HighsBasisStatus.kBasic
+    row_status = np.full(n_row, _highs.HighsBasisStatus.kUpper, dtype=object)
+    row_status[rows] = _highs.HighsBasisStatus.kBasic
+    row_status[n_ub - 2 * nm : n_ub] = _highs.HighsBasisStatus.kBasic
+    row_status[n_row - (n + m) :] = _highs.HighsBasisStatus.kBasic
+    return col_status.tolist(), row_status.tolist()
+
+
+def _split_may_tie(x, cost, tag, n: int, m: int, T: int, params: TrajMetricParams) -> bool:
+    """Whether the optimum ``x`` may share its cost with an optimum of
+    another split, which a cold solve could pick instead.
+
+    Matching a pair at distance >= c costs c^p, as much as leaving both to
+    their dummies.  At the first or last step of a matched stretch the
+    switches cost the same either way (at any step when gamma = 0), so the
+    split between localisation and missed/false is a tie that the solver's
+    pivoting path breaks.  Costs within a relative 1e-6 of c^p count too:
+    the simplex stops within its tolerances.
+    """
+    S, nm = n * m + n + m, n * m
+    capped = (tag[: T * S].reshape(T, S)[:, :nm] == 0) & (
+        cost[: T * S].reshape(T, S)[:, :nm] >= (1.0 - 1e-6) * params.c**params.p
+    )
+    if params.gamma == 0:
+        return bool(capped.any())
+    matched = x[: T * S].reshape(T, S)[:, :nm] > 0
+    near = matched.copy()
+    near[1:] |= matched[:-1]
+    near[:-1] |= matched[1:]
+    return bool((capped & near).any())
+
+
 def _cluster_objective(
-    est: list[Track], truth: list[Track], params: TrajMetricParams, k: int
+    est: list[Track],
+    truth: list[Track],
+    params: TrajMetricParams,
+    k: int,
+    prev: dict | None = None,
+    solved: dict | None = None,
 ) -> np.ndarray:
-    """Optimal (localisation, missed, false, switch) p-power cost of a cluster."""
+    """Optimal (localisation, missed, false, switch) p-power cost of a cluster.
+
+    ``prev`` maps the clusters solved at k-1 to their final LP bases; the LP
+    of a cluster with the same members and first step starts from its entry.
+    ``solved`` collects the entries of this step.
+    """
     n, m = len(est), len(truth)
     t0 = min(tr.start for tr in est + truth)
     T = k - t0 + 1
@@ -228,10 +405,15 @@ def _cluster_objective(
         x = np.zeros(len(cost))
         x[: T * 3 : 3] = 1.0
     else:
-        res = linprog(cost, **_constraints(n, m, T), bounds=(0, None), method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"metric LP failed: {res.message}")
-        x = res.x
+        key = (tuple(tr.label for tr in est), tuple(tr.label for tr in truth), t0)
+        entry = None if prev is None else prev.get(key)
+        start = None if entry is None else _warm_start(entry, n, m, T)
+        model = _model(n, m, T)
+        x, basis = linprog(cost, model, start)
+        if start is not None and _split_may_tie(x, cost, tag, n, m, T, params):
+            x, basis = linprog(cost, model)
+        if solved is not None and basis is not None:
+            solved[key] = (T, basis)
     contrib = cost * x
     return np.array([contrib[tag == comp].sum() for comp in range(4)])
 
@@ -241,11 +423,16 @@ def trajectory_metric(
     truth: list[Track],
     params: TrajMetricParams = TrajMetricParams(),
     k: int | None = None,
+    bases: dict | None = None,
 ) -> MetricBreakdown:
     """Distance between two labeled track sets evaluated at step ``k``.
 
     Tracks are truncated to steps 1..k; genealogy plays no role here (the
-    caller already flattened branches to tracks).
+    caller already flattened branches to tracks).  ``bases`` is a dict the
+    caller keeps across the steps of one run, empty at first: afterwards it
+    holds the final LP basis of every cluster solved at this step, and the
+    next step's LPs of the same clusters start from them.  The breakdown is
+    the one without it (module docstring).
     """
     if k is None:
         ends = [t.end for t in est + truth]
@@ -262,15 +449,20 @@ def trajectory_metric(
     p = params.p
     half = params.c**p / 2.0
     parts = np.zeros(4)  # loc, missed, false, switch (p-power costs)
+    solved = None if bases is None else {}
     for eidx, tidx in _clusters(est_k, truth_k, params.c, k):
         ce = [est_k[i] for i in eidx]
         ct = [truth_k[j] for j in tidx]
         if ce and ct:
-            parts += _cluster_objective(ce, ct, params, k)
+            parts += _cluster_objective(ce, ct, params, k, bases, solved)
         elif ct:
             parts[1] += half * sum(len(t.positions) for t in ct)
         else:
             parts[2] += half * sum(len(t.positions) for t in ce)
+
+    if bases is not None:
+        bases.clear()
+        bases.update(solved)
 
     scaled = parts / k
     total = float(scaled.sum() ** (1.0 / p))

@@ -405,6 +405,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append(f"birth[{i}].cov not positive semidefinite")
     if cfg.horizon < 1:
         problems.append(f"horizon {cfg.horizon} must be >= 1")
+    if cfg.seed < 0:
+        problems.append(f"seed {cfg.seed} must be >= 0")
     if cfg.birth_type not in ("ppp", "mb"):
         problems.append(f"birth_type {cfg.birth_type!r} not one of 'ppp', 'mb'")
     f = cfg.filters

@@ -6,13 +6,16 @@ The pinned stream is the default scenario, the shipped recorded truth,
 seed 2026 and run 0.  Each step's digest covers the exact bytes of every
 global hypothesis's log-weight and selection (read through
 `Posterior.hypotheses`, in order) and of the estimate (start times,
-genealogies and state arrays).  `test_golden.py` recomputes them and
-requires equality; the recorded numpy and scipy versions say where the
-bytes are expected to repeat.
+genealogies and state arrays).  A second digest per step covers the five
+doubles of the estimate's `MetricBreakdown` against the truth, scored as
+the harness scores a run.  `test_golden.py` recomputes both and requires
+equality; the recorded numpy and scipy versions say where the bytes are
+expected to repeat.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.resources as resources
 import json
@@ -24,6 +27,7 @@ import numpy as np
 import scipy
 
 from trpmbm.filter import estimate, initial_posterior, step
+from trpmbm.metric import TrajMetricParams, branches_as_tracks, trajectory_metric
 from trpmbm.models import default_scenario, sample_measurement_sequence
 from trpmbm.trees import parse_trees
 
@@ -39,7 +43,7 @@ def versions() -> dict[str, str]:
 def pinned_stream():
     cfg = default_scenario()
     truth = parse_trees((resources.files("trpmbm") / "data" / "recorded_truth.txt").read_text())
-    return cfg, sample_measurement_sequence(truth, cfg, SEED, run=RUN)[:N_STEPS]
+    return cfg, truth, sample_measurement_sequence(truth, cfg, SEED, run=RUN)[:N_STEPS]
 
 
 def step_digest(post, est) -> str:
@@ -57,22 +61,46 @@ def step_digest(post, est) -> str:
     return h.hexdigest()
 
 
-def digests(kind: str, lscan: int, cfg, stream) -> list[str]:
+def metric_digest(breakdown) -> str:
+    return hashlib.sha256(struct.pack("<5d", *breakdown.as_tuple())).hexdigest()
+
+
+@functools.cache
+def run_pinned(kind: str, lscan: int) -> tuple[tuple, tuple]:
+    """Per step of the pinned stream: the filter's estimate and the step
+    digest of the posterior.  Computed once per process: the golden and
+    the metric tests share it."""
+    cfg, _, stream = pinned_stream()
     cfg_f = replace(cfg, filters=replace(cfg.filters, lscan=lscan))
     post = initial_posterior()
-    out = []
+    estimates, out = [], []
     for Z in stream:
         post = step(post, Z, cfg_f, kind=kind)
-        out.append(step_digest(post, estimate(post, cfg_f)))
-    return out
+        est = estimate(post, cfg_f)
+        estimates.append(est)
+        out.append(step_digest(post, est))
+    return tuple(estimates), tuple(out)
+
+
+def score(estimates, truth, bases: dict | None = None) -> list:
+    """Breakdowns per step; ``bases`` as `harness.run_filter_on` passes it."""
+    truth_tracks = branches_as_tracks(truth)
+    params = TrajMetricParams()
+    return [
+        trajectory_metric(branches_as_tracks(est), truth_tracks, params, k, bases)
+        for k, est in enumerate(estimates, start=1)
+    ]
 
 
 def main() -> None:
-    cfg, stream = pinned_stream()
-    record = {
-        **versions(),
-        "digests": {f"{kind}-L{lscan}": digests(kind, lscan, cfg, stream) for kind, lscan in SPECS},
-    }
+    _, truth, _ = pinned_stream()
+    record = {**versions(), "digests": {}, "metric_digests": {}}
+    for kind, lscan in SPECS:
+        estimates, out = run_pinned(kind, lscan)
+        record["digests"][f"{kind}-L{lscan}"] = list(out)
+        record["metric_digests"][f"{kind}-L{lscan}"] = [
+            metric_digest(b) for b in score(estimates, truth, {})
+        ]
     PATH.write_text(json.dumps(record, indent=1) + "\n")
 
 

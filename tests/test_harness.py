@@ -162,6 +162,28 @@ def test_cli_error_paths(tmp_path, capsys):
     assert payload["error"] == "ValueError"
     assert "--lscan" in payload["message"]
 
+    code = main(["--seed", "-1", "--runs", "1", "--out", str(tmp_path / "s")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValueError"
+    assert "--seed" in payload["message"]
+
+    # a genealogy of two generations with one state, a state of three
+    # numbers, a non-finite state
+    for text, problem in [
+        ("1; 1,1; 1 2 3 4\n", "genealogy implies 2"),
+        ("1; 1; 1 2 3\n", "4 numbers"),
+        ("1; 1; 0 0 0 0\n\n1; 1; nan 0 0 0\n", "finite"),
+    ]:
+        truth = tmp_path / "truth.txt"
+        truth.write_text(text)
+        code = main(["--truth", str(truth), "--runs", "1", "--out", str(tmp_path / "t")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValueError"
+        assert "--truth" in payload["message"] and problem in payload["message"]
+        assert f"tree {text.count(chr(10) * 2)}" in payload["message"]
+
 
 @pytest.mark.parametrize(
     "scenario, field",
@@ -176,6 +198,7 @@ def test_cli_error_paths(tmp_path, capsys):
         ({"filters": {"n_hyp": 1.5}}, "filters.n_hyp"),
         ({"filters": {"lscan": 2.7}}, "filters.lscan"),
         ({"measurement": {"H": {"a": 1}}}, "measurement.H"),
+        ({"seed": -3}, "seed"),
     ],
 )
 def test_cli_rejects_wrongly_typed_sections(tmp_path, capsys, scenario, field):

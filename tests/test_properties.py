@@ -1,13 +1,20 @@
 """Property tests: the stacked gate kernel, the row merge of the
-global-hypothesis table, the posterior invariants and the scenario loader."""
+global-hypothesis table, the posterior invariants, the scenario loader and
+the CLI's handling of ground-truth files."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trpmbm.cli import main
 from trpmbm.filter import KINDS, _merged, check_posterior, initial_posterior, step
 from trpmbm.gaussian import GaussianBranchComponent, gate_loglik, innovation
 from trpmbm.models import (
@@ -182,3 +189,44 @@ def test_scenario_loader_gives_config_or_scenario_error(case):
     except ScenarioError:
         return
     assert isinstance(cfg, ScenarioConfig)
+
+
+# trees of branch lines near the format (start; marks; states), each part
+# off now and then, and lines of format characters in any order
+_coord = st.one_of(
+    st.floats(-100.0, 100.0).map(repr),
+    st.floats(-100.0, 100.0).map(repr),
+    st.sampled_from(["nan", "inf", "1e400", "x"]),
+)
+_state = st.one_of(
+    st.lists(_coord, min_size=4, max_size=4),
+    st.lists(_coord, min_size=4, max_size=4),
+    st.lists(_coord, min_size=3, max_size=5),
+).map(" ".join)
+_branch = st.tuples(
+    st.integers(1, 3).map(str) | st.sampled_from(["0", "-1", "x", "99999999999999999999"]),
+    st.lists(st.integers(0, 3).map(str), min_size=1, max_size=3).map(",".join),
+    st.lists(_state, min_size=1, max_size=3),
+).map(lambda parts: "; ".join([parts[0], parts[1], *parts[2]]))
+_line = st.one_of(
+    _branch, _branch, _branch, st.just(""), st.text(alphabet="0123456789;,. -nai\n", max_size=30)
+)
+_truth_text = st.lists(_line, max_size=5).map("\n".join)
+
+
+@settings(max_examples=60)
+@given(_truth_text)
+def test_cli_answers_any_truth_file_with_outputs_or_a_json_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "s.json").write_text(json.dumps({"horizon": 3}))
+        (tmp / "truth.txt").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(
+                ["--scenario", str(tmp / "s.json"), "--truth", str(tmp / "truth.txt"),
+                 "--runs", "1", "--out", str(tmp / "out")]
+            )  # fmt: skip
+    if code != 0:
+        payload = json.loads(err.getvalue())
+        assert set(payload) == {"error", "message"}
