@@ -1,0 +1,86 @@
+"""Assemble a BENCH_<n>.json before/after record from perfbench results.
+
+    python3 scripts/bench_record.py PARENT_RESULTS CHANGE_RESULTS OUT.json \
+        [--claim WORKLOAD:METRIC] [--note TEXT]
+
+Each results directory holds the records `perfbench/run.py --results DIR`
+writes: `--trace 0` records paired by seed, and optionally one `--trace 1`
+record per workload.  The output keeps, per workload and end-to-end
+metric, both sides' quartiles, per-seed values, pair wins and the verdict
+of `perfbench/compare.py`; the per-layer metrics of the traced records;
+and the environment from the records' provenance.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from compare import compare, load  # noqa: E402
+
+
+def _records(directory: Path, trace: int) -> list[dict]:
+    return [json.loads(p.read_text()) for p in sorted(directory.glob(f"*-trace{trace}.json"))]
+
+
+def _side(directory: Path) -> dict:
+    records = _records(directory, 0)
+    prov = records[0]["provenance"]
+    return {
+        "commit": prov["commit"],
+        "src_sha256": sorted({r["provenance"]["src_sha256"] for r in records}),
+        "per_seed": {
+            f"{r['provenance']['workload']}/{r['provenance']['seed']}": {
+                name: m["value"] for name, m in r["result"]["metrics"].items()
+            }
+            for r in records
+        },
+        "per_layer": {
+            r["provenance"]["workload"]: {
+                "seed": r["provenance"]["seed"],
+                "metrics": {name: m["value"] for name, m in r["result"]["metrics"].items()},
+            }
+            for r in _records(directory, 1)
+        },
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("out", type=Path)
+    ap.add_argument("--claim", action="append", default=[], help="WORKLOAD:METRIC")
+    ap.add_argument("--note", default="")
+    args = ap.parse_args(argv)
+
+    prov = _records(args.parent, 0)[0]["provenance"]
+    env = {k: prov[k] for k in ("cpu_model", "nproc", "python", "numpy", "scipy")}
+    rows = compare(load(args.parent), load(args.change))
+    record = {
+        "environment": env,
+        "note": args.note,
+        "claims": args.claim,
+        "end_to_end": [
+            {
+                **{k: r[k] for k in ("workload", "metric", "n", "bound", "verdict")},
+                "parent": dict(zip(("q1", "median", "q3"), r["base"])),
+                "change": dict(zip(("q1", "median", "q3"), r["new"])),
+                "spread": {"parent": r["base_spread"], "change": r["new_spread"]},
+                "pair_wins": {"change": r["new_wins"], "parent": r["base_wins"]},
+            }
+            for r in rows
+        ],
+        "parent": _side(args.parent),
+        "change": _side(args.change),
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

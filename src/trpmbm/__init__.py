@@ -18,11 +18,9 @@ from .filter import (
     form_hypotheses,
     initial_posterior,
     posterior_to_dict,
-    ppp_predict,
     predict,
     prune,
     step,
-    tree_predict,
     truncate_window,
     update,
 )
@@ -35,8 +33,10 @@ from .gaussian import (
     gate_loglik,
     innovation,
     l_scan_truncate,
-    predict_augment_survive,
-    spawn_component,
+    last_states,
+    spawn,
+    survive,
+    transition,
 )
 from .harness import FilterSpec, RunReport, emit_outputs, rms_curves, run_experiment
 from .metric import (
@@ -57,6 +57,7 @@ from .models import (
     load_scenario,
     no_spawning,
     perp_unit,
+    perp_units,
     sample_ground_truth,
     sample_measurement_sequence,
     sample_measurements,

@@ -22,8 +22,15 @@ from .models import NX, ScenarioError, default_scenario, load_scenario
 from .trees import TreeTrajectory, parse_trees, validate_tree
 
 
+class _Parser(argparse.ArgumentParser):
+    """Option errors raise, so that they leave as the JSON error too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trpmbm-sim",
         description="Monte-Carlo benchmark of spawning-target tree-trajectory filters",
     )
@@ -69,8 +76,8 @@ def read_truth(path: str, n_modes: int) -> list[TreeTrajectory]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_scenario(args.scenario) if args.scenario else default_scenario()
         seed = cfg.seed if args.seed is None else args.seed
         if seed < 0:

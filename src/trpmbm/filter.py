@@ -15,10 +15,13 @@ on these arrays.  ``Posterior.hypotheses`` is a read-only view of the table
 as per-tree ``GlobalHyp`` records, for readers outside the step.
 
 One filtering step runs: predict (branch survival mass redistribution plus
-one new potential branch per spawning mode per parent slot), window
-truncation, measurement update (missed/detected local hypotheses, new
-Bernoulli trees off every measurement), global-hypothesis formation via
-k-best assignment per parent hypothesis, and pruning.
+one new potential branch per spawning mode per parent slot, with every
+grown live window cut to the last ``lscan`` states), measurement update
+(missed/detected local hypotheses, new Bernoulli trees off every
+measurement), global-hypothesis formation via k-best assignment per
+parent hypothesis, and pruning.  Predict and update make their Gaussian
+moves in stacked passes over all components at once (``trpmbm.gaussian``);
+``truncate_window`` stays for callers that cut windows themselves.
 
 Three operating modes share the recursion:
   kind='trpmbm'  Poisson birth into the undetected-tree intensity.
@@ -48,9 +51,10 @@ from .gaussian import (
     gate_loglik,
     innovation,
     l_scan_truncate,
-    l_scan_truncate_component,
-    predict_augment_survive,
-    spawn_component,
+    last_states,
+    spawn,
+    survive,
+    transition,
 )
 from .models import NX, BirthComponent, ScenarioConfig, no_spawning
 from .trees import Branch, TreeTrajectory
@@ -133,102 +137,6 @@ def _birth_component(b: BirthComponent) -> GaussianBranchComponent:
     )
 
 
-def ppp_predict(
-    ppp: tuple[PPPComponent, ...], cfg: ScenarioConfig, k: int
-) -> tuple[PPPComponent, ...]:
-    """Survival-thinned continuation of every intensity term, plus births."""
-    surv = cfg.survival
-    out = []
-    if surv.prob > 0.0:
-        log_ps = math.log(surv.prob)
-        for comp in ppp:
-            moved = predict_augment_survive(
-                comp.comp, surv.F, surv.offset_at(comp.comp.last_mean), surv.Q
-            )
-            out.append(PPPComponent(comp.log_weight + log_ps, comp.start_time, moved))
-    for b in cfg.births:
-        out.append(PPPComponent(_log(b.weight), k, _birth_component(b)))
-    return tuple(out)
-
-
-def tree_predict(
-    tree: BernoulliTree, cfg: ScenarioConfig, k: int
-) -> tuple[BernoulliTree, list[int]]:
-    """Advance one Bernoulli tree to step k.
-
-    Surviving slots keep their existence; the alive end-time mass splits
-    into death-at-(k-1) and alive-at-k with a Kalman-augmented component.
-    Every (spawning mode, parent slot) pair appends a new slot whose local
-    hypotheses parallel the parent's, each existing with probability
-    r * p_spawn * beta(k-1).  Frozen or dead hypotheses pass through
-    untouched; slots with no alive existence mass produce no spawn slots
-    (every spawn hypothesis would carry exactly zero existence).
-
-    Returns the advanced tree and, for the appended slots in order, the
-    index of the parent slot each one was spawned from.
-    """
-    surv = cfg.survival
-    p_s = surv.prob
-    new_slots: list[BranchSlot] = []
-    spawnable: list[int] = []
-    any_change = False
-    for ji, slot in enumerate(tree.slots):
-        hyps = []
-        alive = False
-        changed = False
-        for h in slot.hyps:
-            prev = h.density.components.get(k - 1) if h.density is not None else None
-            if prev is None or prev.beta == 0.0:
-                hyps.append(h)
-                continue
-            if h.r > 0.0:
-                alive = True
-            cases = dict(h.density.components)
-            if p_s < 1.0:
-                cases[k - 1] = EndCase(prev.beta * (1.0 - p_s), prev.comp)
-            else:
-                del cases[k - 1]
-            if p_s > 0.0:
-                moved = predict_augment_survive(
-                    prev.comp, surv.F, surv.offset_at(prev.comp.last_mean), surv.Q
-                )
-                cases[k] = EndCase(prev.beta * p_s, moved)
-            hyps.append(LocalHyp(h.log_w, h.r, BranchDensity(cases), h.assoc))
-            changed = True
-        if alive:
-            spawnable.append(ji)
-        any_change = any_change or changed
-        new_slots.append(slot if not changed else BranchSlot(slot.branch_id, tuple(hyps)))
-
-    parent_of: list[int] = []
-    for mark, mode in enumerate(cfg.spawn_modes, start=2):
-        for ji in spawnable:
-            slot = tree.slots[ji]
-            # deterministic alive genealogy of the parent at step k-1
-            pad = (k - 1 - tree.start_time + 1) - len(slot.branch_id)
-            child_id = slot.branch_id + (1,) * pad + (mark,)
-            hyps = []
-            for h in slot.hyps:
-                prev = h.density.components.get(k - 1) if h.density is not None else None
-                if prev is None:
-                    hyps.append(LocalHyp(0.0, 0.0, None, frozenset()))
-                    continue
-                r_new = h.r * mode.prob * prev.beta
-                predicted_mean = surv.F @ prev.comp.last_mean + surv.offset_at(
-                    prev.comp.last_mean
-                )
-                child = spawn_component(
-                    prev.comp, mode.F, mode.offset_at(predicted_mean), mode.Q, mark
-                )
-                density = BranchDensity({k: EndCase(1.0, child)})
-                hyps.append(LocalHyp(0.0, r_new, density, frozenset()))
-            new_slots.append(BranchSlot(child_id, tuple(hyps)))
-            parent_of.append(ji)
-    if not any_change and not parent_of:
-        return tree, parent_of
-    return BernoulliTree(tree.start_time, tuple(new_slots)), parent_of
-
-
 def _birth_tree(cfg: ScenarioConfig, k: int) -> BernoulliTree:
     """One Bernoulli tree per birth term (multi-Bernoulli birth mode)."""
     slots = []
@@ -241,46 +149,160 @@ def _birth_tree(cfg: ScenarioConfig, k: int) -> BernoulliTree:
 
 
 def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Posterior:
-    """Spawned slots copy their parent's column, after their tree's columns;
-    the birth tree of 'trmbm' gets zero columns."""
+    """Advance every Bernoulli tree and the intensity to step k, in one
+    stacked Gaussian pass.
+
+    Every end case at k-1 (of a local hypothesis or an intensity term) moves
+    its last state once; the surviving ones append it to their live window,
+    which is cut to the last ``lscan`` states right there, since this is the
+    only stage that grows a window.  Surviving slots keep their existence;
+    the alive end-time mass splits into death-at-(k-1) and alive-at-k.
+    Every (spawning mode, parent slot) pair appends a new slot whose local
+    hypotheses parallel the parent's, each existing with probability
+    r * p_spawn * beta(k-1), with its offset taken at the survival move's
+    predicted mean.  Frozen or dead hypotheses pass through untouched; slots
+    with no alive existence mass produce no spawn slots (every spawn
+    hypothesis would carry exactly zero existence).  Intensity terms are
+    thinned by p_S and joined by the births.
+
+    Spawned slots copy their parent's column, after their tree's columns;
+    the birth tree of 'trmbm' gets zero columns.
+    """
     k = post.step + 1
+    surv = cfg.survival
+    p_s = surv.prob
+    # the end cases at k-1, by tree and slot: (hyp, index into prevs)
+    prevs: list[EndCase] = []
+    found: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    spawnable: dict[int, list[int]] = {}
+    for ti, tree in enumerate(post.trees):
+        for ji, slot in enumerate(tree.slots):
+            alive = False
+            for bi, h in enumerate(slot.hyps):
+                prev = h.density.components.get(k - 1) if h.density is not None else None
+                if prev is None:
+                    continue
+                found.setdefault(ti, {}).setdefault(ji, []).append((bi, len(prevs)))
+                prevs.append(prev)
+                alive = alive or (prev.beta != 0.0 and h.r > 0.0)
+            if alive:
+                spawnable.setdefault(ti, []).append(ji)
+    ppp = post.ppp if p_s > 0.0 and kind != "trmbm" else ()
+    comps = [case.comp for case in prevs] + [c.comp for c in ppp]
+    moved: dict[int, GaussianBranchComponent] = {}
+    children: list[dict[int, GaussianBranchComponent]] = []
+    if comps:
+        means, covs = last_states(comps)
+        pm, pP = transition(means, covs, surv.F, surv.offsets_at(means), surv.Q)
+        if p_s > 0.0:
+            go = [i for i, case in enumerate(prevs) if case.beta != 0.0]
+            go += range(len(prevs), len(comps))
+            survived = survive([comps[i] for i in go], pm[go], pP[go], surv.F, cfg.filters.lscan)
+            moved = dict(zip(go, survived))
+        parents = [c for ti, js in spawnable.items() for ji in js for _, c in found[ti][ji]]
+        for mark, mode in enumerate(cfg.spawn_modes if parents else (), start=2):
+            sm, sP = transition(
+                means[parents], covs[parents], mode.F, mode.offsets_at(pm[parents]), mode.Q
+            )
+            children.append(dict(zip(parents, spawn([comps[i] for i in parents], sm, sP, mark))))
+
     trees, cols = [], []
     start = 0
-    for tree in post.trees:
-        new, parents = tree_predict(tree, cfg, k)
-        trees.append(new)
+    for ti, tree in enumerate(post.trees):
         cols += range(start, start + len(tree.slots))
-        cols += (start + p for p in parents)
+        if ti not in found:
+            trees.append(tree)
+            start += len(tree.slots)
+            continue
+        slots = list(tree.slots)
+        changed = False
+        for ji, hits in found[ti].items():
+            alive = [(bi, c) for bi, c in hits if prevs[c].beta != 0.0]
+            if not alive:
+                continue
+            hyps = list(slots[ji].hyps)
+            for bi, c in alive:
+                prev, h = prevs[c], hyps[bi]
+                cases = dict(h.density.components)
+                if p_s < 1.0:
+                    cases[k - 1] = EndCase(prev.beta * (1.0 - p_s), prev.comp)
+                else:
+                    del cases[k - 1]
+                if p_s > 0.0:
+                    cases[k] = EndCase(prev.beta * p_s, moved[c])
+                hyps[bi] = LocalHyp(h.log_w, h.r, BranchDensity(cases), h.assoc)
+            slots[ji] = BranchSlot(slots[ji].branch_id, tuple(hyps))
+            changed = True
+        parent_of = spawnable.get(ti, [])
+        for mark, (mode, child) in enumerate(zip(cfg.spawn_modes, children), start=2):
+            for ji in parent_of:
+                slot = tree.slots[ji]
+                # deterministic alive genealogy of the parent at step k-1
+                pad = (k - 1 - tree.start_time + 1) - len(slot.branch_id)
+                hyps = [LocalHyp(0.0, 0.0, None, frozenset())] * len(slot.hyps)
+                for bi, c in found[ti][ji]:
+                    r_new = slot.hyps[bi].r * mode.prob * prevs[c].beta
+                    density = BranchDensity({k: EndCase(1.0, child[c])})
+                    hyps[bi] = LocalHyp(0.0, r_new, density, frozenset())
+                slots.append(BranchSlot(slot.branch_id + (1,) * pad + (mark,), tuple(hyps)))
+                cols.append(start + ji)
+        changed = changed or len(slots) > len(tree.slots)
+        trees.append(BernoulliTree(tree.start_time, tuple(slots)) if changed else tree)
         start += len(tree.slots)
     sel = post.sel[:, cols]
     if kind == "trmbm":
-        ppp = ()
+        new_ppp: tuple[PPPComponent, ...] = ()
         birth = _birth_tree(cfg, k)
         if birth.slots:
             trees.append(birth)
             sel = np.hstack([sel, np.zeros((len(sel), len(birth.slots)), sel.dtype)])
     else:
-        ppp = ppp_predict(post.ppp, cfg, k)
-    return Posterior(k, ppp, tuple(trees), post.log_w, sel)
+        log_ps = _log(p_s)
+        thinned = [
+            PPPComponent(c.log_weight + log_ps, c.start_time, moved[i])
+            for i, c in enumerate(ppp, start=len(prevs))
+        ]
+        births = [PPPComponent(_log(b.weight), k, _birth_component(b)) for b in cfg.births]
+        new_ppp = tuple(thinned + births)
+    return Posterior(k, new_ppp, tuple(trees), post.log_w, sel)
 
 
 def truncate_window(post: Posterior, lscan: int) -> Posterior:
-    """Live windows cut to their last ``lscan`` states; unchanged pieces are shared."""
+    """Live windows cut to their last ``lscan`` states; unchanged pieces are shared.
+
+    ``predict`` already cuts every window it grows, so on its output this
+    returns the same trees and intensity terms.  It stays for callers that
+    build posteriors themselves or change ``lscan``.
+    """
+    comps = [c.comp for c in post.ppp]
+    for tree in post.trees:
+        for slot in tree.slots:
+            for h in slot.hyps:
+                if h.density is not None:
+                    comps += (case.comp for case in h.density.components.values())
+    cut = {id(a): b for a, b in zip(comps, l_scan_truncate(comps, lscan)) if a is not b}
+    if not cut:
+        return post
+
+    def hyp(h: LocalHyp) -> LocalHyp:
+        if h.density is None or not any(id(c.comp) in cut for c in h.density.components.values()):
+            return h
+        cases = {
+            kappa: EndCase(case.beta, cut.get(id(case.comp), case.comp))
+            for kappa, case in h.density.components.items()
+        }
+        return LocalHyp(h.log_w, h.r, BranchDensity(cases), h.assoc)
+
     ppp = tuple(
-        PPPComponent(c.log_weight, c.start_time, l_scan_truncate_component(c.comp, lscan))
-        for c in post.ppp
+        PPPComponent(c.log_weight, c.start_time, cut.get(id(c.comp), c.comp)) for c in post.ppp
     )
     trees = []
     for tree in post.trees:
         slots = []
         for slot in tree.slots:
-            hyps = []
-            for h in slot.hyps:
-                density = l_scan_truncate(h.density, lscan) if h.density is not None else None
-                same = density is h.density
-                hyps.append(h if same else LocalHyp(h.log_w, h.r, density, h.assoc))
+            hyps = tuple(map(hyp, slot.hyps))
             same = all(a is b for a, b in zip(hyps, slot.hyps))
-            slots.append(slot if same else BranchSlot(slot.branch_id, tuple(hyps)))
+            slots.append(slot if same else BranchSlot(slot.branch_id, hyps))
         same = all(a is b for a, b in zip(slots, tree.slots))
         trees.append(tree if same else BernoulliTree(tree.start_time, tuple(slots)))
     return Posterior(post.step, ppp, tuple(trees), post.log_w, post.sel)
@@ -308,6 +330,64 @@ class UpdateMaps:
     new_tree_logw: np.ndarray  # per measurement: log(clutter + ppp mass)
 
 
+def _new_trees(
+    ppp: tuple[PPPComponent, ...], Z: np.ndarray, cfg: ScenarioConfig, k: int
+) -> tuple[list[BernoulliTree], np.ndarray]:
+    """One new Bernoulli tree per measurement, and its log-weight.
+
+    The intensity terms are gated against every measurement in one stacked
+    call, the column sums and best terms are taken for all measurements at
+    once, and the new trees are conditioned grouped by their best term.
+    """
+    meas = cfg.measurement
+    m_k = Z.shape[0]
+    ppp_loglik = np.full((len(ppp), m_k), -np.inf)
+    live = [qi for qi, c in enumerate(ppp) if np.isfinite(c.log_weight)]
+    if live and m_k:
+        zhat, ppp_S = innovation([ppp[qi].comp for qi in live], meas.H, meas.R)
+        ppp_innov = Z - zhat[:, None, :]
+        inside, loglik = gate_loglik(ppp_S, ppp_innov, cfg.filters.gate)
+        log_base = np.array([ppp[qi].log_weight for qi in live]) + _log(meas.p_detect)
+        ppp_loglik[live] = np.where(inside, log_base[:, None] + loglik, -np.inf)
+    if len(ppp):
+        # per column; summing axis 0 of the untransposed array changes bits
+        totals = logsumexp(np.ascontiguousarray(ppp_loglik.T), axis=1)
+    else:
+        totals = np.full(m_k, -np.inf)
+    log_w = np.maximum(np.logaddexp(_log(meas.clutter_density), totals), LOG_FLOOR)
+
+    found = np.flatnonzero(np.isfinite(totals))
+    new: dict[int, tuple[float, BranchDensity, int]] = {}
+    if len(found):
+        r = [math.exp(x) for x in (totals[found] - log_w[found]).tolist()]
+        # best term per measurement: the largest weighted likelihood, ties
+        # to the latest start, then to the last term
+        cols = ppp_loglik[:, found]
+        rank = np.empty(len(ppp), dtype=np.intp)
+        order = np.lexsort((np.arange(len(ppp)), [c.start_time for c in ppp]))
+        rank[order] = np.arange(len(ppp))
+        best = np.where(cols == cols.max(axis=0), rank[:, None], -1).argmax(axis=0)
+        terms, which = np.unique(best, return_inverse=True)
+        row_of = np.cumsum(np.isfinite([c.log_weight for c in ppp])) - 1
+        means, covs = condition(
+            [ppp[q].comp for q in terms.tolist()],
+            meas.H,
+            ppp_S[row_of[terms]],
+            which,
+            ppp_innov[row_of[best], found],
+        )
+        for m, r2, q, w, mean in zip(found.tolist(), r, best.tolist(), which.tolist(), means):
+            comp = ppp[q].comp.with_live(mean, covs[w])
+            new[m] = (r2, BranchDensity({k: EndCase(1.0, comp)}), ppp[q].start_time)
+    trees = []
+    for m, log_w2 in enumerate(log_w.tolist()):
+        r2, density, start = new.get(m, (0.0, None, k))
+        hyp_none = LocalHyp(0.0, 0.0, None, frozenset())
+        hyp_exist = LocalHyp(log_w2, r2, density, frozenset({(k, m)}))
+        trees.append(BernoulliTree(start, (BranchSlot((1,), (hyp_none, hyp_exist)),)))
+    return trees, log_w
+
+
 def update(
     post: Posterior, Z: np.ndarray, cfg: ScenarioConfig
 ) -> tuple[Posterior, UpdateMaps]:
@@ -332,46 +412,9 @@ def update(
     Z = np.asarray(Z, dtype=float).reshape(-1, meas.H.shape[0])
     m_k = Z.shape[0]
     p_d = meas.p_detect
-    gate = cfg.filters.gate
-    log_clutter = _log(meas.clutter_density)
 
-    # --- Poisson intensity: per-measurement mass and thinning ---------------
-    ppp_loglik = np.full((len(post.ppp), m_k), -np.inf)
-    live = [qi for qi, c in enumerate(post.ppp) if np.isfinite(c.log_weight)]
-    if live and m_k:
-        zhat, ppp_S = innovation([post.ppp[qi].comp for qi in live], meas.H, meas.R)
-        ppp_innov = Z - zhat[:, None, :]
-        inside, loglik = gate_loglik(ppp_S, ppp_innov, gate)
-        for row, qi in enumerate(live):
-            gated = inside[row]
-            log_base = post.ppp[qi].log_weight + _log(p_d)
-            ppp_loglik[qi, gated] = log_base + loglik[row, gated]
-        row_of = {qi: row for row, qi in enumerate(live)}
-    new_tree_logw = np.empty(m_k)
-    new_trees = []
-    for m in range(m_k):
-        col = ppp_loglik[:, m]
-        total = float(logsumexp(col)) if len(col) else -np.inf
-        log_w2 = max(float(np.logaddexp(log_clutter, total)), LOG_FLOOR)
-        new_tree_logw[m] = log_w2
-        if np.isfinite(total):
-            r2 = float(math.exp(total - log_w2))
-            best = max(
-                range(len(post.ppp)),
-                key=lambda q: (col[q], post.ppp[q].start_time, q),
-            )
-            comp = post.ppp[best]
-            row = row_of[best]
-            (mean,), cov = condition(
-                comp.comp, meas.H, ppp_S[row], ppp_innov[row, m : m + 1]
-            )
-            density = BranchDensity({k: EndCase(1.0, comp.comp.with_live(mean, cov))})
-            start = comp.start_time
-        else:
-            r2, density, start = 0.0, None, k
-        hyp_none = LocalHyp(0.0, 0.0, None, frozenset())
-        hyp_exist = LocalHyp(log_w2, r2, density, frozenset({(k, m)}))
-        new_trees.append(BernoulliTree(start, (BranchSlot((1,), (hyp_none, hyp_exist)),)))
+    # --- Poisson intensity: per-measurement mass and new trees ---------------
+    new_trees, new_tree_logw = _new_trees(post.ppp, Z, cfg, k)
     if p_d >= 1.0:
         ppp = ()
     else:
@@ -430,12 +473,17 @@ def update(
         comps = [h.density.components[k].comp for _, _, h, _, _ in detectable]
         zhat, S = innovation(comps, meas.H, meas.R)
         innov = Z - zhat[:, None, :]
-        inside, loglik = gate_loglik(S, innov, gate)
-        for row in np.flatnonzero(inside.any(axis=1)):
+        inside, loglik = gate_loglik(S, innov, cfg.filters.gate)
+        rows = np.flatnonzero(inside.any(axis=1))
+        item, gated = np.nonzero(inside[rows])
+        means, covs = condition(
+            [comps[row] for row in rows], meas.H, S[rows], item, innov[rows[item], gated]
+        )
+        means = iter(means)
+        for row, cov_post in zip(rows.tolist(), covs):
             key, hyps, h, log_miss, beta_k = detectable[row]
             gated = np.flatnonzero(inside[row])
             comp_k = comps[row]
-            means, cov_post = condition(comp_k, meas.H, S[row], innov[row, gated])
             log_base = h.log_w + _log(h.r) + _log(beta_k) + _log(p_d)
             dets = det_meas[key] = {}
             for m, mean, logl in zip(gated.tolist(), means, loglik[row, gated]):
@@ -678,14 +726,18 @@ def step(
     kind: str = "trpmbm",
     validate: bool = False,
 ) -> Posterior:
-    """predict -> window truncation -> update -> hypothesis formation -> prune."""
+    """predict (with the window cut) -> update -> hypothesis formation -> prune.
+
+    ``predict`` cuts every window it grows to ``cfg.filters.lscan``, so the
+    step has no separate truncation stage; ``truncate_window`` stays for
+    direct callers.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
     if kind == "tpmbm" and cfg.n_modes > 1:
         cfg = no_spawning(cfg)
     Z = np.asarray(Z, dtype=float).reshape(-1, cfg.measurement.H.shape[0])
     pred = predict(post, cfg, kind)
-    pred = truncate_window(pred, cfg.filters.lscan)
     upd, maps = update(pred, Z, cfg)
     formed = form_hypotheses(upd, maps, Z.shape[0], cfg)
     if validate:

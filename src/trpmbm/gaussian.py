@@ -7,12 +7,25 @@ independent of the live window and are never touched again.  All
 operations here work on the live window only, are pure (inputs are never
 mutated) and resymmetrise covariances on the way out.
 
+Every kernel works on a stack of N components at once; components of
+different live lengths go through one stacked pass per length.
+``last_states`` and ``transition`` move the last states one step
+(F m + d, F P F' + Q); ``survive`` appends the moved state to each live
+window and cuts it to the last L states, and ``spawn`` starts single-state
+branches from the moved moments.  ``l_scan_truncate`` is the same cut for
+components that did not move.
+
 Every measurement update goes through one kernel: ``innovation`` stacks
 the predicted measurements and innovation covariances of N components,
 ``gate_loglik`` gates and scores all of them against every measurement at
-once, and ``condition`` conditions one component's live window on its
-gated measurements.  ``innovation`` holds the one jitter policy: it adds
+once, and ``condition`` conditions the live windows on their gated
+measurements.  ``innovation`` holds the one jitter policy: it adds
 JITTER * I once to each S that is not positive definite.
+
+Stacked products keep the bits of the per-component ones:
+``np.matmul(F, means[:, :, None])`` gives those of ``F @ m`` per row, and
+every stored mean and covariance is a copied row, so it owns its data and
+does not keep the whole stack alive.
 """
 
 from __future__ import annotations
@@ -30,7 +43,13 @@ _LOG2PI = math.log(2.0 * math.pi)
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
-    return (P + P.T) / 2.0
+    """Symmetrised matrix, or stack of matrices."""
+    return (P + P.swapaxes(-1, -2)) / 2.0
+
+
+def _rows(stack: np.ndarray) -> list[np.ndarray]:
+    """The items of a stack as arrays that own their data."""
+    return list(map(np.ndarray.copy, stack))
 
 
 @dataclass(frozen=True)
@@ -83,53 +102,129 @@ class GaussianBranchComponent:
         return out
 
 
-def predict_augment_survive(
-    c: GaussianBranchComponent, F: np.ndarray, d: np.ndarray, Q: np.ndarray
-) -> GaussianBranchComponent:
-    """Append the surviving next state: mark 1, one more n_x block.
+def _by_live_length(comps: Sequence[GaussianBranchComponent]) -> list[list[int]]:
+    """Indices of the components, grouped by live-window length."""
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(comps):
+        groups.setdefault(c.mean.shape[0], []).append(i)
+    return list(groups.values())
 
-    The marginal over the existing states is untouched; the new block is
-    the usual Kalman-predicted moment with cross terms against the live
-    window.
+
+def _windowed(
+    group: Sequence[GaussianBranchComponent],
+    genealogies: Sequence[Genealogy],
+    means: np.ndarray,
+    covs: np.ndarray,
+    L: int,
+) -> list[GaussianBranchComponent]:
+    """Components with stacked live moments (G, n), (G, n, n), the live
+    states older than the last L frozen off into one more chunk each.
+
+    The frozen chunk and the live part are each resymmetrised; the group's
+    earlier chunks are kept.
     """
-    nx = c.nx
-    if F.shape != (nx, nx):
-        raise ValueError(f"transition matrix {F.shape} does not match n_x={nx}")
-    P = c.cov
-    last = slice(P.shape[0] - nx, P.shape[0])
-    new_mean = np.concatenate([c.mean, F @ c.mean[last] + d])
-    cross = P[:, last] @ F.T
-    corner = F @ P[last, last] @ F.T + Q
-    top = np.hstack([P, cross])
-    bottom = np.hstack([cross.T, corner])
-    new_cov = _sym(np.vstack([top, bottom]))
-    return GaussianBranchComponent(
-        c.genealogy + (1,), new_mean, new_cov, nx, c.frozen_means, c.frozen_covs
-    )
+    nx = group[0].nx
+    cut = max(0, means.shape[1] // nx - L) * nx
+    frozen = [(c.frozen_means, c.frozen_covs) for c in group]
+    if cut:
+        chunks = zip(_rows(means[:, :cut]), _rows(_sym(covs[:, :cut, :cut])))
+        frozen = [(fm + (m,), fc + (P,)) for (fm, fc), (m, P) in zip(frozen, chunks)]
+        means, covs = means[:, cut:], _sym(covs[:, cut:, cut:])
+    return [
+        GaussianBranchComponent(g, m, P, nx, fm, fc)
+        for g, m, P, (fm, fc) in zip(genealogies, _rows(means), _rows(covs), frozen)
+    ]
 
 
-def spawn_component(
-    c: GaussianBranchComponent,
+def last_states(
+    comps: Sequence[GaussianBranchComponent],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means (N, nx) and covariances (N, nx, nx) of the components' last states."""
+    nx = comps[0].nx
+    means = np.stack([c.mean[-nx:] for c in comps])
+    covs = np.stack([c.cov[-nx:, -nx:] for c in comps])
+    return means, covs
+
+
+def transition(
+    means: np.ndarray, covs: np.ndarray, F: np.ndarray, offsets: np.ndarray, Q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One motion step of stacked states: F m + d per row and F P F' + Q."""
+    return np.matmul(F, means[:, :, None])[..., 0] + offsets, F @ covs @ F.T + Q
+
+
+def survive(
+    comps: Sequence[GaussianBranchComponent],
+    means: np.ndarray,
+    covs: np.ndarray,
     F: np.ndarray,
-    d: np.ndarray,
-    Q: np.ndarray,
-    mode: int,
-) -> GaussianBranchComponent:
-    """Single-state component for a branch spawned with ``mode`` >= 2.
+    L: int,
+) -> list[GaussianBranchComponent]:
+    """Append each component's surviving next state (mark 1), then keep the
+    last L states of the live window.
 
-    Only the last state of the parent participates; the child's genealogy
-    is the parent's alive marks plus the spawning mode.
+    ``means``/``covs`` are the moved last states from ``transition``.  The
+    marginal over the existing states is untouched; the cross terms of the
+    new state against the live window are P[:, last] F'.
     """
-    if mode < 2:
-        raise ValueError(f"spawning modes start at 2, got {mode}")
-    nx = c.nx
-    if F.shape != (nx, nx):
-        raise ValueError(f"transition matrix {F.shape} does not match n_x={nx}")
-    P = c.cov
-    last = slice(P.shape[0] - nx, P.shape[0])
-    mean = F @ c.mean[last] + d
-    cov = _sym(F @ P[last, last] @ F.T + Q)
-    return GaussianBranchComponent(c.genealogy + (mode,), mean, cov, nx)
+    out: list = [None] * len(comps)
+    for idx in _by_live_length(comps):
+        group = [comps[i] for i in idx]
+        P = np.stack([c.cov for c in group])
+        n, nx = P.shape[1], group[0].nx
+        cross = P[:, :, n - nx :] @ F.T
+        full = np.empty((len(group), n + nx, n + nx))
+        full[:, :n, :n] = P
+        full[:, :n, n:] = cross
+        full[:, n:, :n] = cross.swapaxes(1, 2)
+        full[:, n:, n:] = covs[idx]
+        mean = np.concatenate([np.stack([c.mean for c in group]), means[idx]], axis=1)
+        genealogies = [c.genealogy + (1,) for c in group]
+        for i, c in zip(idx, _windowed(group, genealogies, mean, _sym(full), L)):
+            out[i] = c
+    return out
+
+
+def spawn(
+    comps: Sequence[GaussianBranchComponent],
+    means: np.ndarray,
+    covs: np.ndarray,
+    mark: int,
+) -> list[GaussianBranchComponent]:
+    """Single-state components of branches spawned with ``mark`` >= 2.
+
+    ``means``/``covs`` are the parents' last states moved by the spawning
+    mode's ``transition``; a child's genealogy is its parent's alive marks
+    plus the mark.
+    """
+    if mark < 2:
+        raise ValueError(f"spawning modes start at 2, got {mark}")
+    return [
+        GaussianBranchComponent(c.genealogy + (mark,), m, P, c.nx)
+        for c, m, P in zip(comps, _rows(means), _rows(_sym(covs)))
+    ]
+
+
+def l_scan_truncate(
+    comps: Sequence[GaussianBranchComponent], L: int
+) -> list[GaussianBranchComponent]:
+    """Freeze live states older than the last L: drop their cross terms.
+
+    Components whose window already fits come back as the same objects.
+    """
+    if L < 1:
+        raise ValueError(f"window must be >= 1, got {L}")
+    out = list(comps)
+    long = [i for i, c in enumerate(comps) if c.live_length > L]
+    for at in _by_live_length([comps[i] for i in long]):
+        idx = [long[j] for j in at]
+        group = [comps[i] for i in idx]
+        means = np.stack([c.mean for c in group])
+        covs = np.stack([c.cov for c in group])
+        genealogies = [c.genealogy for c in group]
+        for i, c in zip(idx, _windowed(group, genealogies, means, covs, L)):
+            out[i] = c
+    return out
 
 
 def innovation(
@@ -140,9 +235,7 @@ def innovation(
     One row per component, for its last state.  Each S that is not
     positive definite gets JITTER * I.
     """
-    nx = comps[0].nx
-    means = np.stack([c.mean[-nx:] for c in comps])
-    covs = np.stack([c.cov[-nx:, -nx:] for c in comps])
+    means, covs = last_states(comps)
     zhat = np.matmul(H, means[:, :, None])[..., 0]
     S = H @ covs @ H.T + R
     S = (S + S.swapaxes(1, 2)) / 2.0
@@ -182,45 +275,45 @@ def gate_loglik(
 
 
 def condition(
-    c: GaussianBranchComponent, H: np.ndarray, S: np.ndarray, innovations: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Condition the live window on measurements of the last state.
+    comps: Sequence[GaussianBranchComponent],
+    H: np.ndarray,
+    S: np.ndarray,
+    item: np.ndarray,
+    innovations: np.ndarray,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Condition live windows on measurements of their last states.
 
-    Returns one posterior mean per innovation row and the covariance they
-    share.  The cross covariances inside the live window make this a
-    fixed-interval smoothing update for the recent past; frozen chunks stay
-    fixed by construction.
+    ``S[i]`` is the innovation covariance of ``comps[i]``, and row p of the
+    (P, nz) ``innovations`` belongs to ``comps[item[p]]``.  Returns one
+    posterior mean per innovation row and one covariance per component,
+    which all of its rows share.  The cross covariances inside the live
+    window make this a fixed-interval smoothing update for the recent past;
+    frozen chunks stay fixed by construction.
     """
-    if S.shape == (2, 2):
-        a, b, d = S[0, 0], S[0, 1], S[1, 1]
-        S_inv = np.array([[d, -b], [-b, a]]) / (a * d - b * b)
+    if S.shape[1:] == (2, 2):
+        a, b, d = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
+        adj = np.stack([np.stack([d, -b], axis=1), np.stack([-b, a], axis=1)], axis=1)
+        S_inv = adj / (a * d - b * b)[:, None, None]
     else:
         S_inv = np.linalg.inv(S)
-    K = c.cov[:, -c.nx :] @ H.T @ S_inv
-    cov = _sym(c.cov - K @ S @ K.T)
-    return [c.mean + K @ nu for nu in innovations], cov
-
-
-def l_scan_truncate_component(
-    c: GaussianBranchComponent, L: int
-) -> GaussianBranchComponent:
-    """Freeze live states older than the last L: drop their cross terms."""
-    if L < 1:
-        raise ValueError(f"window must be >= 1, got {L}")
-    w = c.live_length
-    if w <= L:
-        return c
-    cut = (w - L) * c.nx
-    frozen_mean = c.mean[:cut].copy()
-    frozen_cov = _sym(c.cov[:cut, :cut].copy())
-    return GaussianBranchComponent(
-        c.genealogy,
-        c.mean[cut:].copy(),
-        _sym(c.cov[cut:, cut:].copy()),
-        c.nx,
-        c.frozen_means + (frozen_mean,),
-        c.frozen_covs + (frozen_cov,),
-    )
+    item = np.asarray(item, dtype=np.intp)
+    means: list = [None] * len(item)
+    covs: list = [None] * len(comps)
+    member = np.empty(len(comps), dtype=np.intp)
+    for idx in _by_live_length(comps):
+        group = [comps[i] for i in idx]
+        P = np.stack([c.cov for c in group])
+        K = P[:, :, -group[0].nx :] @ H.T @ S_inv[idx]
+        for i, cov in zip(idx, _rows(_sym(P - K @ S[idx] @ K.swapaxes(1, 2)))):
+            covs[i] = cov
+        member[idx] = np.arange(len(idx))
+        rows = np.flatnonzero(np.isin(item, idx))
+        g = member[item[rows]]
+        M = np.stack([c.mean for c in group])
+        updated = M[g] + np.matmul(K[g], innovations[rows][:, :, None])[..., 0]
+        for p, mean in zip(rows.tolist(), _rows(updated)):
+            means[p] = mean
+    return means, covs
 
 
 class EndCase(NamedTuple):
@@ -248,22 +341,6 @@ class BranchDensity:
         return max(self.components, key=lambda k: (self.components[k].beta, k))
 
 
-def l_scan_truncate(d: BranchDensity, L: int) -> BranchDensity:
-    """Apply the window truncation to every end-time component.
-
-    Returns the input object itself when nothing needed truncating.
-    """
-    new = {}
-    changed = False
-    for k, case in d.components.items():
-        comp = l_scan_truncate_component(case.comp, L)
-        changed = changed or comp is not case.comp
-        new[k] = EndCase(case.beta, comp)
-    if not changed:
-        return d
-    return BranchDensity(new)
-
-
 @dataclass(frozen=True)
 class PPPComponent:
     """One intensity term for undetected trees: weight, start time, component.
@@ -274,4 +351,3 @@ class PPPComponent:
     log_weight: float
     start_time: int
     comp: GaussianBranchComponent
-

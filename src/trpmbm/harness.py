@@ -146,13 +146,18 @@ def run_experiment(
             raise ValueError(f"unknown filter kind {spec.kind!r}")
         if spec.lscan < 1:
             raise ValueError(f"window must be >= 1, got {spec.lscan}")
+    labels = [spec.label for spec in specs]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"filter {', '.join(repeated)} requested more than once")
     if truth is None:
         truth = sample_ground_truth(cfg, seed)
     work = [
         (cfg, tuple(specs), truth, seed, run, metric_params) for run in range(n_runs)
     ]
     if jobs > 1 and n_runs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all of its workers up front
+        with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
             per_run = list(pool.map(_run_index, work))
     else:
         per_run = [_run_index(w) for w in work]

@@ -30,17 +30,26 @@ class ScenarioError(ValueError):
     """Configuration file failed to parse or validate."""
 
 
-def perp_unit(x: np.ndarray) -> np.ndarray:
-    """Unit vector perpendicular to the heading of state [px, vx, py, vy].
+def perp_units(X: np.ndarray) -> np.ndarray:
+    """Unit vectors perpendicular to the headings of states [px, vx, py, vy],
+    one row per row of X.
 
     Degenerate (near-zero) speed falls back to the +y direction so the
-    spawning offset stays well defined for stationary targets.
+    spawning offset stays well defined for stationary targets.  Each speed
+    is a `math.hypot`, as for a single state.
     """
-    vx, vy = float(x[1]), float(x[3])
-    speed = math.hypot(vx, vy)
-    if speed < SPEED_EPS:
-        return PERP_FALLBACK.copy()
-    return np.array([-vy, 0.0, vx, 0.0]) / speed
+    vx, vy = X[:, 1], X[:, 3]
+    speed = np.array([math.hypot(a, b) for a, b in zip(vx.tolist(), vy.tolist())])
+    slow = speed < SPEED_EPS
+    zero = np.zeros(len(X))
+    units = np.stack([-vy, zero, vx, zero], axis=1) / np.where(slow, 1.0, speed)[:, None]
+    units[slow] = PERP_FALLBACK
+    return units
+
+
+def perp_unit(x: np.ndarray) -> np.ndarray:
+    """`perp_units` of one state."""
+    return perp_units(np.asarray(x, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -56,12 +65,17 @@ class MotionMode:
     offset: np.ndarray | None = None
     perp_scale: float | None = None
 
-    def offset_at(self, x: np.ndarray) -> np.ndarray:
+    def offsets_at(self, X: np.ndarray) -> np.ndarray:
+        """The offset at each row of the states X (N, n_x)."""
+        shape = (len(X), self.F.shape[0])
         if self.perp_scale is not None:
-            return self.perp_scale * perp_unit(x)
+            return self.perp_scale * perp_units(X)
         if self.offset is not None:
-            return self.offset
-        return np.zeros(self.F.shape[0])
+            return np.broadcast_to(self.offset, shape)
+        return np.zeros(shape)
+
+    def offset_at(self, x: np.ndarray) -> np.ndarray:
+        return self.offsets_at(np.asarray(x, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)

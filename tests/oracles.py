@@ -22,7 +22,17 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from trpmbm.assignment import _solve, hungarian
-from trpmbm.gaussian import JITTER, GaussianBranchComponent
+from trpmbm.filter import LOG_FLOOR, BernoulliTree, BranchSlot, LocalHyp, Posterior, _birth_tree
+from trpmbm.gaussian import (
+    JITTER,
+    BranchDensity,
+    EndCase,
+    GaussianBranchComponent,
+    PPPComponent,
+    gate_loglik,
+    innovation,
+)
+from trpmbm.models import NX, PERP_FALLBACK, SPEED_EPS
 from trpmbm.trees import branch_length, validate_genealogy
 
 
@@ -525,3 +535,250 @@ def merged_by_dict(log_w, rows) -> tuple[np.ndarray, np.ndarray]:
     logs = np.array([merged[key] for key in keys])
     logs -= logsumexp(logs)
     return logs, np.array(keys, dtype=np.intp).reshape(len(keys), rows.shape[1])
+
+
+# ---------------------------------------------------------------------------
+# Prediction and conditioning one component at a time: the references for
+# the stacked kernels of ``trpmbm.gaussian`` and the stacked passes of
+# ``trpmbm.filter.predict`` and the new-tree block of ``update``
+# ---------------------------------------------------------------------------
+
+
+def _sym(P):
+    return (P + P.T) / 2.0
+
+
+def perp_unit_one(x):
+    """Unit vector perpendicular to the heading of one state [px, vx, py, vy]."""
+    vx, vy = float(x[1]), float(x[3])
+    speed = math.hypot(vx, vy)
+    if speed < SPEED_EPS:
+        return PERP_FALLBACK.copy()
+    return np.array([-vy, 0.0, vx, 0.0]) / speed
+
+
+def offset_one(mode, x):
+    """A motion mode's offset at one state."""
+    if mode.perp_scale is not None:
+        return mode.perp_scale * perp_unit_one(x)
+    if mode.offset is not None:
+        return mode.offset
+    return np.zeros(mode.F.shape[0])
+
+
+def predict_augment_survive(c, F, d, Q):
+    """Append the surviving next state: mark 1, one more n_x block."""
+    nx = c.nx
+    if F.shape != (nx, nx):
+        raise ValueError(f"transition matrix {F.shape} does not match n_x={nx}")
+    P = c.cov
+    last = slice(P.shape[0] - nx, P.shape[0])
+    new_mean = np.concatenate([c.mean, F @ c.mean[last] + d])
+    cross = P[:, last] @ F.T
+    corner = F @ P[last, last] @ F.T + Q
+    top = np.hstack([P, cross])
+    bottom = np.hstack([cross.T, corner])
+    new_cov = _sym(np.vstack([top, bottom]))
+    return GaussianBranchComponent(
+        c.genealogy + (1,), new_mean, new_cov, nx, c.frozen_means, c.frozen_covs
+    )
+
+
+def spawn_component(c, F, d, Q, mode):
+    """Single-state component for a branch spawned with ``mode`` >= 2."""
+    if mode < 2:
+        raise ValueError(f"spawning modes start at 2, got {mode}")
+    nx = c.nx
+    if F.shape != (nx, nx):
+        raise ValueError(f"transition matrix {F.shape} does not match n_x={nx}")
+    P = c.cov
+    last = slice(P.shape[0] - nx, P.shape[0])
+    mean = F @ c.mean[last] + d
+    cov = _sym(F @ P[last, last] @ F.T + Q)
+    return GaussianBranchComponent(c.genealogy + (mode,), mean, cov, nx)
+
+
+def l_scan_truncate_component(c, L):
+    """Freeze live states older than the last L: drop their cross terms."""
+    if L < 1:
+        raise ValueError(f"window must be >= 1, got {L}")
+    w = c.live_length
+    if w <= L:
+        return c
+    cut = (w - L) * c.nx
+    return GaussianBranchComponent(
+        c.genealogy,
+        c.mean[cut:].copy(),
+        _sym(c.cov[cut:, cut:].copy()),
+        c.nx,
+        c.frozen_means + (c.mean[:cut].copy(),),
+        c.frozen_covs + (_sym(c.cov[:cut, :cut].copy()),),
+    )
+
+
+def condition_one(c, H, S, innovations):
+    """One component's live window conditioned on each innovation row:
+    the posterior means and the covariance they share."""
+    if S.shape == (2, 2):
+        a, b, d = S[0, 0], S[0, 1], S[1, 1]
+        S_inv = np.array([[d, -b], [-b, a]]) / (a * d - b * b)
+    else:
+        S_inv = np.linalg.inv(S)
+    K = c.cov[:, -c.nx :] @ H.T @ S_inv
+    cov = _sym(c.cov - K @ S @ K.T)
+    return [c.mean + K @ nu for nu in innovations], cov
+
+
+def tree_predict(tree, cfg, k):
+    """One Bernoulli tree advanced to step k, one component at a time, and
+    the parent slot of each appended spawn slot (no window cut)."""
+    surv = cfg.survival
+    p_s = surv.prob
+    new_slots, spawnable = [], []
+    any_change = False
+    for ji, slot in enumerate(tree.slots):
+        hyps, alive, changed = [], False, False
+        for h in slot.hyps:
+            prev = h.density.components.get(k - 1) if h.density is not None else None
+            if prev is None or prev.beta == 0.0:
+                hyps.append(h)
+                continue
+            if h.r > 0.0:
+                alive = True
+            cases = dict(h.density.components)
+            if p_s < 1.0:
+                cases[k - 1] = EndCase(prev.beta * (1.0 - p_s), prev.comp)
+            else:
+                del cases[k - 1]
+            if p_s > 0.0:
+                moved = predict_augment_survive(
+                    prev.comp, surv.F, offset_one(surv, prev.comp.last_mean), surv.Q
+                )
+                cases[k] = EndCase(prev.beta * p_s, moved)
+            hyps.append(LocalHyp(h.log_w, h.r, BranchDensity(cases), h.assoc))
+            changed = True
+        if alive:
+            spawnable.append(ji)
+        any_change = any_change or changed
+        new_slots.append(slot if not changed else BranchSlot(slot.branch_id, tuple(hyps)))
+
+    parent_of = []
+    for mark, mode in enumerate(cfg.spawn_modes, start=2):
+        for ji in spawnable:
+            slot = tree.slots[ji]
+            pad = (k - 1 - tree.start_time + 1) - len(slot.branch_id)
+            child_id = slot.branch_id + (1,) * pad + (mark,)
+            hyps = []
+            for h in slot.hyps:
+                prev = h.density.components.get(k - 1) if h.density is not None else None
+                if prev is None:
+                    hyps.append(LocalHyp(0.0, 0.0, None, frozenset()))
+                    continue
+                r_new = h.r * mode.prob * prev.beta
+                last = prev.comp.last_mean
+                predicted_mean = surv.F @ last + offset_one(surv, last)
+                child = spawn_component(
+                    prev.comp, mode.F, offset_one(mode, predicted_mean), mode.Q, mark
+                )
+                density = BranchDensity({k: EndCase(1.0, child)})
+                hyps.append(LocalHyp(0.0, r_new, density, frozenset()))
+            new_slots.append(BranchSlot(child_id, tuple(hyps)))
+            parent_of.append(ji)
+    if not any_change and not parent_of:
+        return tree, parent_of
+    return BernoulliTree(tree.start_time, tuple(new_slots)), parent_of
+
+
+def predict_by_component(post, cfg, kind="trpmbm"):
+    """``trpmbm.filter.predict`` followed by a window cut of every
+    component, one component at a time."""
+    k = post.step + 1
+    trees, cols, start = [], [], 0
+    for tree in post.trees:
+        new, parents = tree_predict(tree, cfg, k)
+        trees.append(new)
+        cols += range(start, start + len(tree.slots))
+        cols += (start + p for p in parents)
+        start += len(tree.slots)
+    sel = post.sel[:, cols]
+    if kind == "trmbm":
+        ppp = ()
+        birth = _birth_tree(cfg, k)
+        if birth.slots:
+            trees.append(birth)
+            sel = np.hstack([sel, np.zeros((len(sel), len(birth.slots)), sel.dtype)])
+    else:
+        surv = cfg.survival
+        out = []
+        if surv.prob > 0.0:
+            log_ps = math.log(surv.prob)
+            for c in post.ppp:
+                last = c.comp.last_mean
+                moved = predict_augment_survive(c.comp, surv.F, offset_one(surv, last), surv.Q)
+                out.append(PPPComponent(c.log_weight + log_ps, c.start_time, moved))
+        for b in cfg.births:
+            weight = math.log(b.weight) if b.weight > 0.0 else -math.inf
+            mean, cov = np.asarray(b.mean, float), np.asarray(b.cov, float)
+            comp = GaussianBranchComponent((1,), mean, cov, NX)
+            out.append(PPPComponent(weight, k, comp))
+        ppp = tuple(out)
+
+    L = cfg.filters.lscan
+    ppp = tuple(
+        PPPComponent(c.log_weight, c.start_time, l_scan_truncate_component(c.comp, L)) for c in ppp
+    )
+    cut_trees = []
+    for tree in trees:
+        slots = []
+        for slot in tree.slots:
+            hyps = []
+            for h in slot.hyps:
+                if h.density is not None:
+                    cases = {
+                        kappa: EndCase(case.beta, l_scan_truncate_component(case.comp, L))
+                        for kappa, case in h.density.components.items()
+                    }
+                    h = LocalHyp(h.log_w, h.r, BranchDensity(cases), h.assoc)
+                hyps.append(h)
+            slots.append(BranchSlot(slot.branch_id, tuple(hyps)))
+        cut_trees.append(BernoulliTree(tree.start_time, tuple(slots)))
+    return Posterior(k, ppp, tuple(cut_trees), post.log_w, sel)
+
+
+def new_trees_by_measurement(ppp, Z, cfg, k):
+    """The new-tree block of ``trpmbm.filter.update``, one measurement at a
+    time: (r, best term or None, conditioned component or None, log-weight)
+    per measurement."""
+    meas = cfg.measurement
+    m_k = Z.shape[0]
+    p_d = meas.p_detect
+    log_p_d = math.log(p_d) if p_d > 0.0 else -math.inf
+    clutter = meas.clutter_density
+    log_clutter = math.log(clutter) if clutter > 0.0 else -math.inf
+    ppp_loglik = np.full((len(ppp), m_k), -np.inf)
+    live = [qi for qi, c in enumerate(ppp) if np.isfinite(c.log_weight)]
+    row_of = {}
+    if live and m_k:
+        zhat, ppp_S = innovation([ppp[qi].comp for qi in live], meas.H, meas.R)
+        ppp_innov = Z - zhat[:, None, :]
+        inside, loglik = gate_loglik(ppp_S, ppp_innov, cfg.filters.gate)
+        for row, qi in enumerate(live):
+            gated = inside[row]
+            ppp_loglik[qi, gated] = ppp[qi].log_weight + log_p_d + loglik[row, gated]
+        row_of = {qi: row for row, qi in enumerate(live)}
+    out = []
+    for m in range(m_k):
+        col = ppp_loglik[:, m]
+        total = float(logsumexp(col)) if len(col) else -np.inf
+        log_w2 = max(float(np.logaddexp(log_clutter, total)), LOG_FLOOR)
+        if np.isfinite(total):
+            best = max(range(len(ppp)), key=lambda q: (col[q], ppp[q].start_time, q))
+            row = row_of[best]
+            (mean,), cov = condition_one(
+                ppp[best].comp, meas.H, ppp_S[row], ppp_innov[row, m : m + 1]
+            )
+            comp = ppp[best].comp.with_live(mean, cov)
+            out.append((float(math.exp(total - log_w2)), best, comp, log_w2))
+        else:
+            out.append((0.0, None, None, log_w2))
+    return out

@@ -10,16 +10,15 @@ from trpmbm.filter import (
     BernoulliTree,
     BranchSlot,
     LocalHyp,
+    Posterior,
     check_posterior,
     estimate,
     form_hypotheses,
     initial_posterior,
     posterior_to_dict,
-    ppp_predict,
     predict,
     prune,
     step,
-    tree_predict,
     update,
 )
 from trpmbm.gaussian import (
@@ -41,6 +40,22 @@ def _component(mean, genealogy=(1,), scale=1.0):
     mean = np.asarray(mean, dtype=float)
     n = len(mean)
     return GaussianBranchComponent(tuple(genealogy), mean, scale * np.eye(n), 4)
+
+
+def ppp_predict(ppp, cfg, k):
+    """``predict`` on a posterior with intensity terms only: the
+    survival-thinned terms, then the births."""
+    empty = Posterior(k - 1, ppp, (), np.zeros(1), np.zeros((1, 0), dtype=np.int32))
+    return predict(empty, cfg).ppp
+
+
+def _predict_tree(tree, cfg, k):
+    """``predict`` on a one-tree posterior: the advanced tree and, for each
+    appended slot, the slot it was spawned from (read off the copied
+    columns of a row that holds each slot's own index)."""
+    row = np.arange(len(tree.slots), dtype=np.int32)[None]
+    pred = predict(Posterior(k - 1, (), (tree,), np.zeros(1), row), cfg)
+    return pred.trees[0], pred.sel[0, len(tree.slots) :].tolist()
 
 
 def _one_branch_tree(r, beta_cases, start=1, log_w=0.0, assoc=frozenset()):
@@ -74,7 +89,7 @@ def test_trmbm_prediction_keeps_intensity_empty():
 def test_tree_predict_beta_split_and_spawn():
     cases = {2: EndCase(1.0, _component(np.array([0.0, 1.0, 0.0, 1.0]), (1, 1)))}
     tree = _one_branch_tree(0.8, cases, start=1)
-    out, parents = tree_predict(tree, CFG, 3)
+    out, parents = _predict_tree(tree, CFG, 3)
     assert parents == [0, 0]
     surv = out.slots[0].hyps[0]
     assert surv.r == 0.8
@@ -97,7 +112,7 @@ def test_tree_predict_spawned_existence_formula():
         2: EndCase(0.5, _component(np.array([0.0, 1.0, 0.0, 1.0]), (1, 1))),
     }
     tree = _one_branch_tree(0.8, cases)
-    out, _ = tree_predict(tree, CFG, 3)
+    out, _ = _predict_tree(tree, CFG, 3)
     assert out.slots[1].hyps[0].r == pytest.approx(0.8 * 0.01 * 0.5, abs=1e-15)
 
 
@@ -105,7 +120,7 @@ def test_frozen_branch_spawns_nothing():
     # all end-time mass strictly before the previous step: no spawn slots
     cases = {1: EndCase(1.0, _component(np.zeros(4)))}
     tree = _one_branch_tree(0.9, cases)
-    out, parents = tree_predict(tree, CFG, 3)
+    out, parents = _predict_tree(tree, CFG, 3)
     assert parents == []
     assert len(out.slots) == 1
     assert out.slots[0].hyps[0] is tree.slots[0].hyps[0]
@@ -315,7 +330,7 @@ def test_prune_freezes_small_alive_mass():
     assert 2 not in h.density.components
     assert h.density.beta_total() == pytest.approx(1.0, abs=1e-12)
     # frozen branches then spawn nothing on the next prediction
-    moved, parents = tree_predict(out.trees[0], CFG, 3)
+    moved, parents = _predict_tree(out.trees[0], CFG, 3)
     assert parents == []
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from trpmbm.filter import BernoulliTree, BranchSlot, LocalHyp, truncate_window
 from trpmbm.gaussian import (
     BranchDensity,
     EndCase,
@@ -12,11 +13,40 @@ from trpmbm.gaussian import (
     gate_loglik,
     innovation,
     l_scan_truncate,
-    l_scan_truncate_component,
-    predict_augment_survive,
-    spawn_component,
+    last_states,
+    spawn,
+    survive,
+    transition,
 )
 from oracles import check_component, component_from_moments, condition_joint_gaussian
+from tables import posterior
+
+# one-item calls of the stacked kernels
+
+
+def _survive_one(c, F, d, Q, L=10**6):
+    means, covs = last_states([c])
+    moved_means, moved_covs = transition(means, covs, F, np.asarray(d)[None], Q)
+    (out,) = survive([c], moved_means, moved_covs, F, L)
+    return out
+
+
+def _spawn_one(c, F, d, Q, mode):
+    means, covs = last_states([c])
+    moved_means, moved_covs = transition(means, covs, F, np.asarray(d)[None], Q)
+    (out,) = spawn([c], moved_means, moved_covs, mode)
+    return out
+
+
+def _truncate_one(c, L):
+    (out,) = l_scan_truncate([c], L)
+    return out
+
+
+def _condition_one(c, H, S, innovations):
+    item = np.zeros(len(innovations), dtype=int)
+    means, (cov,) = condition([c], H, S[None], item, innovations)
+    return means, cov
 
 
 def _rand_component(rng, length, nx=2, genealogy=None):
@@ -32,7 +62,7 @@ def _update_one(c, z, H, R):
     zhat, S = innovation([c], H, R)
     innov = np.asarray(z, dtype=float) - zhat[:, None, :]
     _, ((loglik,),) = gate_loglik(S, innov, math.inf)
-    (mean,), cov = condition(c, H, S[0], innov[0])
+    (mean,), cov = _condition_one(c, H, S[0], innov[0])
     return replace(c, mean=mean, cov=cov), float(loglik)
 
 
@@ -44,7 +74,7 @@ def _gated(z, c, H, R, threshold):
 
 def test_predict_augment_reference_value():
     c = component_from_moments((1,), [2.0], [[1.0]], 1)
-    out = predict_augment_survive(c, np.array([[1.0]]), np.array([0.0]), np.array([[0.5]]))
+    out = _survive_one(c, np.array([[1.0]]), np.array([0.0]), np.array([[0.5]]))
     assert out.genealogy == (1, 1)
     assert np.allclose(out.mean, [2.0, 2.0])
     assert np.allclose(out.cov, [[1.0, 1.0], [1.0, 1.5]])
@@ -55,14 +85,14 @@ def test_predict_augment_cv_step():
 
     cfg = default_scenario()
     c = component_from_moments((1,), [0.0, 1.0, 0.0, 1.0], np.eye(4), 4)
-    out = predict_augment_survive(c, cfg.survival.F, np.zeros(4), cfg.survival.Q)
+    out = _survive_one(c, cfg.survival.F, np.zeros(4), cfg.survival.Q)
     assert np.allclose(out.mean[4:], [1.0, 1.0, 1.0, 1.0])
 
 
 def test_predict_augment_preserves_existing_marginal():
     rng = np.random.default_rng(3)
     c = _rand_component(rng, 3)
-    out = predict_augment_survive(c, rng.normal(size=(2, 2)), rng.normal(size=2), np.eye(2))
+    out = _survive_one(c, rng.normal(size=(2, 2)), rng.normal(size=2), np.eye(2))
     n = len(c.mean)
     assert np.array_equal(out.mean[:n], c.mean)
     assert np.allclose(out.cov[:n, :n], c.cov, atol=1e-12)
@@ -70,12 +100,12 @@ def test_predict_augment_preserves_existing_marginal():
 
 def test_spawn_reference_value():
     c = component_from_moments((1, 1), [0.0, 3.0], [[1.0, 0.0], [0.0, 2.0]], 1)
-    out = spawn_component(c, np.array([[1.0]]), np.array([5.0]), np.array([[0.5]]), 2)
+    out = _spawn_one(c, np.array([[1.0]]), np.array([5.0]), np.array([[0.5]]), 2)
     assert out.genealogy == (1, 1, 2)
     assert np.allclose(out.mean, [8.0])
     assert np.allclose(out.cov, [[2.5]])
     with pytest.raises(ValueError):
-        spawn_component(c, np.array([[1.0]]), np.array([5.0]), np.array([[0.5]]), 1)
+        _spawn_one(c, np.array([[1.0]]), np.array([5.0]), np.array([[0.5]]), 1)
 
 
 def test_spawn_perpendicular_offset():
@@ -123,7 +153,7 @@ def test_update_matches_joint_conditioning():
         Z = rng.normal(size=(3, nz)) * 3
         (zhat,), (S,) = innovation([c], H, R)
         (inside,), (logliks,) = gate_loglik(S[None], (Z - zhat)[None], math.inf)
-        means, cov = condition(c, H, S, Z - zhat)
+        means, cov = _condition_one(c, H, S, Z - zhat)
         assert list(np.flatnonzero(inside)) == [0, 1, 2]
         lifted = np.zeros((nz, 2 * length))
         lifted[:, -2:] = H
@@ -168,19 +198,19 @@ def test_likelihood_closed_forms():
 
 def test_lscan_reference_and_idempotence():
     c = component_from_moments((1, 1), [0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]], 1)
-    t = l_scan_truncate_component(c, 1)
+    t = _truncate_one(c, 1)
     assert np.allclose(t.full_cov(), [[1.0, 0.0], [0.0, 1.0]])
-    assert l_scan_truncate_component(t, 1) is t
-    assert l_scan_truncate_component(c, 2) is c
+    assert _truncate_one(t, 1) is t
+    assert _truncate_one(c, 2) is c
     with pytest.raises(ValueError):
-        l_scan_truncate_component(c, 0)
+        _truncate_one(c, 0)
 
 
 def test_lscan_preserves_current_marginal():
     rng = np.random.default_rng(5)
     for length, L in [(4, 2), (5, 1), (6, 3)]:
         c = _rand_component(rng, length)
-        t = l_scan_truncate_component(c, L)
+        t = _truncate_one(c, L)
         assert t.length == length
         nx = c.nx
         keep = L * nx
@@ -191,8 +221,11 @@ def test_lscan_preserves_current_marginal():
 
 def test_lscan_density_shares_untouched_object():
     c = component_from_moments((1,), [1.0], [[1.0]], 1)
+    assert l_scan_truncate([c], 5)[0] is c
     d = BranchDensity({3: EndCase(1.0, c)})
-    assert l_scan_truncate(d, 5) is d
+    tree = BernoulliTree(3, (BranchSlot((1,), (LocalHyp(0.0, 0.5, d, frozenset()),)),))
+    post = posterior(3, (), (tree,), (0.0, ((0,),)))
+    assert truncate_window(post, 5).trees[0].slots[0].hyps[0].density is d
 
 
 def test_gate_reference_cases():
@@ -208,9 +241,9 @@ def test_operations_keep_covariances_symmetric():
     rng = np.random.default_rng(13)
     c = _rand_component(rng, 2)
     for _ in range(12):
-        c = predict_augment_survive(c, rng.normal(size=(2, 2)), rng.normal(size=2), np.eye(2) * 0.1)
+        c = _survive_one(c, rng.normal(size=(2, 2)), rng.normal(size=2), np.eye(2) * 0.1)
         c, _ = _update_one(c, rng.normal(size=2), np.eye(2), np.eye(2))
-        c = l_scan_truncate_component(c, 3)
+        c = _truncate_one(c, 3)
         assert np.abs(c.cov - c.cov.T).max() < 1e-9
         for block in c.frozen_covs:
             assert np.abs(block - block.T).max() < 1e-9

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import trpmbm
+from trpmbm import harness
 from trpmbm.cli import main
 from trpmbm.harness import FilterSpec, emit_outputs, rms_curves, run_experiment
 from trpmbm.models import default_scenario, sample_ground_truth
@@ -94,6 +95,35 @@ def test_emit_outputs_rejects_empty():
         emit_outputs([], "/tmp/nowhere")
 
 
+def test_pool_starts_no_more_workers_than_runs(monkeypatch):
+    # a fork pool starts every worker up front, so --jobs 500 --runs 2
+    # must not ask for 500 processes; a stub pool records the request
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    run_experiment(_small_cfg(2), [FilterSpec("tpmbm", 1)], n_runs=2, seed=1, jobs=500)
+    run_experiment(_small_cfg(2), [FilterSpec("tpmbm", 1)], n_runs=3, seed=1, jobs=2)
+    assert asked == [2, 2]
+
+
+def test_run_experiment_rejects_repeated_filters():
+    with pytest.raises(ValueError, match="tpmbm-L1"):
+        run_experiment(_small_cfg(2), [FilterSpec("tpmbm", 1)] * 2, n_runs=1, seed=1)
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_run_experiment_rejects_fewer_than_one_job(jobs):
     with pytest.raises(ValueError, match="job"):
@@ -167,6 +197,22 @@ def test_cli_error_paths(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "ValueError"
     assert "--seed" in payload["message"]
+
+    # option errors leave as the JSON error too, not as argparse's usage text
+    code = main(["--lscan", "-1,-1", "--out", str(tmp_path / "u")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValueError" and "--lscan" in payload["message"]
+
+    # a repeated filter would run twice and be reported as one with doubled runs
+    for args in (["--lscan", "1,1"], ["--filters", "trpmbm,trpmbm", "--lscan", "1"]):
+        out = tmp_path / "twice"
+        code = main([*args, "--runs", "1", "--out", str(out)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValueError"
+        assert "trpmbm-L1" in payload["message"]
+        assert not (out / "timing.csv").exists()
 
     # a genealogy of two generations with one state, a state of three
     # numbers, a non-finite state

@@ -1,6 +1,6 @@
 """Property tests: the stacked gate kernel, the row merge of the
 global-hypothesis table, the posterior invariants, the scenario loader and
-the CLI's handling of ground-truth files."""
+the CLI's handling of ground-truth files and option values."""
 
 import contextlib
 import io
@@ -227,6 +227,43 @@ def test_cli_answers_any_truth_file_with_outputs_or_a_json_error(text):
                 ["--scenario", str(tmp / "s.json"), "--truth", str(tmp / "truth.txt"),
                  "--runs", "1", "--out", str(tmp / "out")]
             )  # fmt: skip
+    if code != 0:
+        payload = json.loads(err.getvalue())
+        assert set(payload) == {"error", "message"}
+
+
+_kinds = st.lists(st.sampled_from([*KINDS, "nope", ""]), max_size=3).map(",".join)
+_windows = st.one_of(
+    st.none(), st.lists(st.sampled_from(["-1", "0", "1", "2", "x", ""]), max_size=3).map(",".join)
+)
+
+
+@settings(max_examples=40)
+@given(
+    filters=_kinds,
+    lscan=_windows,
+    runs=st.sampled_from([-1, 0, 1]),
+    seed=st.one_of(st.none(), st.integers(-2, 2**40)),
+    jobs=st.integers(-2, 3),
+)
+def test_cli_answers_any_option_values_with_outputs_or_a_json_error(
+    filters, lscan, runs, seed, jobs
+):
+    # at most one run, so no process pool ever starts
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "s.json").write_text(json.dumps({"horizon": 3}))
+        argv = ["--scenario", str(tmp / "s.json"), "--filters", filters,
+                "--runs", str(runs), "--jobs", str(jobs), "--out", str(tmp / "out")]  # fmt: skip
+        if lscan is not None:
+            argv += ["--lscan", lscan]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        if code == 0:
+            assert (tmp / "out" / "timing.csv").is_file()
     if code != 0:
         payload = json.loads(err.getvalue())
         assert set(payload) == {"error", "message"}
