@@ -57,6 +57,9 @@ def main(argv=None) -> int:
     ap.add_argument("--claim", action="append", default=[], help="WORKLOAD:METRIC")
     ap.add_argument("--note", default="")
     args = ap.parse_args(argv)
+    for directory in (args.parent, args.change):
+        if not any(directory.glob("*-trace0.json")):
+            ap.error(f"{directory} holds no *-trace0.json record (perfbench/run.py --results)")
 
     prov = _records(args.parent, 0)[0]["provenance"]
     env = {k: prov[k] for k in ("cpu_model", "nproc", "python", "numpy", "scipy")}

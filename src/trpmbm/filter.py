@@ -313,21 +313,28 @@ def truncate_window(post: Posterior, lscan: int) -> Posterior:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateMaps:
-    """Bookkeeping linking predicted hypotheses to their updated children.
-
-    Keys are (column, hyp): a slot's column in the global-hypothesis table
-    and a local hypothesis of that slot.  Only hypotheses with nonzero
-    detectable mass appear in miss_logfactor; absent keys mean a
-    missed-detection factor of exactly 1 (log 0).  Both dicts are filled in
-    (column, hyp) order.
+    """The association record: one row per local hypothesis with detectable
+    mass, in (column, hyp) order, and one column per measurement.  Other
+    hypotheses have a missed-detection factor of exactly 1 (log 0).
+    Outside the gate ``log_ratio`` holds -inf and ``child`` holds -1.
     """
 
-    miss_logfactor: dict  # (column, hyp) -> log(1 - r beta(k) pD), != 0 only
-    # (column, hyp) -> {gated meas: (updated hyp index, log w_det - log w_miss)}
-    det_meas: dict
+    col: np.ndarray  # (D,) the slot's column in the global-hypothesis table
+    hyp: np.ndarray  # (D,) the local hypothesis in that slot
+    log_miss: np.ndarray  # (D,) log(1 - r beta(k) pD), floored at LOG_FLOOR
+    log_ratio: np.ndarray  # (D, m_k) log w_det - log w_miss
+    child: np.ndarray  # (D, m_k) the detected local hypothesis in that slot
     new_tree_logw: np.ndarray  # per measurement: log(clutter + ppp mass)
+
+    @property
+    def det_meas(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """(column, hyp) -> its gated measurements, for the rows that gate
+        any: a read-only view for readers outside the step."""
+        keys = zip(self.col.tolist(), self.hyp.tolist())
+        gated = (tuple(np.flatnonzero(row >= 0).tolist()) for row in self.child)
+        return {key: ms for key, ms in zip(keys, gated) if ms}
 
 
 def _new_trees(
@@ -397,7 +404,8 @@ def update(
     hypothesis, so previous global selections stay valid until
     form_hypotheses rewires the detected ones.  The intensity terms and the
     detectable local hypotheses are each gated against every measurement in
-    one stacked call.
+    one stacked call, and each gated row of the association record is
+    written as one slice of weight ratios and child indices.
 
     Approximation: a new tree's Bernoulli keeps the Gaussian of the one
     intensity term with the largest weighted likelihood for its measurement
@@ -426,30 +434,29 @@ def update(
     # --- Bernoulli trees: missed local hypotheses ---------------------------
     # one missed hypothesis per predicted one (same index); the detected ones
     # go behind the full missed block of their slot
-    miss_logfactor: dict = {}
     slot_hyps: dict = {}  # tree -> slot -> local hypotheses, touched slots only
-    detectable = []  # (column, hyp), slot's hyps, local hyp, log miss factor, beta(k)
+    keys, log_miss = [], []  # (column, hyp) and log miss factor per association row
+    detectable = []  # its slot's hyps, its local hyp and beta(k)
     col = -1
     for ti, tree in enumerate(post.trees):
         for ji, slot in enumerate(tree.slots):
             col += 1
-            if all(
-                h.density is None or h.r <= 0.0 or h.density.beta(k) <= 0.0
-                for h in slot.hyps
-            ):
-                continue  # nothing detectable: untouched
-            hyps = slot_hyps.setdefault(ti, {})[ji] = []
+            hyps = None  # until the slot's first detectable hypothesis
             for bi, h in enumerate(slot.hyps):
-                beta_k = h.density.beta(k) if h.density is not None else 0.0
+                beta_k = h.density.beta(k) if h.density is not None and h.r > 0.0 else 0.0
                 detectable_mass = h.r * beta_k * p_d
                 if detectable_mass <= 0.0:
-                    hyps.append(h)
+                    if hyps is not None:
+                        hyps.append(h)
                     continue
+                if hyps is None:
+                    hyps = slot_hyps.setdefault(ti, {})[ji] = list(slot.hyps[:bi])
                 miss_factor = 1.0 - detectable_mass
                 norm = 1.0 - p_d * beta_k
+                log_w_miss = h.log_w + _log(miss_factor)
                 if norm <= 0.0:
                     # detection was certain: the missed branch cannot exist
-                    missed = LocalHyp(h.log_w + _log(miss_factor), 0.0, None, h.assoc)
+                    missed = LocalHyp(log_w_miss, 0.0, None, h.assoc)
                 else:
                     cases = {}
                     for kappa, case in h.density.components.items():
@@ -459,18 +466,17 @@ def update(
                         if beta > 0.0:
                             cases[kappa] = EndCase(beta, case.comp)
                     r_miss = h.r * (1.0 - beta_k * p_d) / miss_factor
-                    missed = LocalHyp(
-                        h.log_w + _log(miss_factor), r_miss, BranchDensity(cases), h.assoc
-                    )
+                    missed = LocalHyp(log_w_miss, r_miss, BranchDensity(cases), h.assoc)
                 hyps.append(missed)
-                log_miss = max(_log(miss_factor), LOG_FLOOR)
-                miss_logfactor[(col, bi)] = log_miss
-                detectable.append(((col, bi), hyps, h, log_miss, beta_k))
+                keys.append((col, bi))
+                log_miss.append(max(_log(miss_factor), LOG_FLOOR))
+                detectable.append((hyps, h, beta_k))
 
     # --- Bernoulli trees: detected local hypotheses -------------------------
-    det_meas: dict = {}
+    log_ratio = np.full((len(detectable), m_k), -np.inf)
+    child = np.full((len(detectable), m_k), -1, dtype=post.sel.dtype)
     if detectable and m_k:
-        comps = [h.density.components[k].comp for _, _, h, _, _ in detectable]
+        comps = [h.density.components[k].comp for _, h, _ in detectable]
         zhat, S = innovation(comps, meas.H, meas.R)
         innov = Z - zhat[:, None, :]
         inside, loglik = gate_loglik(S, innov, cfg.filters.gate)
@@ -481,16 +487,16 @@ def update(
         )
         means = iter(means)
         for row, cov_post in zip(rows.tolist(), covs):
-            key, hyps, h, log_miss, beta_k = detectable[row]
+            hyps, h, beta_k = detectable[row]
             gated = np.flatnonzero(inside[row])
             comp_k = comps[row]
             log_base = h.log_w + _log(h.r) + _log(beta_k) + _log(p_d)
-            dets = det_meas[key] = {}
-            for m, mean, logl in zip(gated.tolist(), means, loglik[row, gated]):
-                log_det = log_base + logl
-                dets[m] = (len(hyps), log_det - (h.log_w + log_miss))
+            log_det = log_base + loglik[row, gated]
+            log_ratio[row, gated] = log_det - (h.log_w + log_miss[row])
+            child[row, gated] = np.arange(len(hyps), len(hyps) + len(gated))
+            for m, mean, log_w in zip(gated.tolist(), means, log_det.tolist()):
                 density = BranchDensity({k: EndCase(1.0, comp_k.with_live(mean, cov_post))})
-                hyps.append(LocalHyp(log_det, 1.0, density, h.assoc | {(k, m)}))
+                hyps.append(LocalHyp(log_w, 1.0, density, h.assoc | {(k, m)}))
 
     trees = list(post.trees)
     for ti, touched in slot_hyps.items():
@@ -500,9 +506,10 @@ def update(
         )
         trees[ti] = BernoulliTree(trees[ti].start_time, slots)
 
+    cols, bis = np.array(keys, dtype=np.intp).reshape(-1, 2).T
     return (
         Posterior(k, ppp, tuple(trees) + tuple(new_trees), post.log_w, post.sel),
-        UpdateMaps(miss_logfactor, det_meas, new_tree_logw),
+        UpdateMaps(cols, bis, np.array(log_miss), log_ratio, child, new_tree_logw),
     )
 
 
@@ -542,68 +549,59 @@ def form_hypotheses(
 ) -> Posterior:
     """Children of every predicted global hypothesis via k-best assignment.
 
-    Rows are this step's measurements; columns are detectable selected
-    local hypotheses plus one new-tree column per measurement.  Parents
-    sharing the same detectable selection share one assignment problem.
+    Parents that select the same hypotheses among those that gate a
+    measurement share one assignment problem, sliced from the association
+    record: one row per measurement they gate, one column per such
+    hypothesis plus one new-tree column per row.
     A child copies its parent's row, takes the assigned detections in their
     columns and gets one column per new tree (1: the measurement started
     it).  Children are merged on identical rows and renormalised.
     """
     n_hyp = cfg.filters.n_hyp
-    keys = list(maps.miss_logfactor)
-    # match[g, j]: parent g selects the j-th hypothesis with detectable mass
-    match = post.sel[:, [c for c, _ in keys]] == np.array([b for _, b in keys], np.intp)
-    # the missed-detection factors of the selected ones, summed in key order
-    miss = np.where(match, [maps.miss_logfactor[key] for key in keys], 0.0)
+    # match[g, d]: parent g selects the hypothesis of association row d
+    match = post.sel[:, maps.col] == maps.hyp
+    # the missed-detection factors of the selected ones, summed in row order
+    miss = np.where(match, maps.log_miss, 0.0)
     baselines = np.hstack([np.zeros((len(miss), 1)), miss]).cumsum(axis=1)[:, -1]
     # parents sharing the selected hypotheses that gate a measurement share
     # one assignment problem; only equal parents can have equal children,
     # and those share a group in arrival order, so the group order is free
-    det_keys = [j for j, key in enumerate(keys) if key in maps.det_meas]
-    det = match[:, det_keys]
+    gating = np.flatnonzero((maps.child >= 0).any(axis=1))
+    det = match[:, gating]
     order, starts = _runs(det)
 
     child_w, child_sel = [], []
     for lo, hi in zip(starts, [*starts[1:], len(order)]):
         members = order[lo:hi]
-        cols = [keys[det_keys[j]] for j in np.flatnonzero(det[members[0]])]
-        n_cols = len(cols)
-        free = sorted({m for key in cols for m in maps.det_meas[key]})
-        free_pos = {m: i for i, m in enumerate(free)}
-        n_free = len(free)
-        # rows with no gated column are forced onto their own new-tree column
-        forced_cost = -sum(
-            maps.new_tree_logw[m] for m in range(m_k) if m not in free_pos
-        )
+        rows = gating[det[members[0]]]
+        free = np.flatnonzero((maps.child[rows] >= 0).any(axis=0))
+        n_cols, n_free = len(rows), len(free)
+        # measurements no selected hypothesis gates are forced onto new trees
+        forced_cost = -sum(np.delete(maps.new_tree_logw, free).tolist())
         C = np.full((n_free, n_cols + n_free), np.inf)
-        for ci, key in enumerate(cols):
-            for m, (_, logratio) in maps.det_meas[key].items():
-                C[free_pos[m], ci] = -logratio
-        for i, m in enumerate(free):
-            C[i, n_cols + i] = -maps.new_tree_logw[m]
+        C[:, :n_cols] = -maps.log_ratio[rows][:, free].T
+        C[np.arange(n_free), n_cols + np.arange(n_free)] = -maps.new_tree_logw[free]
 
-        weights = post.log_w[members].tolist()
-        k_want = [max(1, math.ceil(n_hyp * math.exp(w))) for w in weights]
+        k_want = [max(1, math.ceil(n_hyp * math.exp(w))) for w in post.log_w[members].tolist()]
         solutions = (
             murty_kbest(C, max(k_want)) if n_free else [(np.zeros(0, dtype=int), 0.0)]
         )
         # per solution: the group's columns and the new-tree columns of a child
-        picks = np.tile(np.array([b for _, b in cols], post.sel.dtype), (len(solutions), 1))
+        assigned = np.reshape([a for a, _ in solutions], (len(solutions), n_free))
+        s, pos = np.nonzero(assigned < n_cols)
+        picked = assigned[s, pos]
+        picks = np.tile(maps.hyp[rows], (len(solutions), 1))
+        picks[s, picked] = maps.child[rows[picked], free[pos]]
         new = np.ones((len(solutions), m_k), dtype=post.sel.dtype)
-        for s, (assignment, _) in enumerate(solutions):
-            for row_pos, col_pos in enumerate(assignment):
-                if col_pos < n_cols:
-                    m = free[row_pos]
-                    new[s, m] = 0
-                    picks[s, col_pos] = maps.det_meas[cols[col_pos]][m][0]
+        new[s, free[pos]] = 0
         costs = np.array([cost for _, cost in solutions])
 
         take = np.minimum(k_want, len(solutions))
         parent = np.repeat(members, take)
         sol = np.concatenate([np.arange(t) for t in take])
-        rows = post.sel[parent]
-        rows[:, [c for c, _ in cols]] = picks[sol]
-        child_sel.append(np.hstack([rows, new[sol]]))
+        children = post.sel[parent]
+        children[:, maps.col[rows]] = picks[sol]
+        child_sel.append(np.hstack([children, new[sol]]))
         child_w.append(post.log_w[parent] + baselines[parent] - (forced_cost + costs[sol]))
 
     log_w, sel = _merged(np.concatenate(child_w), np.vstack(child_sel))

@@ -194,69 +194,37 @@ def _cluster_costs(
     return cost, tag
 
 
-def _csr(indices: np.ndarray, row_len: np.ndarray, data: np.ndarray, n_var: int):
-    """CSR matrix of entries listed row after row, ``row_len`` per row."""
-    indptr = np.zeros(len(row_len) + 1, dtype=np.int32)
-    np.cumsum(row_len, out=indptr[1:])
-    return sparse.csr_matrix(
-        (data, indices.astype(np.int32), indptr), shape=(len(row_len), n_var)
-    )
+def _model(n: int, m: int, T: int) -> tuple[np.ndarray, ...]:
+    """The cluster LP as HiGHS takes it: ``[A_ub; A_eq]`` in CSC arrays
+    (indptr, row indices, values) and the row bounds (lhs, rhs).
 
-
-def _constraints(n: int, m: int, T: int) -> dict:
-    """Constraint arguments of ``scipy.optimize.linprog`` for the cluster LP,
-    matrices in CSR with sorted column indices.
-
-    A single step has no switch variables and so no inequalities.
+    The inequalities come first, two per switch variable (none at a single
+    step): e >= |W_{t+1} - W_t| on real pairs.  Then the equalities: every
+    est row (pairs, then its dummy) and every truth column (pairs, then its
+    dummy) sums to one at every step.  Each row lists its columns ascending.
     """
     S = n * m + n + m
-    n_var = T * S + (T - 1) * n * m
+    q = np.arange((T - 1) * n * m)
+    w0 = (q // (n * m)) * S + q % (n * m)
+    e = T * S + q
     pair = np.arange(n * m).reshape(n, m)
-    # equality: every est row (pairs, then its dummy) and every truth
-    # column (pairs, then its dummy) sums to one at every step
     est_rows = np.hstack([pair, n * m + np.arange(n)[:, None]])
     truth_cols = np.hstack([pair.T, n * m + n + np.arange(m)[:, None]])
     step_cols = np.concatenate([est_rows.ravel(), truth_cols.ravel()])
+    # rows W_{t+1} - W_t - e <= 0 and W_t - W_{t+1} - e <= 0 (w0 < w0 + S < e)
+    switch_cols = np.column_stack([w0, w0 + S, e, w0, w0 + S, e]).ravel()
+    cols = np.concatenate([switch_cols, (np.arange(T)[:, None] * S + step_cols).ravel()])
+    switch_vals = np.tile([-1.0, 1.0, -1.0, 1.0, -1.0, -1.0], len(q))
+    vals = np.concatenate([switch_vals, np.ones(T * len(step_cols))])
     step_len = np.repeat([m + 1, n + 1], [n, m])
-    A_eq = _csr(
-        (np.arange(T)[:, None] * S + step_cols).ravel(),
-        np.tile(step_len, T),
-        np.ones(T * len(step_cols)),
-        n_var,
-    )
-    out = {"A_eq": A_eq, "b_eq": np.ones(T * (n + m))}
-
-    # inequalities: e >= |W_{t+1} - W_t| on real pairs, two rows per switch
-    q = np.arange((T - 1) * n * m)
-    if len(q):
-        w0 = (q // (n * m)) * S + q % (n * m)
-        e = T * S + q
-        # rows W_{t+1} - W_t - e <= 0 and W_t - W_{t+1} - e <= 0, columns
-        # ascending (w0 < w0 + S < e)
-        cols = np.column_stack([w0, w0 + S, e, w0, w0 + S, e]).ravel()
-        vals = np.tile([-1.0, 1.0, -1.0, 1.0, -1.0, -1.0], len(q))
-        out["A_ub"] = _csr(cols, np.full(2 * len(q), 3), vals, n_var)
-        out["b_ub"] = np.zeros(2 * len(q))
-    return out
-
-
-def _model(n: int, m: int, T: int) -> tuple[np.ndarray, ...]:
-    """The cluster LP as HiGHS takes it: ``[A_ub; A_eq]`` in CSC arrays
-    (indptr, row indices, values) and the row bounds (lhs, rhs)."""
-    cons = _constraints(n, m, T)
-    A_eq = cons["A_eq"]
-    A_ub = cons.get("A_ub", sparse.csr_matrix((0, A_eq.shape[1])))
-    n_ub = A_ub.shape[0]
-    A = sparse.csr_matrix(
-        (
-            np.concatenate([A_ub.data, A_eq.data]),
-            np.concatenate([A_ub.indices, A_eq.indices]),
-            np.concatenate([A_ub.indptr, A_eq.indptr[1:] + A_ub.nnz]),
-        ),
-        shape=(n_ub + A_eq.shape[0], A_eq.shape[1]),
-    ).tocsc()
-    lhs = np.concatenate([np.full(n_ub, -np.inf), cons["b_eq"]])
-    rhs = np.concatenate([np.zeros(n_ub), cons["b_eq"]])
+    row_len = np.concatenate([np.full(2 * len(q), 3), np.tile(step_len, T)])
+    indptr = np.zeros(len(row_len) + 1, dtype=np.int32)
+    np.cumsum(row_len, out=indptr[1:])
+    shape = (len(row_len), T * S + len(q))
+    A = sparse.csr_matrix((vals, cols.astype(np.int32), indptr), shape=shape).tocsc()
+    n_ub, n_eq = 2 * len(q), T * (n + m)
+    lhs = np.concatenate([np.full(n_ub, -np.inf), np.ones(n_eq)])
+    rhs = np.concatenate([np.zeros(n_ub), np.ones(n_eq)])
     return A.indptr, A.indices, A.data, lhs, rhs
 
 

@@ -392,17 +392,26 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     return cfg
 
 
+def _covariance_problems(M: np.ndarray, field: str, jitter: float) -> list[str]:
+    """Why the samplers cannot use M: they factor cholesky(M + jitter I),
+    which reads the lower triangle only, so M must also be symmetric."""
+    if not np.allclose(M, M.T, atol=1e-9):
+        return [f"{field} not symmetric"]
+    try:
+        np.linalg.cholesky(M + jitter * np.eye(len(M)))
+    except np.linalg.LinAlgError:
+        return [f"{field} not positive {'semi' if jitter else ''}definite"]
+    return []
+
+
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     problems = []
     if not cfg.modes:
         problems.append("at least one motion mode is required")
-    for i, m in enumerate(cfg.modes, start=1):
+    for i, m in enumerate(cfg.modes):
         if not 0.0 <= m.prob <= 1.0:
-            problems.append(f"mode {i}: probability {m.prob} outside [0, 1]")
-        if not np.allclose(m.Q, m.Q.T, atol=1e-9):
-            problems.append(f"mode {i}: Q not symmetric")
-        elif np.linalg.eigvalsh(m.Q).min() < -1e-9:
-            problems.append(f"mode {i}: Q not positive semidefinite")
+            problems.append(f"modes[{i}].prob {m.prob} outside [0, 1]")
+        problems += _covariance_problems(m.Q, f"modes[{i}].Q", 1e-12)
     if not 0.0 <= cfg.measurement.p_detect <= 1.0:
         problems.append(f"p_detect {cfg.measurement.p_detect} outside [0, 1]")
     if cfg.measurement.clutter_rate < 0:
@@ -410,13 +419,11 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     region = cfg.measurement.clutter_region
     if np.any(region[:, 1] <= region[:, 0]):
         problems.append("clutter_region spans must be positive")
-    if np.linalg.eigvalsh(0.5 * (cfg.measurement.R + cfg.measurement.R.T)).min() <= 0:
-        problems.append("R must be positive definite")
+    problems += _covariance_problems(cfg.measurement.R, "measurement.R", 0.0)
     for i, b in enumerate(cfg.births):
         if b.weight < 0:
             problems.append(f"birth[{i}].weight {b.weight} negative")
-        if np.linalg.eigvalsh(0.5 * (b.cov + b.cov.T)).min() < -1e-9:
-            problems.append(f"birth[{i}].cov not positive semidefinite")
+        problems += _covariance_problems(b.cov, f"birth[{i}].cov", 1e-12)
     if cfg.horizon < 1:
         problems.append(f"horizon {cfg.horizon} must be >= 1")
     if cfg.seed < 0:

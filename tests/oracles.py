@@ -21,8 +21,17 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from trpmbm.assignment import _solve, hungarian
-from trpmbm.filter import LOG_FLOOR, BernoulliTree, BranchSlot, LocalHyp, Posterior, _birth_tree
+from trpmbm.assignment import _solve, hungarian, murty_kbest
+from trpmbm.filter import (
+    LOG_FLOOR,
+    BernoulliTree,
+    BranchSlot,
+    LocalHyp,
+    Posterior,
+    _birth_tree,
+    _merged,
+    _runs,
+)
 from trpmbm.gaussian import (
     JITTER,
     BranchDensity,
@@ -535,6 +544,83 @@ def merged_by_dict(log_w, rows) -> tuple[np.ndarray, np.ndarray]:
     logs = np.array([merged[key] for key in keys])
     logs -= logsumexp(logs)
     return logs, np.array(keys, dtype=np.intp).reshape(len(keys), rows.shape[1])
+
+
+# ---------------------------------------------------------------------------
+# Global-hypothesis formation from the association record kept as dicts:
+# the reference for ``trpmbm.filter.form_hypotheses``
+# ---------------------------------------------------------------------------
+
+
+def record_as_dicts(maps) -> tuple[dict, dict]:
+    """The array association record as two dicts keyed by (column, hyp).
+
+    ``miss_logfactor`` holds every row's log missed-detection factor, and
+    ``det_meas`` maps each row that gates a measurement to
+    ``{measurement: (child index, log ratio)}``; both in row order.
+    """
+    miss_logfactor, det_meas = {}, {}
+    for d, key in enumerate(zip(maps.col.tolist(), maps.hyp.tolist())):
+        miss_logfactor[key] = maps.log_miss[d].item()
+        gated = np.flatnonzero(maps.child[d] >= 0).tolist()
+        if gated:
+            det_meas[key] = {m: (int(maps.child[d, m]), maps.log_ratio[d, m]) for m in gated}
+    return miss_logfactor, det_meas
+
+
+def form_hypotheses_by_dicts(post, miss_logfactor, det_meas, new_tree_logw, m_k, cfg):
+    """``form_hypotheses`` reading the dict record entry by entry: each
+    group's cost matrix and each solution's picks are filled in loops."""
+    n_hyp = cfg.filters.n_hyp
+    keys = list(miss_logfactor)
+    match = post.sel[:, [c for c, _ in keys]] == np.array([b for _, b in keys], np.intp)
+    miss = np.where(match, [miss_logfactor[key] for key in keys], 0.0)
+    baselines = np.hstack([np.zeros((len(miss), 1)), miss]).cumsum(axis=1)[:, -1]
+    det_keys = [j for j, key in enumerate(keys) if key in det_meas]
+    det = match[:, det_keys]
+    order, starts = _runs(det)
+
+    child_w, child_sel = [], []
+    for lo, hi in zip(starts, [*starts[1:], len(order)]):
+        members = order[lo:hi]
+        cols = [keys[det_keys[j]] for j in np.flatnonzero(det[members[0]])]
+        n_cols = len(cols)
+        free = sorted({m for key in cols for m in det_meas[key]})
+        free_pos = {m: i for i, m in enumerate(free)}
+        n_free = len(free)
+        forced_cost = -sum(new_tree_logw[m] for m in range(m_k) if m not in free_pos)
+        C = np.full((n_free, n_cols + n_free), np.inf)
+        for ci, key in enumerate(cols):
+            for m, (_, logratio) in det_meas[key].items():
+                C[free_pos[m], ci] = -logratio
+        for i, m in enumerate(free):
+            C[i, n_cols + i] = -new_tree_logw[m]
+
+        weights = post.log_w[members].tolist()
+        k_want = [max(1, math.ceil(n_hyp * math.exp(w))) for w in weights]
+        solutions = (
+            murty_kbest(C, max(k_want)) if n_free else [(np.zeros(0, dtype=int), 0.0)]
+        )
+        picks = np.tile(np.array([b for _, b in cols], post.sel.dtype), (len(solutions), 1))
+        new = np.ones((len(solutions), m_k), dtype=post.sel.dtype)
+        for s, (assignment, _) in enumerate(solutions):
+            for row_pos, col_pos in enumerate(assignment):
+                if col_pos < n_cols:
+                    m = free[row_pos]
+                    new[s, m] = 0
+                    picks[s, col_pos] = det_meas[cols[col_pos]][m][0]
+        costs = np.array([cost for _, cost in solutions])
+
+        take = np.minimum(k_want, len(solutions))
+        parent = np.repeat(members, take)
+        sol = np.concatenate([np.arange(t) for t in take])
+        rows = post.sel[parent]
+        rows[:, [c for c, _ in cols]] = picks[sol]
+        child_sel.append(np.hstack([rows, new[sol]]))
+        child_w.append(post.log_w[parent] + baselines[parent] - (forced_cost + costs[sol]))
+
+    log_w, sel = _merged(np.concatenate(child_w), np.vstack(child_sel))
+    return Posterior(post.step, post.ppp, post.trees, log_w, sel)
 
 
 # ---------------------------------------------------------------------------

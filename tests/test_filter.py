@@ -133,7 +133,8 @@ def test_update_missed_detection_reference_values():
     h = upd.trees[0].slots[0].hyps[0]
     assert math.exp(h.log_w) == pytest.approx(0.55, abs=1e-12)
     assert h.r == pytest.approx(0.05 / 0.55, abs=1e-12)
-    assert maps.miss_logfactor[(0, 0)] == pytest.approx(math.log(0.55), abs=1e-12)
+    assert (maps.col.tolist(), maps.hyp.tolist()) == ([0], [0])
+    assert maps.log_miss[0] == pytest.approx(math.log(0.55), abs=1e-12)
 
 
 def test_update_detection_confirms_existence():
@@ -142,7 +143,9 @@ def test_update_detection_confirms_existence():
     post = posterior(1, (), (tree,), (0.0, ((0,),)))
     z = np.array([[300.0, 170.0]])
     upd, maps = update(post, z, CFG)
-    det = upd.trees[0].slots[0].hyps[maps.det_meas[(0, 0)][0][0]]
+    assert (maps.col.tolist(), maps.hyp.tolist()) == ([0], [0])
+    assert maps.child[0, 0] >= 0
+    det = upd.trees[0].slots[0].hyps[maps.child[0, 0]]
     assert det.r == 1.0
     assert det.density.beta(1) == 1.0
     assert det.assoc == {(1, 0)}
@@ -165,9 +168,8 @@ def test_update_weight_identity():
     missed_w = math.exp(slot.hyps[0].log_w)
     det_ws = [
         math.exp(slot.hyps[idx].log_w)
-        for (col, bi), dets in maps.det_meas.items()
-        if col == 0
-        for idx, _ in dets.values()
+        for idx in maps.child[maps.col == 0].ravel().tolist()
+        if idx >= 0
     ]
     zhat, S = innovation_one(comp, CFG.measurement.H, CFG.measurement.R)
     gated_lik = sum(
@@ -191,7 +193,8 @@ def test_update_near_singular_innovation_stays_finite():
     post = posterior(1, ppp, (tree,), (0.0, ((0,),)))
     z = np.array([[300.0, 170.0]])
     upd, maps = update(post, z, cfg)
-    assert 0 in maps.det_meas.get((0, 0), {})
+    assert (maps.col.tolist(), maps.hyp.tolist()) == ([0], [0])
+    assert maps.child[0, 0] >= 0
     for t in upd.trees:
         for h in t.slots[0].hyps:
             if h.density is not None:

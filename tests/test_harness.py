@@ -257,6 +257,29 @@ def test_cli_rejects_wrongly_typed_sections(tmp_path, capsys, scenario, field):
     assert field in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        # the samplers factor the lower triangle, the filter the symmetric part
+        (
+            {"birth": [{"cov": [[1, 2, 0, 0], [-2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}]},
+            "birth[0].cov not symmetric",
+        ),
+        # eigenvalue -5e-10: no Cholesky factor of Q + 1e-12 I
+        ({"modes": [{"prob": 0.99, "Q": np.diag([1.0, 1.0, 1.0, -5e-10]).tolist()}]}, "modes[0].Q"),
+        ({"measurement": {"R": [[4, 1], [-1, 4]]}}, "measurement.R not symmetric"),
+    ],
+)
+def test_cli_rejects_covariances_the_sampler_cannot_factor(tmp_path, capsys, scenario, field):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**scenario, "horizon": 3}))
+    code = main(["--scenario", str(path), "--runs", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ScenarioError"
+    assert field in payload["message"]
+
+
 def test_cli_reports_runtime_errors(tmp_path, capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise RuntimeError("metric LP failed: infeasible")

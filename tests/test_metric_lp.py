@@ -3,6 +3,7 @@ against the loop-based references in ``oracles``."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import trpmbm.metric as metric
 from trpmbm.metric import Track, TrajMetricParams, trajectory_metric
@@ -26,19 +27,6 @@ def _random_params(rng):
     )
 
 
-def _same_csr(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return (
-        a.shape == b.shape
-        and a.indptr.dtype == b.indptr.dtype
-        and a.indices.dtype == b.indices.dtype
-        and np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.data, b.data)
-    )
-
-
 def test_vectorised_assembly_matches_loops():
     rng = np.random.default_rng(3)
     for _ in range(150):
@@ -49,15 +37,20 @@ def test_vectorised_assembly_matches_loops():
         cost, tag, A_eq, A_ub = lp_by_loops(est, truth, params, k)
         t0 = min(tr.start for tr in est + truth)
         got_cost, got_tag = metric._cluster_costs(est, truth, params, t0, k - t0 + 1)
-        got = metric._constraints(len(est), len(truth), k - t0 + 1)
+        indptr, indices, values, lhs, rhs = metric._model(len(est), len(truth), k - t0 + 1)
         assert got_tag.dtype == tag.dtype
         assert np.array_equal(got_cost, cost)
         assert np.array_equal(got_tag, tag)
-        assert _same_csr(got["A_eq"], A_eq)
-        assert np.array_equal(got["b_eq"], np.ones(A_eq.shape[0]))
-        assert _same_csr(got.get("A_ub"), A_ub)
-        if A_ub is not None:
-            assert np.array_equal(got["b_ub"], np.zeros(A_ub.shape[0]))
+        # [A_ub; A_eq] in CSC, the inequalities bounded above by 0 and the
+        # equalities fixed at 1
+        want = (A_eq if A_ub is None else sparse.vstack([A_ub, A_eq], format="csr")).tocsc()
+        n_ub = 0 if A_ub is None else A_ub.shape[0]
+        assert indptr.dtype == want.indptr.dtype and indices.dtype == want.indices.dtype
+        assert np.array_equal(indptr, want.indptr)
+        assert np.array_equal(indices, want.indices)
+        assert np.array_equal(values, want.data)
+        assert np.array_equal(lhs, np.r_[np.full(n_ub, -np.inf), np.ones(A_eq.shape[0])])
+        assert np.array_equal(rhs, np.r_[np.zeros(n_ub), np.ones(A_eq.shape[0])])
 
 
 def _interacting_pair(rng, k, c):

@@ -3,7 +3,9 @@
 `predict` moves, spawns and cuts every end case in one stacked pass, and
 `update` conditions its detections and new trees in stacked calls; the
 references in `oracles.py` do the same one component at a time.  Every
-mean, covariance, weight and selection must be bitwise equal.
+mean, covariance, weight and selection must be bitwise equal.  Likewise
+`form_hypotheses` slices its cost matrices out of `update`'s array
+association record, which the reference reads entry by entry as dicts.
 """
 
 import math
@@ -12,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from trpmbm.filter import (
     KINDS,
@@ -20,10 +23,12 @@ from trpmbm.filter import (
     LocalHyp,
     Posterior,
     _new_trees,
+    form_hypotheses,
     initial_posterior,
     predict,
     step,
     truncate_window,
+    update,
 )
 from trpmbm.gaussian import (
     BranchDensity,
@@ -40,7 +45,16 @@ from trpmbm.models import (
     sample_ground_truth,
     sample_measurement_sequence,
 )
-from oracles import condition_one, new_trees_by_measurement, perp_unit_one, predict_by_component
+from oracles import (
+    condition_one,
+    form_hypotheses_by_dicts,
+    gate_loglik_one,
+    innovation_one,
+    new_trees_by_measurement,
+    perp_unit_one,
+    predict_by_component,
+    record_as_dicts,
+)
 
 CFG = default_scenario()
 STEP = 6  # the posteriors below are at this step
@@ -288,6 +302,95 @@ def test_new_tree_block_matches_per_measurement_reference(
         else:
             assert tree.start_time == terms[best].start_time
             assert _comp_bits(exist.density.components[STEP].comp) == _comp_bits(comp)
+
+
+_association = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_parents=st.integers(1, 5),
+    n_equal=st.integers(0, 2),
+    n_meas=st.integers(0, 5),
+    n_twins=st.integers(0, 2),
+    p_d=st.sampled_from([0.0, 0.9, 1.0]),
+    n_hyp=st.sampled_from([1, 3, 50]),
+)
+
+
+def _association_case(seed, n_parents, n_equal, n_meas, n_twins, p_d, n_hyp):
+    """A posterior at the update's step, measurements and a config.
+
+    Measurements fall near the last states of random local hypotheses or
+    far from all; twins repeat a measurement, so their costs tie exactly,
+    and equal parents repeat a selection row."""
+    rng = np.random.default_rng(seed)
+    post = _random_posterior(rng, 3, 3, 0.0)
+    sizes = [len(s.hyps) for t in post.trees for s in t.slots]
+    sel = np.array([[rng.integers(0, n) for n in sizes] for _ in range(n_parents)], np.int32)
+    sel = np.vstack([sel, sel[rng.integers(0, n_parents, size=n_equal)]])
+    log_w = np.log(rng.dirichlet(np.ones(len(sel))))
+    post = replace(post, log_w=log_w - logsumexp(log_w), sel=sel)
+    ends = [
+        h.density.components[post.step].comp.mean[-NX:]
+        for t in post.trees
+        for s in t.slots
+        for h in s.hyps
+        if h.density is not None and post.step in h.density.components
+    ]
+    Z = np.full((n_meas, 2), 1e5)
+    for m in range(n_meas):
+        if ends and rng.random() < 0.8:
+            x = ends[rng.integers(0, len(ends))]
+            Z[m] = [x[0], x[2]] + rng.normal(size=2) * 5.0
+    if n_meas:
+        Z = np.vstack([Z, Z[rng.integers(0, n_meas, size=n_twins)]])
+    measurement = replace(CFG.measurement, p_detect=p_d)
+    cfg = replace(CFG, measurement=measurement, filters=replace(CFG.filters, n_hyp=n_hyp))
+    return post, Z, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_association)
+def test_form_hypotheses_matches_dict_record_reference(**case):
+    # m_k = 0, p_D = 0 (no row) and far measurements (no gated pair), exact
+    # cost ties from twin measurements, and groups of equal parents
+    post, Z, cfg = _association_case(**case)
+    upd, maps = update(post, Z, cfg)
+    got = form_hypotheses(upd, maps, len(Z), cfg)
+    want = form_hypotheses_by_dicts(upd, *record_as_dicts(maps), maps.new_tree_logw, len(Z), cfg)
+    assert _bits(got.log_w) == _bits(want.log_w)
+    assert _bits(got.sel) == _bits(want.sel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_association)
+def test_association_record_rows_and_gated_view(**case):
+    # det_meas counts the gated pairs that the benchmark reports, and every
+    # gated entry names the child that update built for it
+    post, Z, cfg = _association_case(**case)
+    upd, maps = update(post, Z, cfg)
+    k, meas = post.step, cfg.measurement
+    slots = [s for t in post.trees for s in t.slots]
+    new_slots = [s for t in upd.trees for s in t.slots]
+    keys = [
+        (col, bi)
+        for col, slot in enumerate(slots)
+        for bi, h in enumerate(slot.hyps)
+        if h.density is not None and h.r * h.density.beta(k) * meas.p_detect > 0.0
+    ]
+    assert list(zip(maps.col.tolist(), maps.hyp.tolist())) == keys
+    assert maps.log_ratio.shape == maps.child.shape == (len(keys), len(Z))
+    assert np.array_equal(maps.child < 0, np.isneginf(maps.log_ratio))
+    n_inside = 0
+    for d, (col, bi) in enumerate(keys):
+        h = slots[col].hyps[bi]
+        zhat, S = innovation_one(h.density.components[k].comp, meas.H, meas.R)
+        inside, _ = gate_loglik_one(S, Z - zhat, cfg.filters.gate)
+        n_inside += len(inside)
+        assert maps.det_meas.get((col, bi), ()) == tuple(inside.tolist())
+        for m in inside.tolist():
+            child = new_slots[col].hyps[maps.child[d, m]]
+            assert _bits(child.log_w - (h.log_w + maps.log_miss[d])) == _bits(maps.log_ratio[d, m])
+            assert child.assoc == h.assoc | {(k, m)}
+    assert sum(len(v) for v in maps.det_meas.values()) == n_inside
 
 
 def test_predict_output_windows_fit_on_a_filtered_stream():
