@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .filter import KINDS
 from .harness import FilterSpec, emit_outputs, run_experiment
 from .models import NX, ScenarioError, default_scenario, load_scenario
 from .trees import TreeTrajectory, parse_trees, validate_tree
@@ -83,15 +84,21 @@ def main(argv: list[str] | None = None) -> int:
         if seed < 0:
             raise ValueError(f"--seed: expected a non-negative integer, got {seed}")
         kinds = [k.strip() for k in args.filters.split(",") if k.strip()]
+        if not kinds:
+            raise ValueError(
+                f"--filters: expected a comma list out of {','.join(KINDS)}, got {args.filters!r}"
+            )
         if args.lscan is None:
             windows = [cfg.filters.lscan]
         else:
             try:
                 windows = [int(l) for l in args.lscan.split(",") if l.strip()]
             except ValueError:
+                windows = []
+            if not windows:
                 raise ValueError(
                     f"--lscan: expected a comma list of integers, got {args.lscan!r}"
-                ) from None
+                )
         specs = [FilterSpec(kind, lscan) for kind in kinds for lscan in windows]
         truth = read_truth(args.truth, cfg.n_modes) if args.truth else None
         reports = run_experiment(

@@ -21,13 +21,16 @@ The other clusters are solved by HiGHS, called directly through the module
 scipy ships (``scipy.optimize._highspy``) with the model and options that
 ``scipy.optimize.linprog(method="highs")`` would pass, so a cold solve
 gives linprog's result bit for bit.  A caller that scores every step of a
-run keeps a dict of the final bases (`trajectory_metric`'s ``bases``): a
-cluster with the same members and first step as at k-1 then starts its
-dual simplex from that basis, with the new step's columns nonbasic and its
-rows basic, and needs a few pivots instead of a solve from scratch.  Where
-the optimum it reaches may tie with one of another split, the LP is solved
-cold again.  Without the private module, ``linprog`` itself solves every
-LP cold.
+run keeps a dict of the final bases (`trajectory_metric`'s ``bases``).  A
+cluster that holds exactly one of the LP clusters of k-1 whole, with the
+same first step, then starts its dual simplex from that cluster's basis,
+mapped onto its own layout by track label: the same tracks, the same
+tracks in another order, or more tracks that joined them.  The old
+tracks' part of the new step starts as their part of the step before
+ended, and the solve needs a few pivots instead of a solve from scratch.
+Where the optimum it reaches may tie with one of another split, the LP is
+solved cold again.  Without the private module, ``linprog`` itself solves
+every LP cold.
 """
 
 from __future__ import annotations
@@ -299,30 +302,78 @@ else:
     linprog = _scipy_solve
 
 
-def _warm_start(entry, n: int, m: int, T: int):
-    """The basis of a cluster's LP at T steps from its basic variables at
-    T-1 steps, or None if ``entry`` does not fit.
+def _warm_start(prev: dict, est: tuple, truth: tuple, t0: int, T: int, cost: np.ndarray):
+    """The basis to start the LP of the cluster with labels ``est`` and
+    ``truth``, first step t0, T steps and costs ``cost`` from, or None for a
+    cold solve.
 
-    The old W and switch columns and the old rows keep their statuses at
-    their new indices; the new layer's columns start nonbasic at zero and
-    its rows basic.  Nonbasic rows sit at their upper side: the switch rows
-    have no other, and either side is the value of an equality row.
+    The start is the final basis of the one cluster in ``prev`` whose labels
+    all lie in this one, if it has the same t0 and T-1 steps.  Its W pairs,
+    dummies and switch columns, its switch rows and its equality rows keep
+    their statuses at the indices of the same labels in this layout.  Where
+    its last step holds one basic variable per equality row, the old tracks'
+    part of the new step repeats that step: a pair matched at T-2 starts
+    matched at T-1.  Every other column starts nonbasic at zero and every
+    other row basic (the columns and rows of tracks that joined, the pairs
+    of a joined track with an old one, and otherwise the new step), except
+    that a track starts on its dummy at the steps where it is not alive,
+    where the dummy costs nothing.  Nonbasic rows sit at their upper side:
+    the switch rows have no other, and either side is the value of an
+    equality row.  The start need not be feasible or nonsingular; HiGHS
+    repairs it.  Nothing is mapped where a label repeats, here or in the
+    predecessor, or where two clusters of k-1 lie in this one.
     """
-    T_prev, basic = entry
+    est_at = {label: i for i, label in enumerate(est)}
+    truth_at = {label: j for j, label in enumerate(truth)}
+    inside = [
+        key
+        for key in prev
+        if est_at.keys() >= set(key[0]) and truth_at.keys() >= set(key[1])
+    ]
+    if len(inside) != 1:
+        return None
+    (old_est, old_truth, old_t0), (T_prev, basic) = inside[0], prev[inside[0]]
+    labels = (est, truth, old_est, old_truth)
+    if any(len(set(ls)) < len(ls) for ls in labels) or old_t0 != t0 or T_prev != T - 1:
+        return None
+    pe = np.array([est_at[label] for label in old_est])
+    pt = np.array([truth_at[label] for label in old_truth])
+    n, m = len(est), len(truth)
     S, nm = n * m + n + m, n * m
     n_ub = 2 * (T - 1) * nm
-    n_col, n_row = T * S + (T - 1) * nm, n_ub + T * (n + m)
-    if T_prev != T - 1 or len(basic) != n_row - 2 * nm - (n + m):
-        return None
-    cols, rows = basic[basic >= 0], -1 - basic[basic < 0]
-    cols = np.where(cols < (T - 1) * S, cols, cols + S)
-    rows = np.where(rows < n_ub - 2 * nm, rows, rows + 2 * nm)
-    col_status = np.full(n_col, _highs.HighsBasisStatus.kLower, dtype=object)
-    col_status[cols] = _highs.HighsBasisStatus.kBasic
-    row_status = np.full(n_row, _highs.HighsBasisStatus.kUpper, dtype=object)
-    row_status[rows] = _highs.HighsBasisStatus.kBasic
-    row_status[n_ub - 2 * nm : n_ub] = _highs.HighsBasisStatus.kBasic
-    row_status[n_row - (n + m) :] = _highs.HighsBasisStatus.kBasic
+    # an old step's columns and equality rows at their new places in a step
+    pair = (pe[:, None] * m + pt).ravel()
+    step_cols = np.concatenate([pair, nm + pe, nm + n + pt])
+    step_rows = n_ub + np.concatenate([pe, n + pt])
+    old_steps = np.arange(T - 1)[:, None]
+    switch = (np.arange(T - 2)[:, None] * nm + pair).ravel()
+    col_of = np.concatenate([(old_steps * S + step_cols).ravel(), T * S + switch])
+    row_of = np.concatenate([
+        np.column_stack([2 * switch, 2 * switch + 1]).ravel(),
+        (old_steps * (n + m) + step_rows).ravel(),
+    ])  # fmt: skip
+    status = _highs.HighsBasisStatus
+    col_status = np.full(T * S + (T - 1) * nm, status.kLower, dtype=object)
+    col_status[col_of[basic[basic >= 0]]] = status.kBasic
+    row_status = np.full(n_ub + T * (n + m), status.kBasic, dtype=object)
+    row_status[row_of] = status.kUpper
+    row_status[row_of[-1 - basic[basic < 0]]] = status.kBasic
+    placed = np.zeros(len(row_status), dtype=bool)
+    placed[row_of] = True
+    # the old tracks' part of the new step repeats their part of step T-2
+    last_cols = col_status[(T - 2) * S + step_cols]
+    last_rows = row_status[(T - 2) * (n + m) + step_rows]
+    if (last_cols == status.kBasic).sum() + (last_rows == status.kBasic).sum() == len(step_rows):
+        col_status[(T - 1) * S + step_cols] = last_cols
+        row_status[(T - 1) * (n + m) + step_rows] = last_rows
+        placed[(T - 1) * (n + m) + step_rows] = True
+    # a track sits on its dummy, at zero cost, at the steps it is not alive
+    steps = np.arange(T)[:, None]
+    dummies = (steps * S + nm + np.arange(n + m)).ravel()
+    rows = (n_ub + steps * (n + m) + np.arange(n + m)).ravel()
+    idle = (cost[dummies] == 0.0) & ~placed[rows]
+    col_status[dummies[idle]] = status.kBasic
+    row_status[rows[idle]] = status.kUpper
     return col_status.tolist(), row_status.tolist()
 
 
@@ -361,7 +412,7 @@ def _cluster_objective(
     """Optimal (localisation, missed, false, switch) p-power cost of a cluster.
 
     ``prev`` maps the clusters solved at k-1 to their final LP bases; the LP
-    of a cluster with the same members and first step starts from its entry.
+    starts from one of them where `_warm_start` maps it onto this cluster.
     ``solved`` collects the entries of this step.
     """
     n, m = len(est), len(truth)
@@ -374,8 +425,7 @@ def _cluster_objective(
         x[: T * 3 : 3] = 1.0
     else:
         key = (tuple(tr.label for tr in est), tuple(tr.label for tr in truth), t0)
-        entry = None if prev is None else prev.get(key)
-        start = None if entry is None else _warm_start(entry, n, m, T)
+        start = None if not prev else _warm_start(prev, *key, T, cost)
         model = _model(n, m, T)
         x, basis = linprog(cost, model, start)
         if start is not None and _split_may_tie(x, cost, tag, n, m, T, params):
@@ -398,9 +448,9 @@ def trajectory_metric(
     Tracks are truncated to steps 1..k; genealogy plays no role here (the
     caller already flattened branches to tracks).  ``bases`` is a dict the
     caller keeps across the steps of one run, empty at first: afterwards it
-    holds the final LP basis of every cluster solved at this step, and the
-    next step's LPs of the same clusters start from them.  The breakdown is
-    the one without it (module docstring).
+    holds the final LP basis of every cluster solved at this step, and a
+    cluster of the next step that holds one of them whole starts from it.
+    The breakdown is the one without it (module docstring).
     """
     if k is None:
         ends = [t.end for t in est + truth]

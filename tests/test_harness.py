@@ -231,6 +231,18 @@ def test_cli_error_paths(tmp_path, capsys):
         assert f"tree {text.count(chr(10) * 2)}" in payload["message"]
 
 
+@pytest.mark.parametrize("option", ["--lscan", "--filters"])
+@pytest.mark.parametrize("value", [",", " , "])
+def test_cli_rejects_an_empty_list_naming_its_option(tmp_path, capsys, option, value):
+    out = tmp_path / "o"
+    code = main([option, value, "--runs", "1", "--out", str(out)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith(f"{option}: "), payload["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "scenario, field",
     [

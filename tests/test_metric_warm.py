@@ -1,8 +1,12 @@
 """The metric's direct HiGHS solve, its warm start across steps and its
 fallback to ``scipy.optimize.linprog``."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 import trpmbm.metric as metric
@@ -41,16 +45,24 @@ def _crossing_pair(rng, k):
     return est, truth
 
 
+def _bits(breakdown) -> bytes:
+    return struct.pack("<5d", *breakdown.as_tuple())
+
+
 @needs_highs
-def test_pinned_run_scores_bitwise_the_same_with_bases(monkeypatch):
+@pytest.mark.parametrize("kind,lscan", golden.SPECS, ids=[f"{k}-L{l}" for k, l in golden.SPECS])
+def test_pinned_run_scores_bitwise_the_same_with_bases(monkeypatch, kind, lscan):
+    # tpmbm-L5 holds a tie at step 99 that `metric._split_may_tie` must catch
     _, truth, _ = golden.pinned_stream()
-    estimates, _ = golden.run_pinned("trpmbm", 5)
+    estimates, _ = golden.run_pinned(kind, lscan)
     starts = _recording(monkeypatch)
     warm = golden.score(estimates, truth, {})
     n_warm = sum(s is not None for s in starts)
     assert n_warm > 0.8 * len(starts)
     cold = golden.score(estimates, truth)
-    assert [b.as_tuple() for b in warm] == [b.as_tuple() for b in cold]
+    assert len(warm) == len(cold) == golden.N_STEPS
+    for k, (w, c) in enumerate(zip(warm, cold), start=1):
+        assert _bits(w) == _bits(c), f"step {k}"
 
 
 @needs_highs
@@ -79,11 +91,14 @@ def test_membership_change_or_skipped_step_is_solved_cold(monkeypatch):
     assert score(7, est) == [None]
     (start,) = score(8, est)
     assert start is not None
-    # a third estimate joins the cluster
+    # a third estimate joins the cluster: its step-8 basis, mapped by label
     extra = Track(("e", 2), 3, truth[0].positions[2:] + 0.3)
-    assert score(9, est + [extra]) == [None]
+    (start,) = score(9, est + [extra])
+    assert start is not None
     (start,) = score(10, est + [extra])
     assert start is not None
+    # the third estimate leaves again: the step-10 cluster does not fit
+    assert score(11, est) == [None]
 
 
 @needs_highs
@@ -148,3 +163,153 @@ def test_split_may_tie_flags_capped_pairs_next_to_a_match():
     assert metric._split_may_tie(apart, cost, tag, n, m, T, TrajMetricParams(gamma=0.0))
     cost[S] = 99.0  # no pair at the cutoff
     assert not metric._split_may_tie(matched, cost, tag, n, m, T, params)
+
+
+def _names(est, truth, T):
+    """Column and row names of a cluster LP with these labels and T steps,
+    in the layout `metric._model` and `metric._cluster_costs` use."""
+    cols, rows = [], []
+    for t in range(T):
+        cols += [("W", t, e, r) for e in est for r in truth]
+        cols += [("est dummy", t, e) for e in est] + [("truth dummy", t, r) for r in truth]
+    for t in range(T - 1):
+        cols += [("switch", t, e, r) for e in est for r in truth]
+        rows += [(side, t, e, r) for e in est for r in truth for side in ("up", "down")]
+    for t in range(T):
+        rows += [("est row", t, e) for e in est] + [("truth row", t, r) for r in truth]
+    return cols, rows
+
+
+@needs_highs
+def test_mapped_start_keeps_each_status_by_label():
+    rng = np.random.default_rng(4)
+    params = TrajMetricParams()
+    T = 7
+    est, truth = _crossing_pair(rng, T)
+    bases = {}
+    for k in range(1, T):
+        trajectory_metric(est, truth, params, k, bases)
+    ((key, (T_prev, basic)),) = bases.items()
+    old_cols, old_rows = _names(*key[:2], T_prev)
+    was_basic = {old_cols[j] if j >= 0 else old_rows[-1 - j] for j in basic.tolist()}
+    last_step = [name for name in old_cols + old_rows if name[1] == T - 2 and name[0] != "switch"]
+    # step T-2 holds one basic variable per equality row: the new step repeats it
+    assert sum(name in was_basic for name in last_step) == sum("row" in name[0] for name in last_step)
+
+    # a joined estimate alive from step 3 on and a joined truth, orders reversed
+    est = [_walk(rng, ("e", 2), 3, T - 2)] + est[::-1]
+    truth = [_walk(rng, ("t", 2), 1, T)] + truth[::-1]
+    labels = tuple(tr.label for tr in est), tuple(tr.label for tr in truth)
+    cost, _ = metric._cluster_costs(est, truth, params, 1, T)
+    col_status, row_status = metric._warm_start(bases, *labels, 1, T, cost)
+    cols, rows = _names(*labels, T)
+    assert len(col_status) == len(cols) == len(cost) and len(row_status) == len(rows)
+    alive = {(side, tr.label): range(tr.start - 1, tr.end)
+             for side, tracks in (("est", est), ("truth", truth)) for tr in tracks}
+
+    def expected(name, old, on, off, fresh, idle):
+        """Status of ``name`` by the rules of `_warm_start`, read by label:
+        ``on`` / ``off`` as it ended basic or not at k-1, ``fresh`` for
+        everything new, ``idle`` for the dummy or row of a track not alive."""
+        repeated = (name[0], T - 2, *name[2:])
+        if name in old:
+            return on if name in was_basic else off
+        if name[1] == T - 1 and name[0] != "switch" and repeated in old:
+            return on if repeated in was_basic else off
+        side, kind = name[0].split()[0], name[0].split()[-1]
+        if kind in ("dummy", "row") and name[1] not in alive[side, name[2]]:
+            return idle
+        return fresh
+
+    status = metric._highs.HighsBasisStatus
+    on, lower, upper = status.kBasic, status.kLower, status.kUpper
+    old_cols, old_rows = set(old_cols), set(old_rows)
+    for name, got in zip(cols, col_status):
+        assert got == expected(name, old_cols, on, lower, lower, on), name
+    for name, got in zip(rows, row_status):
+        assert got == expected(name, old_rows, on, upper, on, upper), name
+    assert sum(s == status.kBasic for s in col_status + row_status) == len(rows)
+
+
+@needs_highs
+def test_clusters_without_one_fitting_predecessor_start_cold():
+    rng = np.random.default_rng(4)
+    params = TrajMetricParams()
+    est, truth = _crossing_pair(rng, 4)
+    bases = {}
+    for k in range(1, 4):
+        trajectory_metric(est, truth, params, k, bases)
+    labels = ((("e", 0), ("e", 1)), (("t", 0), ("t", 1)))
+    cost, _ = metric._cluster_costs(est, truth, params, 1, 4)
+    assert metric._warm_start(bases, *labels, 1, 4, cost) is not None
+    assert metric._warm_start(bases, *labels, 1, 5, cost) is None  # a skipped step
+    assert metric._warm_start(bases, *labels, 0, 5, cost) is None  # t0 moved
+    # t0 one later and a step skipped: T-1 steps again, but shifted by one
+    assert metric._warm_start(bases, *labels, 2, 4, cost) is None
+    assert metric._warm_start(bases, labels[0][:1], labels[1], 1, 4, cost) is None  # one left
+    repeated = (labels[0] + labels[0][:1], labels[1])
+    assert metric._warm_start(bases, *repeated, 1, 4, cost) is None
+    # two clusters of k-1 inside this one
+    ((key, entry),) = bases.items()
+    other = ((("e", 5),), (("t", 5),), 1)
+    two = {key: entry, other: entry}
+    merged = (labels[0] + other[0], labels[1] + other[1])
+    assert metric._warm_start(two, *merged, 1, 4, cost) is None
+    assert metric._warm_start(two, *labels, 1, 4, cost) is not None
+
+
+EVENTS = ("keep", "join later", "join earlier", "leave", "reorder", "repeat", "skip")
+
+
+@needs_highs
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([0.0, 1.0]),
+    n_truth=st.integers(1, 3),
+    events=st.lists(st.sampled_from(EVENTS), min_size=3, max_size=12),
+)
+def test_any_cluster_history_scores_the_same_with_bases(seed, gamma, n_truth, events):
+    """Estimates join (starting at the current step or before every other
+    track, which moves t0), leave, reorder or repeat a label, steps are
+    skipped, and every estimate's past moves a little at each step, as a
+    smoother's would: with ``bases`` each breakdown is the cold one."""
+    rng = np.random.default_rng(seed)
+    params = TrajMetricParams(gamma=gamma)
+    K = len(events) + 1
+    truth = [_walk(rng, ("t", j), 2, K - 1, (2.0 * j, 0.0)) for j in range(n_truth)]
+    paths = {}  # label -> (start, positions on steps start..K)
+
+    def add(label, start):
+        """A noisy copy of a random truth, on steps 1..K repeating its first position."""
+        base = truth[int(rng.integers(n_truth))].positions
+        positions = np.vstack([base[:1], base])[start - 1 :]
+        paths[label] = (start, positions + rng.normal(0.0, 1.0, size=positions.shape))
+
+    roster = []
+    for i in range(max(1, n_truth - 1)):
+        add(("e", i), 2)
+        roster.append(("e", i))
+    bases = {}
+    for k, event in enumerate(events, start=2):
+        if event == "join later":
+            roster.append(("e", len(paths)))
+            add(roster[-1], k)
+        elif event == "join earlier":
+            roster.append(("e", len(paths)))
+            add(roster[-1], 1)
+        elif event == "leave" and len(roster) > 1:
+            roster.pop(int(rng.integers(len(roster))))
+        elif event == "reorder":
+            roster = [roster[i] for i in rng.permutation(len(roster))]
+        elif event == "repeat":
+            roster.append(roster[int(rng.integers(len(roster)))])
+        if event == "skip":
+            continue
+        est = []
+        for label in roster:
+            start, positions = paths[label]
+            moved = positions + rng.normal(0.0, 0.1, size=positions.shape)
+            est.append(Track(label, start, moved))
+        warm = trajectory_metric(est, truth, params, k, bases)
+        assert _bits(warm) == _bits(trajectory_metric(est, truth, params, k)), f"step {k}"
