@@ -29,12 +29,14 @@ Three operating modes share the recursion:
   kind='tpmbm'   'trpmbm' with the spawning modes removed.
 
 All weights live in the log domain.  Structures are immutable; every
-operation returns a new posterior and shares unchanged pieces.
+operation returns a new posterior and shares unchanged pieces (``update``,
+``truncate_window`` and ``prune`` through one tree rebuild, ``_rebuilt``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,6 +125,34 @@ class Posterior:
 
 def initial_posterior() -> Posterior:
     return Posterior(0, (), (), np.zeros(1), np.zeros((1, 0), dtype=np.int32))
+
+
+def _rebuilt(
+    trees: tuple[BernoulliTree, ...], columns: list
+) -> tuple[list[BernoulliTree], list[int]]:
+    """The trees with one new hypothesis sequence per table column, and the
+    kept columns.  A column of None drops its slot, and a tree left without
+    slots goes with it.  A slot whose hypotheses are the same objects, and a
+    tree whose slots all are, come back as themselves."""
+    out, kept = [], []
+    numbered = enumerate(columns)
+    for tree in trees:
+        slots = []
+        # zip draws the slot first, so it takes one column per slot
+        for slot, (col, hyps) in zip(tree.slots, numbered):
+            if hyps is None:
+                continue
+            if hyps is not slot.hyps and (
+                len(hyps) != len(slot.hyps) or not all(map(operator.is_, hyps, slot.hyps))
+            ):
+                slot = BranchSlot(slot.branch_id, tuple(hyps))
+            slots.append(slot)
+            kept.append(col)
+        if len(slots) == len(tree.slots) and all(map(operator.is_, slots, tree.slots)):
+            out.append(tree)
+        elif slots:
+            out.append(BernoulliTree(tree.start_time, tuple(slots)))
+    return out, kept
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +326,8 @@ def truncate_window(post: Posterior, lscan: int) -> Posterior:
     ppp = tuple(
         PPPComponent(c.log_weight, c.start_time, cut.get(id(c.comp), c.comp)) for c in post.ppp
     )
-    trees = []
-    for tree in post.trees:
-        slots = []
-        for slot in tree.slots:
-            hyps = tuple(map(hyp, slot.hyps))
-            same = all(a is b for a, b in zip(hyps, slot.hyps))
-            slots.append(slot if same else BranchSlot(slot.branch_id, hyps))
-        same = all(a is b for a, b in zip(slots, tree.slots))
-        trees.append(tree if same else BernoulliTree(tree.start_time, tuple(slots)))
+    columns = [list(map(hyp, slot.hyps)) for tree in post.trees for slot in tree.slots]
+    trees, _ = _rebuilt(post.trees, columns)
     return Posterior(post.step, ppp, tuple(trees), post.log_w, post.sel)
 
 
@@ -434,43 +457,26 @@ def update(
     # --- Bernoulli trees: missed local hypotheses ---------------------------
     # one missed hypothesis per predicted one (same index); the detected ones
     # go behind the full missed block of their slot
-    slot_hyps: dict = {}  # tree -> slot -> local hypotheses, touched slots only
+    columns = [slot.hyps for tree in post.trees for slot in tree.slots]
     keys, log_miss = [], []  # (column, hyp) and log miss factor per association row
     detectable = []  # its slot's hyps, its local hyp and beta(k)
-    col = -1
-    for ti, tree in enumerate(post.trees):
-        for ji, slot in enumerate(tree.slots):
-            col += 1
-            hyps = None  # until the slot's first detectable hypothesis
-            for bi, h in enumerate(slot.hyps):
-                beta_k = h.density.beta(k) if h.density is not None and h.r > 0.0 else 0.0
-                detectable_mass = h.r * beta_k * p_d
-                if detectable_mass <= 0.0:
-                    if hyps is not None:
-                        hyps.append(h)
-                    continue
-                if hyps is None:
-                    hyps = slot_hyps.setdefault(ti, {})[ji] = list(slot.hyps[:bi])
-                miss_factor = 1.0 - detectable_mass
-                norm = 1.0 - p_d * beta_k
-                log_w_miss = h.log_w + _log(miss_factor)
-                if norm <= 0.0:
-                    # detection was certain: the missed branch cannot exist
-                    missed = LocalHyp(log_w_miss, 0.0, None, h.assoc)
-                else:
-                    cases = {}
-                    for kappa, case in h.density.components.items():
-                        beta = case.beta / norm
-                        if kappa == k:
-                            beta = case.beta * (1.0 - p_d) / norm
-                        if beta > 0.0:
-                            cases[kappa] = EndCase(beta, case.comp)
-                    r_miss = h.r * (1.0 - beta_k * p_d) / miss_factor
-                    missed = LocalHyp(log_w_miss, r_miss, BranchDensity(cases), h.assoc)
-                hyps.append(missed)
-                keys.append((col, bi))
-                log_miss.append(max(_log(miss_factor), LOG_FLOOR))
-                detectable.append((hyps, h, beta_k))
+    for col, predicted in enumerate(columns):
+        hyps = None  # until the slot's first detectable hypothesis
+        for bi, h in enumerate(predicted):
+            beta_k = h.density.beta(k) if h.density is not None and h.r > 0.0 else 0.0
+            detectable_mass = h.r * beta_k * p_d
+            if detectable_mass <= 0.0:
+                continue
+            if hyps is None:
+                hyps = columns[col] = list(predicted)
+            miss_factor = 1.0 - detectable_mass
+            # None when detection was certain: the missed branch cannot exist
+            density = h.density.missed(k, p_d)
+            r_miss = h.r * (1.0 - beta_k * p_d) / miss_factor if density is not None else 0.0
+            hyps[bi] = LocalHyp(h.log_w + _log(miss_factor), r_miss, density, h.assoc)
+            keys.append((col, bi))
+            log_miss.append(max(_log(miss_factor), LOG_FLOOR))
+            detectable.append((hyps, h, beta_k))
 
     # --- Bernoulli trees: detected local hypotheses -------------------------
     log_ratio = np.full((len(detectable), m_k), -np.inf)
@@ -498,17 +504,10 @@ def update(
                 density = BranchDensity({k: EndCase(1.0, comp_k.with_live(mean, cov_post))})
                 hyps.append(LocalHyp(log_w, 1.0, density, h.assoc | {(k, m)}))
 
-    trees = list(post.trees)
-    for ti, touched in slot_hyps.items():
-        slots = tuple(
-            BranchSlot(slot.branch_id, tuple(touched[ji])) if ji in touched else slot
-            for ji, slot in enumerate(trees[ti].slots)
-        )
-        trees[ti] = BernoulliTree(trees[ti].start_time, slots)
-
+    trees, _ = _rebuilt(post.trees, columns)
     cols, bis = np.array(keys, dtype=np.intp).reshape(-1, 2).T
     return (
-        Posterior(k, ppp, tuple(trees) + tuple(new_trees), post.log_w, post.sel),
+        Posterior(k, ppp, tuple(trees + new_trees), post.log_w, post.sel),
         UpdateMaps(cols, bis, np.array(log_miss), log_ratio, child, new_tree_logw),
     )
 
@@ -634,18 +633,10 @@ def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
     def shrink_hyp(h: LocalHyp) -> LocalHyp:
         if 0.0 < h.r < f.gamma_bern:
             h = LocalHyp(h.log_w, 0.0, None, h.assoc)
-        if h.density is not None:
-            beta_k = h.density.beta(k)
-            if 0.0 < beta_k < f.gamma_alive:
-                rest = {
-                    kappa: EndCase(case.beta / (1.0 - beta_k), case.comp)
-                    for kappa, case in h.density.components.items()
-                    if kappa != k
-                }
-                if rest:
-                    h = LocalHyp(h.log_w, h.r, BranchDensity(rest), h.assoc)
-                else:
-                    h = LocalHyp(h.log_w, 0.0, None, h.assoc)
+        if h.density is not None and 0.0 < h.density.beta(k) < f.gamma_alive:
+            # the alive end cut: the missed-detection rule with certain detection
+            density = h.density.missed(k, 1.0)
+            h = LocalHyp(h.log_w, h.r if density is not None else 0.0, density, h.assoc)
         return h
 
     # per column: the referenced hyps in increasing order, and every entry
@@ -657,23 +648,16 @@ def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
     np.put_along_axis(sel, order, np.cumsum(first, axis=0) - 1, axis=0)
     refs = np.split(ranked.T[first.T], np.cumsum(first.sum(axis=0))[:-1])
 
-    new_trees = []
-    cols = []  # kept columns
-    col = 0
-    for tree in post.trees:
-        slots = []
-        for slot in tree.slots:
-            new_hyps = tuple(shrink_hyp(slot.hyps[bi]) for bi in refs[col].tolist())
-            if any(h.r != 0.0 for h in new_hyps):
-                slots.append(BranchSlot(slot.branch_id, new_hyps))
-                cols.append(col)
-            col += 1
-        if slots:
-            new_trees.append(BernoulliTree(tree.start_time, tuple(slots)))
+    columns = []  # the shrunk referenced hyps per column; None drops the column
+    slots = [slot for tree in post.trees for slot in tree.slots]
+    for slot, ref in zip(slots, refs):
+        hyps = [shrink_hyp(slot.hyps[bi]) for bi in ref.tolist()]
+        columns.append(hyps if any(h.r != 0.0 for h in hyps) else None)
+    trees, cols = _rebuilt(post.trees, columns)
 
     log_w, sel = _merged(post.log_w[keep], sel[:, cols])
     order = _by_weight(log_w, sel)
-    return Posterior(post.step, keep_ppp, tuple(new_trees), log_w[order], sel[order])
+    return Posterior(post.step, keep_ppp, tuple(trees), log_w[order], sel[order])
 
 
 def _best_row(post: Posterior) -> int:

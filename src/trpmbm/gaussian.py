@@ -340,6 +340,20 @@ class BranchDensity:
         # ties broken toward the latest end time
         return max(self.components, key=lambda k: (self.components[k].beta, k))
 
+    def missed(self, k: int, q: float) -> BranchDensity | None:
+        """The mixture given no detection at k, which the branch yields with
+        probability q if it is alive at k: beta(k) scaled by 1 - q, every end
+        divided by 1 - q beta(k), zero ends dropped; None if none is left."""
+        norm = 1.0 - q * self.beta(k)
+        if norm <= 0.0:
+            return None
+        cases = {}
+        for kappa, case in self.components.items():
+            beta = case.beta * (1.0 - q) / norm if kappa == k else case.beta / norm
+            if beta > 0.0:
+                cases[kappa] = EndCase(beta, case.comp)
+        return BranchDensity(cases) if cases else None
+
 
 @dataclass(frozen=True)
 class PPPComponent:

@@ -65,9 +65,10 @@ def run_filter_on(
     spec: FilterSpec,
     meas_seq: list[np.ndarray],
     truth_tracks: list[Track],
-    metric_params: TrajMetricParams,
 ) -> tuple[list[MetricBreakdown], float, dict]:
-    """Run one filter over a measurement sequence, scoring every step."""
+    """Run one filter over a measurement sequence, scoring every step with
+    the default metric parameters."""
+    params = TrajMetricParams()
     cfg_f = replace(cfg, filters=replace(cfg.filters, lscan=spec.lscan))
     post = initial_posterior()
     breakdowns = []
@@ -82,7 +83,7 @@ def run_filter_on(
         if not np.isfinite(post.log_w).all():
             raise RuntimeError(f"{spec.label}: non-finite hypothesis weight at step {k}")
         breakdowns.append(
-            trajectory_metric(branches_as_tracks(est), truth_tracks, metric_params, k, bases)
+            trajectory_metric(branches_as_tracks(est), truth_tracks, params, k, bases)
         )
         n_hyp.append(len(post.log_w))
         n_local.append(sum(len(s.hyps) for t in post.trees for s in t.slots))
@@ -98,17 +99,15 @@ def run_filter_on(
 
 
 def _run_index(
-    args: tuple[ScenarioConfig, tuple[FilterSpec, ...], list[TreeTrajectory], int, int, TrajMetricParams]
+    args: tuple[ScenarioConfig, tuple[FilterSpec, ...], list[TreeTrajectory], int, int]
 ) -> list[RunReport]:
-    cfg, specs, truth, seed, run, metric_params = args
+    cfg, specs, truth, seed, run = args
     meas_seq = sample_measurement_sequence(truth, cfg, seed, run=run)
     meas_hash = _hash_measurements(meas_seq)
     truth_tracks = branches_as_tracks(truth)
     reports = []
     for spec in specs:
-        breakdowns, seconds, stats = run_filter_on(
-            cfg, spec, meas_seq, truth_tracks, metric_params
-        )
+        breakdowns, seconds, stats = run_filter_on(cfg, spec, meas_seq, truth_tracks)
         reports.append(
             RunReport(
                 label=spec.label,
@@ -132,7 +131,6 @@ def run_experiment(
     seed: int,
     truth: list[TreeTrajectory] | None = None,
     jobs: int = 1,
-    metric_params: TrajMetricParams = TrajMetricParams(),
 ) -> list[RunReport]:
     """Fixed truth, per-run measurement noise, every filter on identical data."""
     if not specs:
@@ -152,9 +150,7 @@ def run_experiment(
         raise ValueError(f"filter {', '.join(repeated)} requested more than once")
     if truth is None:
         truth = sample_ground_truth(cfg, seed)
-    work = [
-        (cfg, tuple(specs), truth, seed, run, metric_params) for run in range(n_runs)
-    ]
+    work = [(cfg, tuple(specs), truth, seed, run) for run in range(n_runs)]
     if jobs > 1 and n_runs > 1:
         # a fork pool starts all of its workers up front
         with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
@@ -242,20 +238,13 @@ def emit_outputs(reports: list[RunReport], out_dir: str | Path) -> list[Path]:
     written.append(path)
 
     header = "# step " + " ".join(labels)
-    rows = [header] + [
-        f"{k + 1} " + " ".join(_fmt(curves[lb]["total"][k]) for lb in labels)
-        for k in range(n_steps)
-    ]
-    path = out / "rms_vs_time.dat"
-    path.write_text("\n".join(rows) + "\n")
-    written.append(path)
-
-    for comp in ("localisation", "missed", "false", "switch"):
+    names = {"total": "rms_vs_time"} | {c: f"decomposition_{c}" for c in _COMPONENTS[1:]}
+    for comp, name in names.items():
         rows = [header] + [
             f"{k + 1} " + " ".join(_fmt(curves[lb][comp][k]) for lb in labels)
             for k in range(n_steps)
         ]
-        path = out / f"decomposition_{comp}.dat"
+        path = out / f"{name}.dat"
         path.write_text("\n".join(rows) + "\n")
         written.append(path)
     return written

@@ -295,8 +295,12 @@ def _scipy_solve(cost, model, start=None):
     return res.x, None
 
 
+_LOWER, _BASIC, _UPPER = range(3)  # `_warm_start`'s codes of the HiGHS basis statuses
+
 if _highs is not None:
     _HIGHS_OPTIONS = _highs_options()
+    _status = _highs.HighsBasisStatus
+    _STATUSES = np.array([_status.kLower, _status.kBasic, _status.kUpper], dtype=object)
     linprog = _highs_solve
 else:
     linprog = _scipy_solve
@@ -352,18 +356,17 @@ def _warm_start(prev: dict, est: tuple, truth: tuple, t0: int, T: int, cost: np.
         np.column_stack([2 * switch, 2 * switch + 1]).ravel(),
         (old_steps * (n + m) + step_rows).ravel(),
     ])  # fmt: skip
-    status = _highs.HighsBasisStatus
-    col_status = np.full(T * S + (T - 1) * nm, status.kLower, dtype=object)
-    col_status[col_of[basic[basic >= 0]]] = status.kBasic
-    row_status = np.full(n_ub + T * (n + m), status.kBasic, dtype=object)
-    row_status[row_of] = status.kUpper
-    row_status[row_of[-1 - basic[basic < 0]]] = status.kBasic
+    col_status = np.full(T * S + (T - 1) * nm, _LOWER, dtype=np.int8)
+    col_status[col_of[basic[basic >= 0]]] = _BASIC
+    row_status = np.full(n_ub + T * (n + m), _BASIC, dtype=np.int8)
+    row_status[row_of] = _UPPER
+    row_status[row_of[-1 - basic[basic < 0]]] = _BASIC
     placed = np.zeros(len(row_status), dtype=bool)
     placed[row_of] = True
     # the old tracks' part of the new step repeats their part of step T-2
     last_cols = col_status[(T - 2) * S + step_cols]
     last_rows = row_status[(T - 2) * (n + m) + step_rows]
-    if (last_cols == status.kBasic).sum() + (last_rows == status.kBasic).sum() == len(step_rows):
+    if (last_cols == _BASIC).sum() + (last_rows == _BASIC).sum() == len(step_rows):
         col_status[(T - 1) * S + step_cols] = last_cols
         row_status[(T - 1) * (n + m) + step_rows] = last_rows
         placed[(T - 1) * (n + m) + step_rows] = True
@@ -372,9 +375,9 @@ def _warm_start(prev: dict, est: tuple, truth: tuple, t0: int, T: int, cost: np.
     dummies = (steps * S + nm + np.arange(n + m)).ravel()
     rows = (n_ub + steps * (n + m) + np.arange(n + m)).ravel()
     idle = (cost[dummies] == 0.0) & ~placed[rows]
-    col_status[dummies[idle]] = status.kBasic
-    row_status[rows[idle]] = status.kUpper
-    return col_status.tolist(), row_status.tolist()
+    col_status[dummies[idle]] = _BASIC
+    row_status[rows[idle]] = _UPPER
+    return _STATUSES[col_status].tolist(), _STATUSES[row_status].tolist()
 
 
 def _split_may_tie(x, cost, tag, n: int, m: int, T: int, params: TrajMetricParams) -> bool:

@@ -868,3 +868,39 @@ def new_trees_by_measurement(ppp, Z, cfg, k):
         else:
             out.append((0.0, None, None, log_w2))
     return out
+
+
+# ---------------------------------------------------------------------------
+# End-time rules in the forms update's missed detection and prune's
+# alive-end cut first had: the references for `BranchDensity.missed`
+# ---------------------------------------------------------------------------
+
+
+def missed_by_update(density, k, p_d):
+    """The end-time mixture of a missed local hypothesis: beta(k) scaled by
+    1 - p_D, the mixture renormalised and zero ends dropped; None when
+    detection was certain."""
+    beta_k = density.beta(k)
+    norm = 1.0 - p_d * beta_k
+    if norm <= 0.0:
+        return None
+    cases = {}
+    for kappa, case in density.components.items():
+        beta = case.beta / norm
+        if kappa == k:
+            beta = case.beta * (1.0 - p_d) / norm
+        if beta > 0.0:
+            cases[kappa] = EndCase(beta, case.comp)
+    return BranchDensity(cases)
+
+
+def alive_cut_by_prune(density, k):
+    """The mixture without its end at k, renormalised; None when no other
+    end is left."""
+    beta_k = density.beta(k)
+    rest = {
+        kappa: EndCase(case.beta / (1.0 - beta_k), case.comp)
+        for kappa, case in density.components.items()
+        if kappa != k
+    }
+    return BranchDensity(rest) if rest else None

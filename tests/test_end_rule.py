@@ -1,0 +1,55 @@
+"""`BranchDensity.missed` is the one end-time rule of `update`'s missed
+detections (q = p_D) and `prune`'s alive-end cut (q = 1); the references in
+`oracles.py` keep each stage's own form of it, and every end must match bit
+for bit.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trpmbm.gaussian import BranchDensity, EndCase, GaussianBranchComponent
+from oracles import alive_cut_by_prune, missed_by_update
+
+K = 9  # the step whose end the rules condition on
+COMP = GaussianBranchComponent((1,), np.zeros(4), np.eye(4), 4)
+
+
+def _density(weights, ends_at_k):
+    """Ends at the last len(weights) steps up to k, or up to k - 1."""
+    last = K if ends_at_k else K - 1
+    total = sum(weights)
+    kappas = range(last - len(weights) + 1, last + 1)
+    return BranchDensity({kappa: EndCase(w / total, COMP) for kappa, w in zip(kappas, weights)})
+
+
+def _bits(density):
+    if density is None:
+        return None
+    return [(kappa, case.beta.hex(), case.comp) for kappa, case in density.components.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=1, max_size=6),
+    ends_at_k=st.booleans(),
+    q=st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.just(1.0),
+    ),
+)
+def test_missed_matches_update_and_prune_rules(weights, ends_at_k, q):
+    density = _density(weights, ends_at_k)
+    got = _bits(density.missed(K, q))
+    assert got == _bits(missed_by_update(density, K, q))
+    # prune cuts only ends at k below 1, or a sure end at k with no other
+    if q == 1.0 and (density.beta(K) < 1.0 or len(weights) == 1):
+        assert got == _bits(alive_cut_by_prune(density, K))
+
+
+def test_certain_detection_of_a_sure_end_leaves_nothing():
+    density = BranchDensity({K: EndCase(1.0, COMP)})
+    assert density.missed(K, 1.0) is None
+    assert missed_by_update(density, K, 1.0) is None
+    assert alive_cut_by_prune(density, K) is None

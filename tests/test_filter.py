@@ -384,6 +384,30 @@ def test_prune_remaps_two_slot_tree_and_merges_equal_selections():
     assert check_posterior(out) == []
 
 
+def test_prune_hands_back_settled_trees_and_rebuilds_shrunk_slots():
+    # both trees ended at step 1, so the alive-end cut at step 2 leaves them
+    # alone; every hypothesis of the first tree is referenced by some row,
+    # but the second tree's hypothesis 1 by none
+    density = BranchDensity({1: EndCase(1.0, _component([1.0, 0, 1, 0]))})
+    hyps = (LocalHyp(0.0, 0.9, density, frozenset()), LocalHyp(-1.0, 0.8, density, frozenset()))
+    settled = BernoulliTree(1, (BranchSlot((1,), hyps),))
+    shrinking = BernoulliTree(1, (BranchSlot((1,), hyps),))
+    post = posterior(
+        2,
+        (),
+        (settled, shrinking),
+        (math.log(0.6), ((0,), (0,))),
+        (math.log(0.4), ((1,), (0,))),
+    )
+    out = prune(post, CFG)
+    assert out.trees[0] is settled
+    assert out.trees[1] is not shrinking
+    assert out.trees[1].slots[0] is not shrinking.slots[0]
+    assert out.trees[1].slots[0].hyps[0] is hyps[0]
+    assert len(out.trees[1].slots[0].hyps) == 1
+    assert check_posterior(out) == []
+
+
 def test_estimate_threshold_and_end_time():
     low = _one_branch_tree(0.39, {1: EndCase(1.0, _component([1.0, 0, 2, 0]))})
     beta_mix = {
