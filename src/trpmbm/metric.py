@@ -17,6 +17,25 @@ when both are alive, equal costs otherwise), is strictly cheaper at the
 step with d < c that formed the cluster, and any departure from it pays
 switches, so the unique optimum matches the pair at every step.
 
+The same argument, one level down, drops pairs inside a cluster.  Take a
+pair that is never within c at a step where both tracks are alive.  At
+every step, matching it costs what its two dummies cost: c^p against
+c^p/2 + c^p/2 when both are alive, c^p/2 against c^p/2 + 0 when one is,
+0 against 0 when neither is.  Moving its mass onto the dummies keeps every
+row and column sum, leaves the other pairs' switch terms alone and zeroes
+its own, so some optimum leaves the pair at zero throughout.  A cluster's
+LP therefore has columns only for its kept pairs, those within c at some
+step (the `_close` mask that formed the clusters): their W at every step,
+their switch variables and the switch rows on them.  The dummies and the
+equality rows stay whole.  The optimum is the one over every pair.  Its
+split can differ only where that optimum is not unique: where the LP over
+every pair matched a dropped pair, which the kept-pairs LP books as
+missed + false at c^p/2 each instead of localisation at c^p, or where a
+kept pair at distance >= c ties with its dummies and the two LPs' pivoting
+paths break the tie differently.  The parts are summed over the layout of
+every pair, with zeros at the dropped columns, so elsewhere they keep the
+bits of that sum.
+
 The other clusters are solved by HiGHS, called directly through the module
 scipy ships (``scipy.optimize._highspy``) with the model and options that
 ``scipy.optimize.linprog(method="highs")`` would pass, so a cold solve
@@ -25,9 +44,11 @@ run keeps a dict of the final bases (`trajectory_metric`'s ``bases``).  A
 cluster that holds exactly one of the LP clusters of k-1 whole, with the
 same first step, then starts its dual simplex from that cluster's basis,
 mapped onto its own layout by track label: the same tracks, the same
-tracks in another order, or more tracks that joined them.  The old
-tracks' part of the new step starts as their part of the step before
-ended, and the solve needs a few pivots instead of a solve from scratch.
+tracks in another order, or more tracks that joined them.  A pair column
+goes by its (estimate, truth) labels: a pair kept for the first time
+starts nonbasic, and one no longer kept drops out.  The old tracks' part
+of the new step starts as their part of the step before ended, and the
+solve needs a few pivots instead of a solve from scratch.
 Where the optimum it reaches may tie with one of another split, the LP is
 solved cold again.  Without the private module, ``linprog`` itself solves
 every LP cold.
@@ -134,8 +155,15 @@ def _alive(tracks: list[Track], t0: int, T: int) -> np.ndarray:
     return (starts <= steps) & (steps <= ends)
 
 
-def _clusters(est: list[Track], truth: list[Track], c: float, k: int):
-    """Connected components of the est-truth interaction graph on steps 1..k."""
+def _close(est: list[Track], truth: list[Track], c: float, k: int) -> np.ndarray:
+    """(n, m) mask of the est-truth pairs that interact: both alive and
+    closer than c at some step 1..k."""
+    return (_distances(est, truth, 1, k) < c).any(axis=0)
+
+
+def _clusters(est: list[Track], truth: list[Track], c: float, k: int, close=None):
+    """Connected components of the est-truth interaction graph on steps 1..k;
+    ``close`` is its `_close` mask, if the caller has it."""
     n, m = len(est), len(truth)
     parent = list(range(n + m))
 
@@ -145,8 +173,8 @@ def _clusters(est: list[Track], truth: list[Track], c: float, k: int):
             a = parent[a]
         return a
 
-    # a pair interacts when both are alive and closer than c at some step
-    close = (_distances(est, truth, 1, k) < c).any(axis=0)
+    if close is None:
+        close = _close(est, truth, c, k)
     for i, j in zip(*(idx.tolist() for idx in np.nonzero(close))):
         ri, rj = find(i), find(n + j)
         if ri != rj:
@@ -159,27 +187,41 @@ def _clusters(est: list[Track], truth: list[Track], c: float, k: int):
     return list(groups.values())
 
 
-# LP variable layout of a cluster with n estimates, m truths and T steps:
-# step t holds W[i, j] at t*S + i*m + j, the est dummies W[i, m] at
-# t*S + n*m + i and the truth dummies W[n, j] at t*S + n*m + n + j, with
-# S = n*m + n + m; the switch variable of pair (i, j) between steps t and
-# t+1 follows at T*S + t*n*m + i*m + j.
+# Variable layout of a cluster with n estimates, m truths and T steps, over
+# all n*m pairs: step t holds W[i, j] at t*S + i*m + j, the est dummies
+# W[i, m] at t*S + n*m + i and the truth dummies W[n, j] at
+# t*S + n*m + n + j, with S = n*m + n + m; the switch variable of pair
+# (i, j) between steps t and t+1 follows at T*S + t*n*m + i*m + j.  Costs,
+# tags and the parts are kept in this layout.  The LP itself has columns
+# for its kept pairs only, the flat indices i*m + j in ``pairs``
+# (ascending): step t holds them at t*S' + q for the q-th kept pair, then
+# the dummies, with S' = len(pairs) + n + m, and the switch variables
+# follow at T*S' + t*len(pairs) + q (`_columns`).
 
 
 def _cluster_costs(
-    est: list[Track], truth: list[Track], params: TrajMetricParams, t0: int, T: int
+    est: list[Track],
+    truth: list[Track],
+    params: TrajMetricParams,
+    t0: int,
+    T: int,
+    close: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """LP cost vector and component tags (0 loc, 1 missed, 2 false, 3 switch)."""
+    """LP cost vector and component tags (0 loc, 1 missed, 2 false, 3 switch)
+    over all pairs.  A pair outside the (n, m) mask ``close`` is never
+    within c, so it costs c^p wherever both are alive."""
     p, c = params.p, params.c
     half = c**p / 2.0
     n, m = len(est), len(truth)
     ae = _alive(est, t0, T)[:, :, None]
     at = _alive(truth, t0, T)[:, None, :]
     both = ae & at
+    near = both if close is None else both & close
     pair_cost = np.where(ae | at, half, 0.0)
+    pair_cost[both] = math.pow(c, p)
     # math.pow per entry: numpy's vectorised power may round differently
-    pair_cost[both] = np.fromiter(
-        map(math.pow, np.minimum(_distances(est, truth, t0, T)[both], c).tolist(), repeat(p)),
+    pair_cost[near] = np.fromiter(
+        map(math.pow, np.minimum(_distances(est, truth, t0, T)[near], c).tolist(), repeat(p)),
         float,
     )
     pair_tag = np.where(at & ~ae, 1, np.where(ae & ~at, 2, 0))
@@ -197,29 +239,51 @@ def _cluster_costs(
     return cost, tag
 
 
-def _model(n: int, m: int, T: int) -> tuple[np.ndarray, ...]:
-    """The cluster LP as HiGHS takes it: ``[A_ub; A_eq]`` in CSC arrays
-    (indptr, row indices, values) and the row bounds (lhs, rhs).
+def _columns(n: int, m: int, T: int, pairs: np.ndarray) -> np.ndarray:
+    """Index in the all-pairs layout of each column of the LP that keeps
+    ``pairs``."""
+    nm = n * m
+    S = nm + n + m
+    step = np.concatenate([pairs, nm + np.arange(n + m)])
+    steps = np.arange(T)[:, None]
+    return np.concatenate([(steps * S + step).ravel(), (T * S + steps[:-1] * nm + pairs).ravel()])
+
+
+def _model(n: int, m: int, T: int, pairs: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The LP of a cluster that keeps ``pairs`` (default all n*m) as HiGHS
+    takes it: ``[A_ub; A_eq]`` in CSC arrays (indptr, row indices, values)
+    and the row bounds (lhs, rhs).
 
     The inequalities come first, two per switch variable (none at a single
-    step): e >= |W_{t+1} - W_t| on real pairs.  Then the equalities: every
-    est row (pairs, then its dummy) and every truth column (pairs, then its
-    dummy) sums to one at every step.  Each row lists its columns ascending.
+    step): e >= |W_{t+1} - W_t| on kept pairs.  Then the equalities: every
+    est row (kept pairs, then its dummy) and every truth column (kept pairs,
+    then its dummy) sums to one at every step.  Each row lists its columns
+    ascending.
     """
-    S = n * m + n + m
-    q = np.arange((T - 1) * n * m)
-    w0 = (q // (n * m)) * S + q % (n * m)
+    if pairs is None:
+        pairs = np.arange(n * m)
+    P = len(pairs)
+    S = P + n + m
+    q = np.arange((T - 1) * P)
+    w0 = (q // P) * S + q % P
     e = T * S + q
-    pair = np.arange(n * m).reshape(n, m)
-    est_rows = np.hstack([pair, n * m + np.arange(n)[:, None]])
-    truth_cols = np.hstack([pair.T, n * m + n + np.arange(m)[:, None]])
-    step_cols = np.concatenate([est_rows.ravel(), truth_cols.ravel()])
+    pi, pj = np.divmod(pairs, m)
+    slot = np.arange(P)
+    # per est (truth) track, its kept pairs ascending and then its dummy
+    est_cols = np.concatenate([slot, P + np.arange(n)])
+    est_of = np.concatenate([pi, np.arange(n)])
+    truth_cols = np.concatenate([slot, P + n + np.arange(m)])
+    truth_of = np.concatenate([pj, np.arange(m)])
+    step_cols = np.concatenate([
+        est_cols[np.lexsort((est_cols, est_of))],
+        truth_cols[np.lexsort((truth_cols, truth_of))],
+    ])  # fmt: skip
     # rows W_{t+1} - W_t - e <= 0 and W_t - W_{t+1} - e <= 0 (w0 < w0 + S < e)
     switch_cols = np.column_stack([w0, w0 + S, e, w0, w0 + S, e]).ravel()
     cols = np.concatenate([switch_cols, (np.arange(T)[:, None] * S + step_cols).ravel()])
     switch_vals = np.tile([-1.0, 1.0, -1.0, 1.0, -1.0, -1.0], len(q))
     vals = np.concatenate([switch_vals, np.ones(T * len(step_cols))])
-    step_len = np.repeat([m + 1, n + 1], [n, m])
+    step_len = np.concatenate([np.bincount(pi, minlength=n), np.bincount(pj, minlength=m)]) + 1
     row_len = np.concatenate([np.full(2 * len(q), 3), np.tile(step_len, T)])
     indptr = np.zeros(len(row_len) + 1, dtype=np.int32)
     np.cumsum(row_len, out=indptr[1:])
@@ -306,26 +370,30 @@ else:
     linprog = _scipy_solve
 
 
-def _warm_start(prev: dict, est: tuple, truth: tuple, t0: int, T: int, cost: np.ndarray):
+def _warm_start(
+    prev: dict, est: tuple, truth: tuple, t0: int, T: int, pairs: np.ndarray, cost: np.ndarray
+):
     """The basis to start the LP of the cluster with labels ``est`` and
-    ``truth``, first step t0, T steps and costs ``cost`` from, or None for a
-    cold solve.
+    ``truth``, first step t0, T steps, kept pairs ``pairs`` and costs
+    ``cost`` from, or None for a cold solve.
 
     The start is the final basis of the one cluster in ``prev`` whose labels
     all lie in this one, if it has the same t0 and T-1 steps.  Its W pairs,
     dummies and switch columns, its switch rows and its equality rows keep
-    their statuses at the indices of the same labels in this layout.  Where
-    its last step holds one basic variable per equality row, the old tracks'
-    part of the new step repeats that step: a pair matched at T-2 starts
-    matched at T-1.  Every other column starts nonbasic at zero and every
-    other row basic (the columns and rows of tracks that joined, the pairs
-    of a joined track with an old one, and otherwise the new step), except
-    that a track starts on its dummy at the steps where it is not alive,
-    where the dummy costs nothing.  Nonbasic rows sit at their upper side:
-    the switch rows have no other, and either side is the value of an
-    equality row.  The start need not be feasible or nonsingular; HiGHS
-    repairs it.  Nothing is mapped where a label repeats, here or in the
-    predecessor, or where two clusters of k-1 lie in this one.
+    their statuses at the indices of the same labels in this layout; a pair
+    is named by its (estimate, truth) labels, and one that is no longer
+    kept drops out.  Where its last step holds one basic variable per
+    equality row, the old tracks' part of the new step repeats that step:
+    a pair matched at T-2 starts matched at T-1.  Every other column starts
+    nonbasic at zero and every other row basic (the columns and rows of
+    tracks that joined, of pairs kept for the first time, and otherwise the
+    new step), except that a track starts on its dummy at the steps where
+    it is not alive, where the dummy costs nothing.  Nonbasic rows sit at
+    their upper side: the switch rows have no other, and either side is the
+    value of an equality row.  The start need not be feasible or
+    nonsingular; HiGHS repairs it.  Nothing is mapped where a label
+    repeats, here or in the predecessor, or where two clusters of k-1 lie
+    in this one.
     """
     est_at = {label: i for i, label in enumerate(est)}
     truth_at = {label: j for j, label in enumerate(truth)}
@@ -336,34 +404,45 @@ def _warm_start(prev: dict, est: tuple, truth: tuple, t0: int, T: int, cost: np.
     ]
     if len(inside) != 1:
         return None
-    (old_est, old_truth, old_t0), (T_prev, basic) = inside[0], prev[inside[0]]
+    (old_est, old_truth, old_t0), (T_prev, old_pairs, basic) = inside[0], prev[inside[0]]
     labels = (est, truth, old_est, old_truth)
     if any(len(set(ls)) < len(ls) for ls in labels) or old_t0 != t0 or T_prev != T - 1:
         return None
     pe = np.array([est_at[label] for label in old_est])
     pt = np.array([truth_at[label] for label in old_truth])
-    n, m = len(est), len(truth)
-    S, nm = n * m + n + m, n * m
-    n_ub = 2 * (T - 1) * nm
+    n, m, P = len(est), len(truth), len(pairs)
+    S = P + n + m
+    n_ub = 2 * (T - 1) * P
+    n_col, n_row = T * S + (T - 1) * P, n_ub + T * (n + m)
+    # an old pair's place among the kept pairs, if it is still kept
+    oi, oj = np.divmod(old_pairs, len(old_truth))
+    flat = pe[oi] * m + pt[oj]
+    slot = np.minimum(np.searchsorted(pairs, flat), P - 1)
+    kept = pairs[slot] == flat
     # an old step's columns and equality rows at their new places in a step
-    pair = (pe[:, None] * m + pt).ravel()
-    step_cols = np.concatenate([pair, nm + pe, nm + n + pt])
+    step_cols = np.concatenate([slot, P + pe, P + n + pt])
+    step_kept = np.concatenate([kept, np.ones(len(pe) + len(pt), dtype=bool)])
     step_rows = n_ub + np.concatenate([pe, n + pt])
     old_steps = np.arange(T - 1)[:, None]
-    switch = (np.arange(T - 2)[:, None] * nm + pair).ravel()
+    switch = (np.arange(T - 2)[:, None] * P + slot).ravel()
+    switch_kept = np.tile(kept, T - 2)
     col_of = np.concatenate([(old_steps * S + step_cols).ravel(), T * S + switch])
     row_of = np.concatenate([
         np.column_stack([2 * switch, 2 * switch + 1]).ravel(),
         (old_steps * (n + m) + step_rows).ravel(),
     ])  # fmt: skip
-    col_status = np.full(T * S + (T - 1) * nm, _LOWER, dtype=np.int8)
+    # the columns and rows of old pairs no longer kept go to a sink past the end
+    col_of[~np.concatenate([np.tile(step_kept, T - 1), switch_kept])] = n_col
+    row_of[: 2 * len(switch)][~np.repeat(switch_kept, 2)] = n_row
+    col_status = np.full(n_col + 1, _LOWER, dtype=np.int8)
     col_status[col_of[basic[basic >= 0]]] = _BASIC
-    row_status = np.full(n_ub + T * (n + m), _BASIC, dtype=np.int8)
+    row_status = np.full(n_row + 1, _BASIC, dtype=np.int8)
     row_status[row_of] = _UPPER
     row_status[row_of[-1 - basic[basic < 0]]] = _BASIC
     placed = np.zeros(len(row_status), dtype=bool)
     placed[row_of] = True
     # the old tracks' part of the new step repeats their part of step T-2
+    step_cols = step_cols[step_kept]
     last_cols = col_status[(T - 2) * S + step_cols]
     last_rows = row_status[(T - 2) * (n + m) + step_rows]
     if (last_cols == _BASIC).sum() + (last_rows == _BASIC).sum() == len(step_rows):
@@ -372,15 +451,15 @@ def _warm_start(prev: dict, est: tuple, truth: tuple, t0: int, T: int, cost: np.
         placed[(T - 1) * (n + m) + step_rows] = True
     # a track sits on its dummy, at zero cost, at the steps it is not alive
     steps = np.arange(T)[:, None]
-    dummies = (steps * S + nm + np.arange(n + m)).ravel()
+    dummies = (steps * S + P + np.arange(n + m)).ravel()
     rows = (n_ub + steps * (n + m) + np.arange(n + m)).ravel()
     idle = (cost[dummies] == 0.0) & ~placed[rows]
     col_status[dummies[idle]] = _BASIC
     row_status[rows[idle]] = _UPPER
-    return _STATUSES[col_status].tolist(), _STATUSES[row_status].tolist()
+    return _STATUSES[col_status[:-1]].tolist(), _STATUSES[row_status[:-1]].tolist()
 
 
-def _split_may_tie(x, cost, tag, n: int, m: int, T: int, params: TrajMetricParams) -> bool:
+def _split_may_tie(x, cost, tag, close: np.ndarray, T: int, params: TrajMetricParams) -> bool:
     """Whether the optimum ``x`` may share its cost with an optimum of
     another split, which a cold solve could pick instead.
 
@@ -389,11 +468,16 @@ def _split_may_tie(x, cost, tag, n: int, m: int, T: int, params: TrajMetricParam
     switches cost the same either way (at any step when gamma = 0), so the
     split between localisation and missed/false is a tie that the solver's
     pivoting path breaks.  Costs within a relative 1e-6 of c^p count too:
-    the simplex stops within its tolerances.
+    the simplex stops within its tolerances.  ``x``, ``cost`` and ``tag``
+    are in the all-pairs layout; only the pairs in the (n, m) mask
+    ``close`` have columns, so only they are tested.
     """
+    n, m = close.shape
     S, nm = n * m + n + m, n * m
-    capped = (tag[: T * S].reshape(T, S)[:, :nm] == 0) & (
-        cost[: T * S].reshape(T, S)[:, :nm] >= (1.0 - 1e-6) * params.c**params.p
+    capped = (
+        (tag[: T * S].reshape(T, S)[:, :nm] == 0)
+        & (cost[: T * S].reshape(T, S)[:, :nm] >= (1.0 - 1e-6) * params.c**params.p)
+        & close.ravel()
     )
     if params.gamma == 0:
         return bool(capped.any())
@@ -411,30 +495,40 @@ def _cluster_objective(
     k: int,
     prev: dict | None = None,
     solved: dict | None = None,
+    close: np.ndarray | None = None,
 ) -> np.ndarray:
     """Optimal (localisation, missed, false, switch) p-power cost of a cluster.
 
     ``prev`` maps the clusters solved at k-1 to their final LP bases; the LP
     starts from one of them where `_warm_start` maps it onto this cluster.
-    ``solved`` collects the entries of this step.
+    ``solved`` collects the entries of this step.  ``close`` is the
+    cluster's `_close` mask, if the caller has it: the LP keeps those pairs
+    only (module docstring).
     """
     n, m = len(est), len(truth)
     t0 = min(tr.start for tr in est + truth)
     T = k - t0 + 1
-    cost, tag = _cluster_costs(est, truth, params, t0, T)
+    if close is None:
+        close = _close(est, truth, params.c, k)
+    cost, tag = _cluster_costs(est, truth, params, t0, T, close)
+    x = np.zeros(len(cost))
     if n == m == 1 and params.gamma > 0:
         # the unique optimum matches the pair at every step (module docstring)
-        x = np.zeros(len(cost))
         x[: T * 3 : 3] = 1.0
     else:
         key = (tuple(tr.label for tr in est), tuple(tr.label for tr in truth), t0)
-        start = None if not prev else _warm_start(prev, *key, T, cost)
-        model = _model(n, m, T)
-        x, basis = linprog(cost, model, start)
-        if start is not None and _split_may_tie(x, cost, tag, n, m, T, params):
-            x, basis = linprog(cost, model)
+        pairs = np.flatnonzero(close)
+        cols = _columns(n, m, T, pairs)
+        lp_cost = cost[cols]
+        start = None if not prev else _warm_start(prev, *key, T, pairs, lp_cost)
+        model = _model(n, m, T, pairs)
+        x[cols], basis = linprog(lp_cost, model, start)
+        if start is not None and _split_may_tie(x, cost, tag, close, T, params):
+            x[cols], basis = linprog(lp_cost, model)
         if solved is not None and basis is not None:
-            solved[key] = (T, basis)
+            solved[key] = (T, pairs, basis)
+    # summed in the all-pairs layout: the zeros of dropped pairs keep the
+    # order, and so the bits, of a sum over every pair
     contrib = cost * x
     return np.array([contrib[tag == comp].sum() for comp in range(4)])
 
@@ -471,11 +565,12 @@ def trajectory_metric(
     half = params.c**p / 2.0
     parts = np.zeros(4)  # loc, missed, false, switch (p-power costs)
     solved = None if bases is None else {}
-    for eidx, tidx in _clusters(est_k, truth_k, params.c, k):
+    close = _close(est_k, truth_k, params.c, k)
+    for eidx, tidx in _clusters(est_k, truth_k, params.c, k, close):
         ce = [est_k[i] for i in eidx]
         ct = [truth_k[j] for j in tidx]
         if ce and ct:
-            parts += _cluster_objective(ce, ct, params, k, bases, solved)
+            parts += _cluster_objective(ce, ct, params, k, bases, solved, close[eidx][:, tidx])
         elif ct:
             parts[1] += half * sum(len(t.positions) for t in ct)
         else:

@@ -351,8 +351,9 @@ def lp_by_loops(est, truth, params, k: int):
     return cost, tag, A_eq, A_ub
 
 
-def parts_by_lp(est, truth, params, k: int) -> np.ndarray:
-    """(localisation, missed, false, switch) of the loop-assembled LP, solved by HiGHS."""
+def dense_solution(est, truth, params, k: int):
+    """The loop-assembled LP over every est-truth pair, far ones included,
+    solved by ``linprog``: (cost, tag, A_eq, A_ub, x)."""
     cost, tag, A_eq, A_ub = lp_by_loops(est, truth, params, k)
     res = linprog(
         cost,
@@ -364,8 +365,14 @@ def parts_by_lp(est, truth, params, k: int) -> np.ndarray:
         method="highs",
     )
     assert res.status == 0, res.message
+    return cost, tag, A_eq, A_ub, res.x
+
+
+def parts_by_lp(est, truth, params, k: int) -> np.ndarray:
+    """(localisation, missed, false, switch) of the loop-assembled LP, solved by HiGHS."""
+    cost, tag, _, _, x = dense_solution(est, truth, params, k)
     parts = np.zeros(4)
-    contrib = cost * res.x
+    contrib = cost * x
     for comp in range(4):
         parts[comp] = contrib[tag == comp].sum()
     return parts

@@ -155,54 +155,95 @@ def test_split_may_tie_flags_capped_pairs_next_to_a_match():
     tag = np.full(len(cost), 3, dtype=np.int8)
     cost[: T * S : S] = [1.0, 100.0, 4.0]
     tag[: T * S] = 0
+    close = np.ones((n, m), dtype=bool)
     matched = np.zeros(len(cost))
     matched[0] = 1.0  # matched on step 1 only: step 2 is next to it
-    assert metric._split_may_tie(matched, cost, tag, n, m, T, params)
+    assert metric._split_may_tie(matched, cost, tag, close, T, params)
     apart = np.zeros(len(cost))
-    assert not metric._split_may_tie(apart, cost, tag, n, m, T, params)
-    assert metric._split_may_tie(apart, cost, tag, n, m, T, TrajMetricParams(gamma=0.0))
+    assert not metric._split_may_tie(apart, cost, tag, close, T, params)
+    assert metric._split_may_tie(apart, cost, tag, close, T, TrajMetricParams(gamma=0.0))
     cost[S] = 99.0  # no pair at the cutoff
-    assert not metric._split_may_tie(matched, cost, tag, n, m, T, params)
+    assert not metric._split_may_tie(matched, cost, tag, close, T, params)
 
 
-def _names(est, truth, T):
-    """Column and row names of a cluster LP with these labels and T steps,
-    in the layout `metric._model` and `metric._cluster_costs` use."""
+def _names(est, truth, T, pairs):
+    """Column and row names of a cluster LP with these labels, T steps and
+    the kept pairs ``pairs`` ((estimate label, truth label), in the order
+    of the est then truth labels), in the layout `metric._model` and
+    `metric._columns` use."""
     cols, rows = [], []
     for t in range(T):
-        cols += [("W", t, e, r) for e in est for r in truth]
+        cols += [("W", t, e, r) for e, r in pairs]
         cols += [("est dummy", t, e) for e in est] + [("truth dummy", t, r) for r in truth]
     for t in range(T - 1):
-        cols += [("switch", t, e, r) for e in est for r in truth]
-        rows += [(side, t, e, r) for e in est for r in truth for side in ("up", "down")]
+        cols += [("switch", t, e, r) for e, r in pairs]
+        rows += [(side, t, e, r) for e, r in pairs for side in ("up", "down")]
     for t in range(T):
         rows += [("est row", t, e) for e in est] + [("truth row", t, r) for r in truth]
     return cols, rows
 
 
+def _kept(est, truth, mask):
+    """The (estimate label, truth label) pairs of an (n, m) mask, in layout order."""
+    return [(est[i], truth[j]) for i, j in zip(*np.nonzero(mask))]
+
+
 @needs_highs
 def test_mapped_start_keeps_each_status_by_label():
+    # no pair dropped, the matched pair dropped, a crossing pair dropped
+    for gone in (None, (("e", 0), ("t", 0)), (("e", 0), ("t", 1))):
+        _check_mapped_start(gone)
+
+
+def _check_mapped_start(gone):
+    """`test_mapped_start_keeps_each_status_by_label` with the old pair
+    ``gone`` no longer kept (None: every old pair still kept)."""
     rng = np.random.default_rng(4)
     params = TrajMetricParams()
     T = 7
-    est, truth = _crossing_pair(rng, T)
+    # two truths 16 apart, each followed by an estimate; estimate 0 visits
+    # truth 1 at step 2, so estimate 1 and truth 0 are the one far pair
+    truth = [_walk(rng, ("t", j), 1, T, (16.0 * j, 0.0)) for j in range(2)]
+    est = [
+        Track(("e", i), 1, tr.positions + rng.normal(0.0, 0.3, size=(T, 2)))
+        for i, tr in enumerate(truth)
+    ]
+    est[0].positions[1] = truth[0].positions[1] + (8.0, 0.0)
     bases = {}
     for k in range(1, T):
         trajectory_metric(est, truth, params, k, bases)
-    ((key, (T_prev, basic)),) = bases.items()
-    old_cols, old_rows = _names(*key[:2], T_prev)
+    ((key, (T_prev, old_pairs, basic)),) = bases.items()
+    old_kept = np.zeros((2, 2), dtype=bool)
+    old_kept.flat[old_pairs] = True
+    assert old_kept.tolist() == [[True, True], [False, True]]
+    old_cols, old_rows = _names(*key[:2], T_prev, _kept(*key[:2], old_kept))
     was_basic = {old_cols[j] if j >= 0 else old_rows[-1 - j] for j in basic.tolist()}
     last_step = [name for name in old_cols + old_rows if name[1] == T - 2 and name[0] != "switch"]
-    # step T-2 holds one basic variable per equality row: the new step repeats it
+    # step T-2 holds one basic variable per equality row
     assert sum(name in was_basic for name in last_step) == sum("row" in name[0] for name in last_step)
 
-    # a joined estimate alive from step 3 on and a joined truth, orders reversed
+    # the new step repeats the old tracks' part of step T-2 only if that part
+    # still holds one basic variable per equality row once ``gone`` drops out
+    dropped = {name for name in old_cols + old_rows if name[2:] == gone}
+    repeats = sum(name in was_basic - dropped for name in last_step) == sum(
+        "row" in name[0] for name in last_step
+    )
+    assert repeats == (gone is None or gone[1] == ("t", 1))
+
+    # a joined estimate alive from step 3 on and a joined truth, orders
+    # reversed; the pair ``gone``, if any, is no longer kept and the far
+    # pair (e 1, t 0) is kept now
     est = [_walk(rng, ("e", 2), 3, T - 2)] + est[::-1]
     truth = [_walk(rng, ("t", 2), 1, T)] + truth[::-1]
     labels = tuple(tr.label for tr in est), tuple(tr.label for tr in truth)
+    close = np.ones((3, 3), dtype=bool)
+    if gone is not None:
+        close[labels[0].index(gone[0]), labels[1].index(gone[1])] = False
+    pairs = np.flatnonzero(close)
     cost, _ = metric._cluster_costs(est, truth, params, 1, T)
-    col_status, row_status = metric._warm_start(bases, *labels, 1, T, cost)
-    cols, rows = _names(*labels, T)
+    cost = cost[metric._columns(3, 3, T, pairs)]
+    col_status, row_status = metric._warm_start(bases, *labels, 1, T, pairs, cost)
+    cols, rows = _names(*labels, T, _kept(*labels, close))
     assert len(col_status) == len(cols) == len(cost) and len(row_status) == len(rows)
     alive = {(side, tr.label): range(tr.start - 1, tr.end)
              for side, tracks in (("est", est), ("truth", truth)) for tr in tracks}
@@ -214,7 +255,7 @@ def test_mapped_start_keeps_each_status_by_label():
         repeated = (name[0], T - 2, *name[2:])
         if name in old:
             return on if name in was_basic else off
-        if name[1] == T - 1 and name[0] != "switch" and repeated in old:
+        if repeats and name[1] == T - 1 and name[0] != "switch" and repeated in old:
             return on if repeated in was_basic else off
         side, kind = name[0].split()[0], name[0].split()[-1]
         if kind in ("dummy", "row") and name[1] not in alive[side, name[2]]:
@@ -223,12 +264,17 @@ def test_mapped_start_keeps_each_status_by_label():
 
     status = metric._highs.HighsBasisStatus
     on, lower, upper = status.kBasic, status.kLower, status.kUpper
+    assert len(dropped) == (0 if gone is None else 4 * T_prev - 3)
+    assert not dropped & set(cols + rows)
     old_cols, old_rows = set(old_cols), set(old_rows)
     for name, got in zip(cols, col_status):
         assert got == expected(name, old_cols, on, lower, lower, on), name
     for name, got in zip(rows, row_status):
         assert got == expected(name, old_rows, on, upper, on, upper), name
-    assert sum(s == status.kBasic for s in col_status + row_status) == len(rows)
+    # one basic variable per row, less what the dropped pair took along
+    n_dropped_rows = sum(name[0] in ("up", "down") for name in dropped)
+    n_basic = sum(s == status.kBasic for s in col_status + row_status)
+    assert n_basic == len(rows) + n_dropped_rows - len(dropped & was_basic)
 
 
 @needs_highs
@@ -240,22 +286,23 @@ def test_clusters_without_one_fitting_predecessor_start_cold():
     for k in range(1, 4):
         trajectory_metric(est, truth, params, k, bases)
     labels = ((("e", 0), ("e", 1)), (("t", 0), ("t", 1)))
+    pairs = np.arange(4)
     cost, _ = metric._cluster_costs(est, truth, params, 1, 4)
-    assert metric._warm_start(bases, *labels, 1, 4, cost) is not None
-    assert metric._warm_start(bases, *labels, 1, 5, cost) is None  # a skipped step
-    assert metric._warm_start(bases, *labels, 0, 5, cost) is None  # t0 moved
+    assert metric._warm_start(bases, *labels, 1, 4, pairs, cost) is not None
+    assert metric._warm_start(bases, *labels, 1, 5, pairs, cost) is None  # a skipped step
+    assert metric._warm_start(bases, *labels, 0, 5, pairs, cost) is None  # t0 moved
     # t0 one later and a step skipped: T-1 steps again, but shifted by one
-    assert metric._warm_start(bases, *labels, 2, 4, cost) is None
-    assert metric._warm_start(bases, labels[0][:1], labels[1], 1, 4, cost) is None  # one left
+    assert metric._warm_start(bases, *labels, 2, 4, pairs, cost) is None
+    assert metric._warm_start(bases, labels[0][:1], labels[1], 1, 4, pairs, cost) is None  # one left
     repeated = (labels[0] + labels[0][:1], labels[1])
-    assert metric._warm_start(bases, *repeated, 1, 4, cost) is None
+    assert metric._warm_start(bases, *repeated, 1, 4, pairs, cost) is None
     # two clusters of k-1 inside this one
     ((key, entry),) = bases.items()
     other = ((("e", 5),), (("t", 5),), 1)
     two = {key: entry, other: entry}
     merged = (labels[0] + other[0], labels[1] + other[1])
-    assert metric._warm_start(two, *merged, 1, 4, cost) is None
-    assert metric._warm_start(two, *labels, 1, 4, cost) is not None
+    assert metric._warm_start(two, *merged, 1, 4, pairs, cost) is None
+    assert metric._warm_start(two, *labels, 1, 4, pairs, cost) is not None
 
 
 EVENTS = ("keep", "join later", "join earlier", "leave", "reorder", "repeat", "skip")
