@@ -6,15 +6,18 @@
 Each results directory holds the records `perfbench/run.py --results DIR`
 writes: `--trace 0` records paired by seed, and optionally one `--trace 1`
 record per workload.  The output keeps, per workload and end-to-end
-metric, both sides' quartiles, per-seed values, pair wins and the verdict
-of `perfbench/compare.py`; the per-layer metrics of the traced records;
-and the environment from the records' provenance.
+metric, both sides' quartiles, per-seed values, pair wins, the verdict
+of `perfbench/compare.py` and the per-seed change/parent ratios (median,
+min, max and how many fall below 1), a paired reading where seed-to-seed
+spread leaves the verdict `unresolved`; the per-layer metrics of the
+traced records; and the environment from the records' provenance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -49,6 +52,25 @@ def _side(directory: Path) -> dict:
     }
 
 
+def _ratios(parent: dict, change: dict, workload: str, metric: str) -> dict | None:
+    """Change/parent ratios of one metric over the seeds both sides ran,
+    skipping seeds where either value is missing or the parent's is 0."""
+    ratios = []
+    for seed in sorted(set(parent[workload]) & set(change[workload])):
+        base, new = parent[workload][seed][metric], change[workload][seed][metric]
+        if base and new is not None:
+            ratios.append(new / base)
+    if not ratios:
+        return None
+    return {
+        "median": statistics.median(ratios),
+        "min": min(ratios),
+        "max": max(ratios),
+        "below_1": sum(r < 1.0 for r in ratios),
+        "n": len(ratios),
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -63,7 +85,8 @@ def main(argv=None) -> int:
 
     prov = _records(args.parent, 0)[0]["provenance"]
     env = {k: prov[k] for k in ("cpu_model", "nproc", "python", "numpy", "scipy")}
-    rows = compare(load(args.parent), load(args.change))
+    parent, change = load(args.parent), load(args.change)
+    rows = compare(parent, change)
     record = {
         "environment": env,
         "note": args.note,
@@ -75,6 +98,7 @@ def main(argv=None) -> int:
                 "change": dict(zip(("q1", "median", "q3"), r["new"])),
                 "spread": {"parent": r["base_spread"], "change": r["new_spread"]},
                 "pair_wins": {"change": r["new_wins"], "parent": r["base_wins"]},
+                "ratio": _ratios(parent, change, r["workload"], r["metric"]),
             }
             for r in rows
         ],

@@ -237,8 +237,7 @@ def innovation(
     """
     means, covs = last_states(comps)
     zhat = np.matmul(H, means[:, :, None])[..., 0]
-    S = H @ covs @ H.T + R
-    S = (S + S.swapaxes(1, 2)) / 2.0
+    S = _sym(H @ covs @ H.T + R)
     if S.shape[1:] == (2, 2):  # the 2x2 closed forms below divide by this det
         a, b, c = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
         definite = (a > 0.0) & (a * c - b * b > 0.0)

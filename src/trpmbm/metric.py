@@ -25,7 +25,7 @@ c^p/2 + c^p/2 when both are alive, c^p/2 against c^p/2 + 0 when one is,
 row and column sum, leaves the other pairs' switch terms alone and zeroes
 its own, so some optimum leaves the pair at zero throughout.  A cluster's
 LP therefore has columns only for its kept pairs, those within c at some
-step (the `_close` mask that formed the clusters): their W at every step,
+step (the ``close`` mask that formed the clusters): their W at every step,
 their switch variables and the switch rows on them.  The dummies and the
 equality rows stay whole.  The optimum is the one over every pair.  Its
 split can differ only where that optimum is not unique: where the LP over
@@ -36,11 +36,13 @@ paths break the tie differently.  The parts are summed over the layout of
 every pair, with zeros at the dropped columns, so elsewhere they keep the
 bits of that sum.
 
-The other clusters are solved by HiGHS, called directly through the module
-scipy ships (``scipy.optimize._highspy``) with the model and options that
-``scipy.optimize.linprog(method="highs")`` would pass, so a cold solve
-gives linprog's result bit for bit.  A caller that scores every step of a
-run keeps a dict of the final bases (`trajectory_metric`'s ``bases``).  A
+The other clusters are solved by HiGHS, called directly through the
+module scipy ships (``scipy.optimize._highspy``) with the model and
+options that ``scipy.optimize.linprog(method="highs")`` would pass, so a
+cold solve gives linprog's result bit for bit.  The model goes in
+row-wise, as it is built; linprog passes the same matrix column-wise, and
+HiGHS solves the two alike.  A caller that scores every step of a run
+keeps a dict of the final bases (`trajectory_metric`'s ``bases``).  A
 cluster that holds exactly one of the LP clusters of k-1 whole, with the
 same first step, then starts its dual simplex from that cluster's basis,
 mapped onto its own layout by track label: the same tracks, the same
@@ -48,10 +50,10 @@ tracks in another order, or more tracks that joined them.  A pair column
 goes by its (estimate, truth) labels: a pair kept for the first time
 starts nonbasic, and one no longer kept drops out.  The old tracks' part
 of the new step starts as their part of the step before ended, and the
-solve needs a few pivots instead of a solve from scratch.
-Where the optimum it reaches may tie with one of another split, the LP is
-solved cold again.  Without the private module, ``linprog`` itself solves
-every LP cold.
+solve needs a few pivots instead of a solve from scratch.  Where the
+optimum it reaches may tie with one of another split, the LP is solved
+cold again.  Without the private module, ``linprog`` itself solves every
+LP cold.
 """
 
 from __future__ import annotations
@@ -133,38 +135,31 @@ def branches_as_tracks(trees: list[TreeTrajectory]) -> list[Track]:
     return tracks
 
 
-def _grid(tracks: list[Track], t0: int, T: int) -> np.ndarray:
-    """(T, len(tracks), 2) positions on steps t0..t0+T-1, NaN where not alive."""
-    out = np.full((T, len(tracks), 2), np.nan)
-    for i, tr in enumerate(tracks):
-        out[tr.start - t0 : tr.end - t0 + 1, i] = tr.positions
-    return out
+def _geometry(est: list[Track], truth: list[Track], k: int):
+    """Steps 1..k of two track sets that end by k: the (k, n, m) est-truth
+    distances, NaN where either is not alive, and the (k, n) and (k, m)
+    alive masks."""
+    steps = np.arange(1, k + 1)[:, None]
+
+    def grid(tracks):
+        out = np.full((k, len(tracks), 2), np.nan)
+        for i, tr in enumerate(tracks):
+            out[tr.start - 1 : tr.end, i] = tr.positions
+        return out
+
+    def alive(tracks):
+        starts = np.array([tr.start for tr in tracks], dtype=int)
+        ends = np.array([tr.end for tr in tracks], dtype=int)
+        return (starts <= steps) & (steps <= ends)
+
+    diff = grid(est)[:, :, None] - grid(truth)[:, None]
+    return np.hypot(diff[..., 0], diff[..., 1]), alive(est), alive(truth)
 
 
-def _distances(est: list[Track], truth: list[Track], t0: int, T: int) -> np.ndarray:
-    """(T, n, m) est-truth distances per step, NaN where either is not alive."""
-    diff = _grid(est, t0, T)[:, :, None] - _grid(truth, t0, T)[:, None]
-    return np.hypot(diff[..., 0], diff[..., 1])
-
-
-def _alive(tracks: list[Track], t0: int, T: int) -> np.ndarray:
-    """(T, len(tracks)) mask of the tracks alive on steps t0..t0+T-1."""
-    steps = np.arange(t0, t0 + T)[:, None]
-    starts = np.array([tr.start for tr in tracks], dtype=int)
-    ends = np.array([tr.end for tr in tracks], dtype=int)
-    return (starts <= steps) & (steps <= ends)
-
-
-def _close(est: list[Track], truth: list[Track], c: float, k: int) -> np.ndarray:
-    """(n, m) mask of the est-truth pairs that interact: both alive and
-    closer than c at some step 1..k."""
-    return (_distances(est, truth, 1, k) < c).any(axis=0)
-
-
-def _clusters(est: list[Track], truth: list[Track], c: float, k: int, close=None):
-    """Connected components of the est-truth interaction graph on steps 1..k;
-    ``close`` is its `_close` mask, if the caller has it."""
-    n, m = len(est), len(truth)
+def _clusters(close: np.ndarray) -> list[tuple[list[int], list[int]]]:
+    """Connected components of the est-truth interaction graph whose edges
+    are the (n, m) mask ``close``."""
+    n, m = close.shape
     parent = list(range(n + m))
 
     def find(a):
@@ -173,8 +168,6 @@ def _clusters(est: list[Track], truth: list[Track], c: float, k: int, close=None
             a = parent[a]
         return a
 
-    if close is None:
-        close = _close(est, truth, c, k)
     for i, j in zip(*(idx.tolist() for idx in np.nonzero(close))):
         ri, rj = find(i), find(n + j)
         if ri != rj:
@@ -192,37 +185,37 @@ def _clusters(est: list[Track], truth: list[Track], c: float, k: int, close=None
 # W[i, m] at t*S + n*m + i and the truth dummies W[n, j] at
 # t*S + n*m + n + j, with S = n*m + n + m; the switch variable of pair
 # (i, j) between steps t and t+1 follows at T*S + t*n*m + i*m + j.  Costs,
-# tags and the parts are kept in this layout.  The LP itself has columns
-# for its kept pairs only, the flat indices i*m + j in ``pairs``
-# (ascending): step t holds them at t*S' + q for the q-th kept pair, then
-# the dummies, with S' = len(pairs) + n + m, and the switch variables
-# follow at T*S' + t*len(pairs) + q (`_columns`).
+# tags and the parts are kept in this layout, built from the cluster's
+# slice of the step's `_geometry`, its rows from the cluster's first step
+# on.  The LP itself has columns for its kept pairs only, the flat indices
+# i*m + j in ``pairs`` (ascending): step t holds them at t*S' + q for the
+# q-th kept pair, then the dummies, with S' = len(pairs) + n + m, and the
+# switch variables follow at T*S' + t*len(pairs) + q (`_columns`).  Its
+# constraint rows go to HiGHS as built, row by row (`_model`).
 
 
 def _cluster_costs(
-    est: list[Track],
-    truth: list[Track],
+    geometry: tuple[np.ndarray, np.ndarray, np.ndarray],
+    close: np.ndarray,
     params: TrajMetricParams,
-    t0: int,
-    T: int,
-    close: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """LP cost vector and component tags (0 loc, 1 missed, 2 false, 3 switch)
-    over all pairs.  A pair outside the (n, m) mask ``close`` is never
-    within c, so it costs c^p wherever both are alive."""
+    over all pairs, from the cluster's (distances, est alive, truth alive)
+    ``geometry``.  A pair outside the (n, m) mask ``close`` is never within
+    c, so it costs c^p wherever both are alive."""
     p, c = params.p, params.c
     half = c**p / 2.0
-    n, m = len(est), len(truth)
-    ae = _alive(est, t0, T)[:, :, None]
-    at = _alive(truth, t0, T)[:, None, :]
+    dist, e_alive, t_alive = geometry
+    T, n, m = dist.shape
+    ae = e_alive[:, :, None]
+    at = t_alive[:, None, :]
     both = ae & at
-    near = both if close is None else both & close
+    near = both & close
     pair_cost = np.where(ae | at, half, 0.0)
     pair_cost[both] = math.pow(c, p)
     # math.pow per entry: numpy's vectorised power may round differently
     pair_cost[near] = np.fromiter(
-        map(math.pow, np.minimum(_distances(est, truth, t0, T)[near], c).tolist(), repeat(p)),
-        float,
+        map(math.pow, np.minimum(dist[near], c).tolist(), repeat(p)), float
     )
     pair_tag = np.where(at & ~ae, 1, np.where(ae & ~at, 2, 0))
 
@@ -233,7 +226,7 @@ def _cluster_costs(
     w_tag = tag[: T * S].reshape(T, S)
     w_cost[:, : n * m] = pair_cost.reshape(T, n * m)
     w_tag[:, : n * m] = pair_tag.reshape(T, n * m)
-    dummy_alive = np.hstack([ae[:, :, 0], at[:, 0, :]])
+    dummy_alive = np.hstack([e_alive, t_alive])
     w_cost[:, n * m :] = np.where(dummy_alive, half, 0.0)
     w_tag[:, n * m :] = np.where(dummy_alive, [2] * n + [1] * m, 0)
     return cost, tag
@@ -249,10 +242,10 @@ def _columns(n: int, m: int, T: int, pairs: np.ndarray) -> np.ndarray:
     return np.concatenate([(steps * S + step).ravel(), (T * S + steps[:-1] * nm + pairs).ravel()])
 
 
-def _model(n: int, m: int, T: int, pairs: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """The LP of a cluster that keeps ``pairs`` (default all n*m) as HiGHS
-    takes it: ``[A_ub; A_eq]`` in CSC arrays (indptr, row indices, values)
-    and the row bounds (lhs, rhs).
+def _model(n: int, m: int, T: int, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The LP of a cluster that keeps ``pairs`` as HiGHS takes it:
+    ``[A_ub; A_eq]`` in CSR arrays (indptr, column indices, values) and the
+    row bounds (lhs, rhs).
 
     The inequalities come first, two per switch variable (none at a single
     step): e >= |W_{t+1} - W_t| on kept pairs.  Then the equalities: every
@@ -260,8 +253,6 @@ def _model(n: int, m: int, T: int, pairs: np.ndarray | None = None) -> tuple[np.
     then its dummy) sums to one at every step.  Each row lists its columns
     ascending.
     """
-    if pairs is None:
-        pairs = np.arange(n * m)
     P = len(pairs)
     S = P + n + m
     q = np.arange((T - 1) * P)
@@ -287,12 +278,10 @@ def _model(n: int, m: int, T: int, pairs: np.ndarray | None = None) -> tuple[np.
     row_len = np.concatenate([np.full(2 * len(q), 3), np.tile(step_len, T)])
     indptr = np.zeros(len(row_len) + 1, dtype=np.int32)
     np.cumsum(row_len, out=indptr[1:])
-    shape = (len(row_len), T * S + len(q))
-    A = sparse.csr_matrix((vals, cols.astype(np.int32), indptr), shape=shape).tocsc()
     n_ub, n_eq = 2 * len(q), T * (n + m)
     lhs = np.concatenate([np.full(n_ub, -np.inf), np.ones(n_eq)])
     rhs = np.concatenate([np.zeros(n_ub), np.ones(n_eq)])
-    return A.indptr, A.indices, A.data, lhs, rhs
+    return indptr, cols.astype(np.int32), vals, lhs, rhs
 
 
 def _highs_options():
@@ -316,7 +305,7 @@ def _highs_run(cost, model, start=None):
     highs.passOptions(_HIGHS_OPTIONS)
     highs.passModel(
         n_col, len(rhs), len(values),
-        int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize), 0.0,
+        int(_highs.MatrixFormat.kRowwise), int(_highs.ObjSense.kMinimize), 0.0,
         cost, np.zeros(n_col), np.full(n_col, np.inf), lhs, rhs,
         indptr, indices, values, np.zeros(n_col, dtype=np.int32),
     )  # fmt: skip
@@ -348,7 +337,7 @@ def _highs_solve(cost, model, start=None):
 def _scipy_solve(cost, model, start=None):
     """``_highs_solve`` through ``scipy.optimize.linprog``, always cold."""
     indptr, indices, values, lhs, rhs = model
-    A = sparse.csc_array((values, indices, indptr), shape=(len(rhs), len(cost)))
+    A = sparse.csr_array((values, indices, indptr), shape=(len(rhs), len(cost)))
     n_ub = int(np.isneginf(lhs).sum())
     ub = {"A_ub": A[:n_ub], "b_ub": rhs[:n_ub]} if n_ub else {}
     res = scipy.optimize.linprog(
@@ -493,24 +482,24 @@ def _cluster_objective(
     truth: list[Track],
     params: TrajMetricParams,
     k: int,
-    prev: dict | None = None,
-    solved: dict | None = None,
-    close: np.ndarray | None = None,
+    geometry: tuple[np.ndarray, np.ndarray, np.ndarray],
+    close: np.ndarray,
+    prev: dict | None,
+    solved: dict | None,
 ) -> np.ndarray:
     """Optimal (localisation, missed, false, switch) p-power cost of a cluster.
 
-    ``prev`` maps the clusters solved at k-1 to their final LP bases; the LP
-    starts from one of them where `_warm_start` maps it onto this cluster.
-    ``solved`` collects the entries of this step.  ``close`` is the
-    cluster's `_close` mask, if the caller has it: the LP keeps those pairs
-    only (module docstring).
+    ``geometry`` is the cluster's slice of the step's `_geometry`, from its
+    first step to k, and ``close`` its (n, m) mask of the pairs within c at
+    some step: the LP keeps those pairs only (module docstring).  ``prev``
+    maps the clusters solved at k-1 to their final LP bases; the LP starts
+    from one of them where `_warm_start` maps it onto this cluster.
+    ``solved`` collects the entries of this step.
     """
     n, m = len(est), len(truth)
-    t0 = min(tr.start for tr in est + truth)
-    T = k - t0 + 1
-    if close is None:
-        close = _close(est, truth, params.c, k)
-    cost, tag = _cluster_costs(est, truth, params, t0, T, close)
+    T = len(geometry[0])
+    t0 = k - T + 1
+    cost, tag = _cluster_costs(geometry, close, params)
     x = np.zeros(len(cost))
     if n == m == 1 and params.gamma > 0:
         # the unique optimum matches the pair at every step (module docstring)
@@ -565,12 +554,15 @@ def trajectory_metric(
     half = params.c**p / 2.0
     parts = np.zeros(4)  # loc, missed, false, switch (p-power costs)
     solved = None if bases is None else {}
-    close = _close(est_k, truth_k, params.c, k)
-    for eidx, tidx in _clusters(est_k, truth_k, params.c, k, close):
+    dist, e_alive, t_alive = _geometry(est_k, truth_k, k)
+    close = (dist < params.c).any(axis=0)  # the pairs within c at some step
+    for eidx, tidx in _clusters(close):
         ce = [est_k[i] for i in eidx]
         ct = [truth_k[j] for j in tidx]
         if ce and ct:
-            parts += _cluster_objective(ce, ct, params, k, bases, solved, close[eidx][:, tidx])
+            first = min(tr.start for tr in ce + ct) - 1
+            cut = (dist[first:, eidx][:, :, tidx], e_alive[first:, eidx], t_alive[first:, tidx])
+            parts += _cluster_objective(ce, ct, params, k, cut, close[eidx][:, tidx], bases, solved)
         elif ct:
             parts[1] += half * sum(len(t.positions) for t in ct)
         else:

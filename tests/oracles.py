@@ -378,6 +378,65 @@ def parts_by_lp(est, truth, params, k: int) -> np.ndarray:
     return parts
 
 
+def cluster_grid(tracks, t0: int, T: int) -> np.ndarray:
+    """(T, len(tracks), 2) positions on steps t0..t0+T-1, NaN where not alive."""
+    out = np.full((T, len(tracks), 2), np.nan)
+    for i, tr in enumerate(tracks):
+        out[tr.start - t0 : tr.end - t0 + 1, i] = tr.positions
+    return out
+
+
+def cluster_distances(est, truth, t0: int, T: int) -> np.ndarray:
+    """(T, n, m) est-truth distances per step, NaN where either is not
+    alive, from one cluster's own grids: the reference for its slice of
+    ``trpmbm.metric._geometry``."""
+    diff = cluster_grid(est, t0, T)[:, :, None] - cluster_grid(truth, t0, T)[:, None]
+    return np.hypot(diff[..., 0], diff[..., 1])
+
+
+def cluster_alive(tracks, t0: int, T: int) -> np.ndarray:
+    """(T, len(tracks)) mask of the tracks alive on steps t0..t0+T-1."""
+    steps = np.arange(t0, t0 + T)[:, None]
+    starts = np.array([tr.start for tr in tracks], dtype=int)
+    ends = np.array([tr.end for tr in tracks], dtype=int)
+    return (starts <= steps) & (steps <= ends)
+
+
+def highs_solve_colwise(cost, model, start=None):
+    """``trpmbm.metric._highs_solve`` with the model fed to HiGHS column by
+    column, as ``scipy.optimize.linprog`` feeds it: the CSR arrays of
+    ``metric._model`` converted by scipy's ``.tocsc()`` and passed as
+    ``kColwise``."""
+    from trpmbm.metric import _HIGHS_OPTIONS, _highs
+
+    indptr, indices, values, lhs, rhs = model
+    n_col = len(cost)
+    A = sparse.csr_matrix((values, indices, indptr), shape=(len(rhs), n_col)).tocsc()
+
+    def run(start):
+        highs = _highs._Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
+        highs.passModel(
+            n_col, len(rhs), len(values),
+            int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize), 0.0,
+            cost, np.zeros(n_col), np.full(n_col, np.inf), lhs, rhs,
+            A.indptr, A.indices, A.data, np.zeros(n_col, dtype=np.int32),
+        )  # fmt: skip
+        if start is not None:
+            basis = _highs.HighsBasis()
+            basis.col_status, basis.row_status = start
+            if highs.setBasis(basis) != _highs.HighsStatus.kOk:
+                return None
+        highs.run()
+        return highs
+
+    highs = None if start is None else run(start)
+    if highs is None or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+        highs = run(None)
+    assert highs.getModelStatus() == _highs.HighsModelStatus.kOptimal
+    return np.array(highs.getSolution().col_value), highs.getBasicVariables()[1]
+
+
 # ---------------------------------------------------------------------------
 # Branching-tree prediction: exhaustive joint transition enumeration
 # ---------------------------------------------------------------------------

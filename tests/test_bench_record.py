@@ -1,11 +1,14 @@
-"""`scripts/bench_record.py` refuses result directories without records."""
+"""`scripts/bench_record.py` refuses result directories without records
+and pairs the two sides' seeds into change/parent ratios."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench_record.py"
 
 
 def _bench_record():
@@ -25,3 +28,32 @@ def test_a_directory_without_untraced_records_is_named(tmp_path, capsys):
     assert exit_info.value.code != 0
     assert str(parent) in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def _write_results(directory: Path, score_s: dict[int, float]) -> None:
+    """One untraced record per seed of spawn-ppp: ``score_s`` as given,
+    every other end-to-end metric 1.0."""
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    directory.mkdir()
+    for seed, score in score_s.items():
+        values = {name: 1.0 for name in names} | {"score_s": score}
+        record = {
+            "provenance": {
+                "workload": "spawn-ppp", "seed": seed, "commit": directory.name,
+                "src_sha256": directory.name, "cpu_model": "cpu", "nproc": 1,
+                "python": "3", "numpy": "2", "scipy": "1",
+            },
+            "result": {"metrics": {name: {"value": v} for name, v in values.items()}},
+        }  # fmt: skip
+        (directory / f"spawn-ppp-seed{seed}-trace0.json").write_text(json.dumps(record))
+
+
+def test_each_row_carries_the_per_seed_change_over_parent_ratios(tmp_path):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "out.json"
+    # seed 14 ran on the parent side only, so it is not paired
+    _write_results(parent, {11: 2.0, 12: 4.0, 13: 1.0, 14: 9.0})
+    _write_results(change, {11: 1.0, 12: 3.0, 13: 1.5})
+    assert _bench_record().main([str(parent), str(change), str(out)]) == 0
+    rows = {row["metric"]: row for row in json.loads(out.read_text())["end_to_end"]}
+    assert rows["score_s"]["ratio"] == {"median": 0.75, "min": 0.5, "max": 1.5, "below_1": 2, "n": 3}
+    assert rows["run_s"]["ratio"] == {"median": 1.0, "min": 1.0, "max": 1.0, "below_1": 0, "n": 3}

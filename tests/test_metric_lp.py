@@ -36,14 +36,18 @@ def test_vectorised_assembly_matches_loops():
         params = _random_params(rng)
         cost, tag, A_eq, A_ub = lp_by_loops(est, truth, params, k)
         t0 = min(tr.start for tr in est + truth)
-        got_cost, got_tag = metric._cluster_costs(est, truth, params, t0, k - t0 + 1)
-        indptr, indices, values, lhs, rhs = metric._model(len(est), len(truth), k - t0 + 1)
+        every_pair = np.ones((len(est), len(truth)), dtype=bool)
+        geometry = [g[t0 - 1 :] for g in metric._geometry(est, truth, k)]
+        got_cost, got_tag = metric._cluster_costs(geometry, every_pair, params)
+        indptr, indices, values, lhs, rhs = metric._model(
+            len(est), len(truth), k - t0 + 1, np.flatnonzero(every_pair)
+        )
         assert got_tag.dtype == tag.dtype
         assert np.array_equal(got_cost, cost)
         assert np.array_equal(got_tag, tag)
-        # [A_ub; A_eq] in CSC, the inequalities bounded above by 0 and the
+        # [A_ub; A_eq] in CSR, the inequalities bounded above by 0 and the
         # equalities fixed at 1
-        want = (A_eq if A_ub is None else sparse.vstack([A_ub, A_eq], format="csr")).tocsc()
+        want = (A_eq if A_ub is None else sparse.vstack([A_ub, A_eq], format="csr")).tocsr()
         n_ub = 0 if A_ub is None else A_ub.shape[0]
         assert indptr.dtype == want.indptr.dtype and indices.dtype == want.indices.dtype
         assert np.array_equal(indptr, want.indptr)
@@ -96,7 +100,10 @@ def test_one_by_one_closed_form_equals_lp_bitwise(monkeypatch):
         cases.append((est, truth, params, k, parts_by_lp([est], [truth], params, k)))
     monkeypatch.setattr(metric, "linprog", no_lp)
     for est, truth, params, k, want in cases:
-        got = metric._cluster_objective([est], [truth], params, k)
+        t0 = min(est.start, truth.start)
+        geometry = [g[t0 - 1 :] for g in metric._geometry([est], [truth], k)]
+        close = np.ones((1, 1), dtype=bool)
+        got = metric._cluster_objective([est], [truth], params, k, geometry, close, None, None)
         assert np.array_equal(got, want), (got, want)
 
 
@@ -125,7 +132,8 @@ def test_clusters_match_pairwise_reference():
         est = _random_tracks(rng, int(rng.integers(0, 8)), k, "e", spread=60.0)
         truth = _random_tracks(rng, int(rng.integers(0, 8)), k, "t", spread=60.0)
         c = float(rng.uniform(2.0, 25.0))
-        assert metric._clusters(est, truth, c, k) == clusters_by_pairs(est, truth, c)
+        close = (metric._geometry(est, truth, k)[0] < c).any(axis=0)
+        assert metric._clusters(close) == clusters_by_pairs(est, truth, c)
 
 
 @pytest.mark.parametrize(

@@ -132,15 +132,16 @@ def _check_every_step(est, truth, params, K, warm, calls):
             if not (ce and ct):
                 continue
             close = _close_by_pairs(ce, ct, params.c)
+            T = k - min(tr.start for tr in ce + ct) + 1
+            geometry = [g[k - T :] for g in metric._geometry(ce, ct, k)]
             calls.clear()
-            parts = metric._cluster_objective(ce, ct, params, k, prev, solved, close)
+            parts = metric._cluster_objective(ce, ct, params, k, geometry, close, prev, solved)
             cost, tag, A_eq, A_ub, x_dense = dense_solution(ce, ct, params, k)
             want = float(cost @ x_dense)
             assert math.isclose(parts.sum(), want, rel_tol=1e-9, abs_tol=1e-9), (k, parts, want)
             if not calls:  # a 1x1 cluster in closed form: no pair dropped
                 assert close.all()
                 continue
-            T = k - min(tr.start for tr in ce + ct) + 1
             kept = _dense_index(close, T)
             x = np.zeros(len(cost))
             x[kept] = calls[-1][2]
@@ -205,9 +206,9 @@ def test_zero_switch_penalty_ignores_capped_entries_of_dropped_pairs(monkeypatch
         Track("e1", 1, np.array([[30.0, 0.0], [31.0, 0.0]])),
     ]
     truth = [Track("t0", 1, np.zeros((1, 2))), Track("t1", 2, np.array([[30.0, 0.0]]))]
-    close = metric._close(est, truth, params.c, 2)
+    close = _close_by_pairs(est, truth, params.c)
     assert close.tolist() == [[True, True], [False, True]]
-    cost, tag = metric._cluster_costs(est, truth, params, 1, 2, close)
+    cost, tag = metric._cluster_costs(metric._geometry(est, truth, 2), close, params)
     x = np.zeros(len(cost))
     assert not metric._split_may_tie(x, cost, tag, close, 2, params)
     assert metric._split_may_tie(x, cost, tag, np.ones_like(close), 2, params)

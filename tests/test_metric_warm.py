@@ -105,8 +105,10 @@ def test_membership_change_or_skipped_step_is_solved_cold(monkeypatch):
 def test_rejected_warm_start_is_solved_cold():
     rng = np.random.default_rng(2)
     est, truth = _crossing_pair(rng, 6)
-    cost, _ = metric._cluster_costs(est, truth, TrajMetricParams(), 1, 6)
-    model = metric._model(2, 2, 6)
+    every_pair = np.ones((2, 2), dtype=bool)
+    geometry = metric._geometry(est, truth, 6)
+    cost, _ = metric._cluster_costs(geometry, every_pair, TrajMetricParams())
+    model = metric._model(2, 2, 6, np.flatnonzero(every_pair))
     status = metric._highs.HighsBasisStatus
     bad = ([status.kLower] * 3, [status.kBasic] * 2)  # the wrong size
     x_cold, basic_cold = metric._highs_solve(cost, model)
@@ -240,7 +242,8 @@ def _check_mapped_start(gone):
     if gone is not None:
         close[labels[0].index(gone[0]), labels[1].index(gone[1])] = False
     pairs = np.flatnonzero(close)
-    cost, _ = metric._cluster_costs(est, truth, params, 1, T)
+    geometry = metric._geometry(est, truth, T)
+    cost, _ = metric._cluster_costs(geometry, np.ones((3, 3), dtype=bool), params)
     cost = cost[metric._columns(3, 3, T, pairs)]
     col_status, row_status = metric._warm_start(bases, *labels, 1, T, pairs, cost)
     cols, rows = _names(*labels, T, _kept(*labels, close))
@@ -287,7 +290,8 @@ def test_clusters_without_one_fitting_predecessor_start_cold():
         trajectory_metric(est, truth, params, k, bases)
     labels = ((("e", 0), ("e", 1)), (("t", 0), ("t", 1)))
     pairs = np.arange(4)
-    cost, _ = metric._cluster_costs(est, truth, params, 1, 4)
+    geometry = metric._geometry(est, truth, 4)
+    cost, _ = metric._cluster_costs(geometry, np.ones((2, 2), dtype=bool), params)
     assert metric._warm_start(bases, *labels, 1, 4, pairs, cost) is not None
     assert metric._warm_start(bases, *labels, 1, 5, pairs, cost) is None  # a skipped step
     assert metric._warm_start(bases, *labels, 0, 5, pairs, cost) is None  # t0 moved
