@@ -13,6 +13,7 @@ from .filter import (
     GlobalHyp,
     LocalHyp,
     Posterior,
+    SpawnedSlot,
     check_posterior,
     estimate,
     form_hypotheses,
@@ -28,6 +29,7 @@ from .gaussian import (
     BranchDensity,
     EndCase,
     GaussianBranchComponent,
+    Moments,
     PPPComponent,
     condition,
     gate_loglik,

@@ -17,11 +17,18 @@ as per-tree ``GlobalHyp`` records, for readers outside the step.
 One filtering step runs: predict (branch survival mass redistribution plus
 one new potential branch per spawning mode per parent slot, with every
 grown live window cut to the last ``lscan`` states), measurement update
-(missed/detected local hypotheses, new Bernoulli trees off every
-measurement), global-hypothesis formation via k-best assignment per
-parent hypothesis, and pruning.  Predict and update make their Gaussian
+(missed local hypotheses and the association record, new Bernoulli trees
+off every measurement), global-hypothesis formation via k-best assignment
+per parent hypothesis, and pruning.  Predict and update make their Gaussian
 moves in stacked passes over all components at once (``trpmbm.gaussian``);
 ``truncate_window`` stays for callers that cut windows themselves.
+
+Local hypotheses are built only where they are kept.  The slots that
+predict spawns are held as arrays (``SpawnedSlot``) until prune builds the
+ones it keeps, and the detected hypotheses are built by formation, only
+for the gated pairs that a formed row picks.  A pruned posterior holds
+only built records; readers of the stages in between see spawned slots
+through ``SpawnedSlot.hyps``.
 
 Three operating modes share the recursion:
   kind='trpmbm'  Poisson birth into the undetected-tree intensity.
@@ -48,6 +55,7 @@ from .gaussian import (
     BranchDensity,
     EndCase,
     GaussianBranchComponent,
+    Moments,
     PPPComponent,
     condition,
     gate_loglik,
@@ -70,6 +78,12 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
+def _logs(x: np.ndarray) -> np.ndarray:
+    """``_log`` of every entry; ``np.log`` may differ from ``math.log`` in
+    the last bit."""
+    return np.array([_log(v) for v in x.tolist()])
+
+
 @dataclass(frozen=True)
 class LocalHyp:
     """One measurement history of a branch slot."""
@@ -86,10 +100,49 @@ class BranchSlot:
     hyps: tuple[LocalHyp, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class SpawnedSlot:
+    """A slot that ``predict`` spawned at ``step``, held as arrays.
+
+    Local hypothesis bi has log-weight ``log_w[bi]`` and existence ``r[bi]``.
+    Where ``tracked[bi]``, its density is one end case at ``step`` with
+    beta 1 over a single state with moments ``means[bi]`` and ``covs[bi]``,
+    and its genealogy is its parent component's (``parent[bi]``) plus
+    ``mark``; elsewhere it has none.  ``update`` thins the arrays,
+    ``form_hypotheses`` builds the slot when a formed row detects one of its
+    hypotheses, and ``prune`` builds the slots it keeps.  Every later
+    ``predict`` builds the tracked ones it moves, so the tracked spawned
+    slots of a posterior are those of its own step.
+    """
+
+    branch_id: tuple[int, ...]
+    step: int
+    mark: int
+    parent: tuple[GaussianBranchComponent | None, ...]
+    log_w: np.ndarray  # (n,)
+    r: np.ndarray  # (n,)
+    tracked: np.ndarray  # (n,) bool
+    means: np.ndarray  # (n, nx)
+    covs: np.ndarray  # (n, nx, nx)
+
+    def built(self, idx: list[int]) -> list[LocalHyp]:
+        """The local hypotheses at ``idx`` as records."""
+        at = [bi for bi in idx if self.tracked[bi]]
+        comps = spawn([self.parent[bi] for bi in at], self.means[at], self.covs[at], self.mark)
+        density = {bi: BranchDensity({self.step: EndCase(1.0, c)}) for bi, c in zip(at, comps)}
+        log_w, r = self.log_w.tolist(), self.r.tolist()
+        return [LocalHyp(log_w[bi], r[bi], density.get(bi), frozenset()) for bi in idx]
+
+    @cached_property
+    def hyps(self) -> tuple[LocalHyp, ...]:
+        """Every local hypothesis as a record, for readers outside the step."""
+        return tuple(self.built(list(range(len(self.r)))))
+
+
 @dataclass(frozen=True)
 class BernoulliTree:
     start_time: int
-    slots: tuple[BranchSlot, ...]
+    slots: tuple[BranchSlot | SpawnedSlot, ...]
 
 
 @dataclass(frozen=True)
@@ -103,7 +156,8 @@ class Posterior:
     """Intensity, Bernoulli trees and the global-hypothesis table over them.
 
     Stages never write to the arrays, so posteriors may share them.  Between
-    ``update`` and ``form_hypotheses`` the new trees have no columns.
+    ``update`` and ``form_hypotheses`` the new trees have no columns and no
+    slot holds a detected hypothesis.
     """
 
     step: int
@@ -127,27 +181,28 @@ def initial_posterior() -> Posterior:
     return Posterior(0, (), (), np.zeros(1), np.zeros((1, 0), dtype=np.int32))
 
 
+def _with_hyps(slot: BranchSlot, hyps: list[LocalHyp]) -> BranchSlot:
+    """The slot with these hypotheses: itself when they are its own objects."""
+    if len(hyps) == len(slot.hyps) and all(map(operator.is_, hyps, slot.hyps)):
+        return slot
+    return BranchSlot(slot.branch_id, tuple(hyps))
+
+
 def _rebuilt(
     trees: tuple[BernoulliTree, ...], columns: list
 ) -> tuple[list[BernoulliTree], list[int]]:
-    """The trees with one new hypothesis sequence per table column, and the
-    kept columns.  A column of None drops its slot, and a tree left without
-    slots goes with it.  A slot whose hypotheses are the same objects, and a
-    tree whose slots all are, come back as themselves."""
+    """The trees with one new slot per table column, and the kept columns.
+    A column of None drops its slot, and a tree left without slots goes with
+    it.  A tree whose slots are all its own comes back as itself."""
     out, kept = [], []
     numbered = enumerate(columns)
     for tree in trees:
         slots = []
-        # zip draws the slot first, so it takes one column per slot
-        for slot, (col, hyps) in zip(tree.slots, numbered):
-            if hyps is None:
-                continue
-            if hyps is not slot.hyps and (
-                len(hyps) != len(slot.hyps) or not all(map(operator.is_, hyps, slot.hyps))
-            ):
-                slot = BranchSlot(slot.branch_id, tuple(hyps))
-            slots.append(slot)
-            kept.append(col)
+        # zip draws the tree's slot first, so it takes one column per slot
+        for _, (col, slot) in zip(tree.slots, numbered):
+            if slot is not None:
+                slots.append(slot)
+                kept.append(col)
         if len(slots) == len(tree.slots) and all(map(operator.is_, slots, tree.slots)):
             out.append(tree)
         elif slots:
@@ -190,10 +245,11 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
     Every (spawning mode, parent slot) pair appends a new slot whose local
     hypotheses parallel the parent's, each existing with probability
     r * p_spawn * beta(k-1), with its offset taken at the survival move's
-    predicted mean.  Frozen or dead hypotheses pass through untouched; slots
-    with no alive existence mass produce no spawn slots (every spawn
-    hypothesis would carry exactly zero existence).  Intensity terms are
-    thinned by p_S and joined by the births.
+    predicted mean; the new slots are held as arrays (``SpawnedSlot``).
+    Frozen or dead hypotheses pass through untouched; slots with no alive
+    existence mass produce no spawn slots (every spawn hypothesis would
+    carry exactly zero existence).  Intensity terms are thinned by p_S and
+    joined by the births.
 
     Spawned slots copy their parent's column, after their tree's columns;
     the birth tree of 'trmbm' gets zero columns.
@@ -220,7 +276,11 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
     ppp = post.ppp if p_s > 0.0 and kind != "trmbm" else ()
     comps = [case.comp for case in prevs] + [c.comp for c in ppp]
     moved: dict[int, GaussianBranchComponent] = {}
-    children: list[dict[int, GaussianBranchComponent]] = []
+    # every spawning mode spawns one slot per spawnable slot, whose hyps
+    # take one span of the mode's arrays: per spawnable slot its span and
+    # parent components, per mode the means, covariances and existences
+    spans: dict[tuple[int, int], tuple[int, int, tuple]] = {}
+    modes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     if comps:
         means, covs = last_states(comps)
         pm, pP = transition(means, covs, surv.F, surv.offsets_at(means), surv.Q)
@@ -229,12 +289,28 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
             go += range(len(prevs), len(comps))
             survived = survive([comps[i] for i in go], pm[go], pP[go], surv.F, cfg.filters.lscan)
             moved = dict(zip(go, survived))
-        parents = [c for ti, js in spawnable.items() for ji in js for _, c in found[ti][ji]]
-        for mark, mode in enumerate(cfg.spawn_modes if parents else (), start=2):
+        parents, at, r_parent, n = [], [], [], 0
+        for ti, js in spawnable.items():
+            for ji in js:
+                hyps = post.trees[ti].slots[ji].hyps
+                parent: list = [None] * len(hyps)
+                for bi, c in found[ti][ji]:
+                    parent[bi] = comps[c]
+                    parents.append(c)
+                    at.append(n + bi)
+                    r_parent.append(hyps[bi].r)
+                spans[ti, ji] = (n, n + len(hyps), tuple(parent))
+                n += len(hyps)
+        tracked, zeros = np.zeros(n, dtype=bool), np.zeros(n)
+        tracked[at] = True
+        beta = np.array([prevs[c].beta for c in parents])
+        for mode in cfg.spawn_modes if parents else ():
             sm, sP = transition(
                 means[parents], covs[parents], mode.F, mode.offsets_at(pm[parents]), mode.Q
             )
-            children.append(dict(zip(parents, spawn([comps[i] for i in parents], sm, sP, mark))))
+            m, P, r = np.zeros((n, *sm.shape[1:])), np.zeros((n, *sP.shape[1:])), np.zeros(n)
+            m[at], P[at], r[at] = sm, sP, np.array(r_parent) * mode.prob * beta
+            modes.append((m, P, r))
 
     trees, cols = [], []
     start = 0
@@ -264,17 +340,18 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
             slots[ji] = BranchSlot(slots[ji].branch_id, tuple(hyps))
             changed = True
         parent_of = spawnable.get(ti, [])
-        for mark, (mode, child) in enumerate(zip(cfg.spawn_modes, children), start=2):
+        for mark, (m, P, r) in enumerate(modes, start=2):
             for ji in parent_of:
-                slot = tree.slots[ji]
+                branch_id = tree.slots[ji].branch_id
                 # deterministic alive genealogy of the parent at step k-1
-                pad = (k - 1 - tree.start_time + 1) - len(slot.branch_id)
-                hyps = [LocalHyp(0.0, 0.0, None, frozenset())] * len(slot.hyps)
-                for bi, c in found[ti][ji]:
-                    r_new = slot.hyps[bi].r * mode.prob * prevs[c].beta
-                    density = BranchDensity({k: EndCase(1.0, child[c])})
-                    hyps[bi] = LocalHyp(0.0, r_new, density, frozenset())
-                slots.append(BranchSlot(slot.branch_id + (1,) * pad + (mark,), tuple(hyps)))
+                pad = (k - 1 - tree.start_time + 1) - len(branch_id)
+                lo, hi, parent = spans[ti, ji]
+                slots.append(
+                    SpawnedSlot(
+                        branch_id + (1,) * pad + (mark,), k, mark, parent,
+                        zeros[lo:hi], r[lo:hi], tracked[lo:hi], m[lo:hi], P[lo:hi],
+                    )
+                )
                 cols.append(start + ji)
         changed = changed or len(slots) > len(tree.slots)
         trees.append(BernoulliTree(tree.start_time, tuple(slots)) if changed else tree)
@@ -302,11 +379,14 @@ def truncate_window(post: Posterior, lscan: int) -> Posterior:
 
     ``predict`` already cuts every window it grows, so on its output this
     returns the same trees and intensity terms.  It stays for callers that
-    build posteriors themselves or change ``lscan``.
+    build posteriors themselves or change ``lscan``.  Spawned slots hold
+    single states, which every window fits.
     """
     comps = [c.comp for c in post.ppp]
     for tree in post.trees:
         for slot in tree.slots:
+            if isinstance(slot, SpawnedSlot):
+                continue
             for h in slot.hyps:
                 if h.density is not None:
                     comps += (case.comp for case in h.density.components.values())
@@ -326,7 +406,11 @@ def truncate_window(post: Posterior, lscan: int) -> Posterior:
     ppp = tuple(
         PPPComponent(c.log_weight, c.start_time, cut.get(id(c.comp), c.comp)) for c in post.ppp
     )
-    columns = [list(map(hyp, slot.hyps)) for tree in post.trees for slot in tree.slots]
+    columns = [
+        slot if isinstance(slot, SpawnedSlot) else _with_hyps(slot, list(map(hyp, slot.hyps)))
+        for tree in post.trees
+        for slot in tree.slots
+    ]
     trees, _ = _rebuilt(post.trees, columns)
     return Posterior(post.step, ppp, tuple(trees), post.log_w, post.sel)
 
@@ -341,7 +425,13 @@ class UpdateMaps:
     """The association record: one row per local hypothesis with detectable
     mass, in (column, hyp) order, and one column per measurement.  Other
     hypotheses have a missed-detection factor of exactly 1 (log 0).
-    Outside the gate ``log_ratio`` holds -inf and ``child`` holds -1.
+    Outside the gate ``log_ratio`` and ``log_det`` hold -inf and ``child``
+    holds -1.
+
+    A gated pair's ``child`` is the index its detected hypothesis has in the
+    slot when every gated pair's is appended behind the missed ones, in row
+    and measurement order.  ``form_hypotheses`` builds only the ones that a
+    formed row picks, from the predicted slots and the rows' innovation data.
     """
 
     col: np.ndarray  # (D,) the slot's column in the global-hypothesis table
@@ -350,6 +440,10 @@ class UpdateMaps:
     log_ratio: np.ndarray  # (D, m_k) log w_det - log w_miss
     child: np.ndarray  # (D, m_k) the detected local hypothesis in that slot
     new_tree_logw: np.ndarray  # per measurement: log(clutter + ppp mass)
+    log_det: np.ndarray  # (D, m_k) log w_det, the detected hypothesis's weight
+    S: np.ndarray  # (D, nz, nz) innovation covariances
+    innov: np.ndarray  # (D, m_k, nz) innovations
+    predicted: tuple[BranchSlot | SpawnedSlot, ...]  # per column: the predicted slot
 
     @property
     def det_meas(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -421,14 +515,15 @@ def _new_trees(
 def update(
     post: Posterior, Z: np.ndarray, cfg: ScenarioConfig
 ) -> tuple[Posterior, UpdateMaps]:
-    """Measurement update: expand local hypotheses, spawn new Bernoulli trees.
+    """Measurement update: missed local hypotheses, the association record
+    and new Bernoulli trees.
 
     Missed-detection versions sit at the same index as their predicted
     hypothesis, so previous global selections stay valid until
-    form_hypotheses rewires the detected ones.  The intensity terms and the
-    detectable local hypotheses are each gated against every measurement in
-    one stacked call, and each gated row of the association record is
-    written as one slice of weight ratios and child indices.
+    form_hypotheses rewires the detected ones, which it also builds.  The
+    intensity terms and the detectable local hypotheses are each gated
+    against every measurement in one stacked call, and the record is
+    written with array arithmetic; spawned slots are thinned as arrays.
 
     Approximation: a new tree's Bernoulli keeps the Gaussian of the one
     intensity term with the largest weighted likelihood for its measurement
@@ -455,61 +550,120 @@ def update(
         )
 
     # --- Bernoulli trees: missed local hypotheses ---------------------------
-    # one missed hypothesis per predicted one (same index); the detected ones
-    # go behind the full missed block of their slot
-    columns = [slot.hyps for tree in post.trees for slot in tree.slots]
-    keys, log_miss = [], []  # (column, hyp) and log miss factor per association row
-    detectable = []  # its slot's hyps, its local hyp and beta(k)
-    for col, predicted in enumerate(columns):
+    # one missed hypothesis per predicted one (same index).  Per association
+    # row: (column, hyp), the predicted log-weight, the log miss factor, the
+    # detected log-weight but the likelihood, and the last-state moments
+    slots = [slot for tree in post.trees for slot in tree.slots]
+    missed = list(slots)
+    keys, log_w, log_miss, log_base, comps = [], [], [], [], []
+    spawned = [col for col, slot in enumerate(slots) if isinstance(slot, SpawnedSlot)]
+    for col, slot in enumerate(slots):
+        if isinstance(slot, SpawnedSlot):
+            continue
         hyps = None  # until the slot's first detectable hypothesis
-        for bi, h in enumerate(predicted):
+        for bi, h in enumerate(slot.hyps):
             beta_k = h.density.beta(k) if h.density is not None and h.r > 0.0 else 0.0
             detectable_mass = h.r * beta_k * p_d
             if detectable_mass <= 0.0:
                 continue
             if hyps is None:
-                hyps = columns[col] = list(predicted)
+                hyps = list(slot.hyps)
             miss_factor = 1.0 - detectable_mass
             # None when detection was certain: the missed branch cannot exist
             density = h.density.missed(k, p_d)
             r_miss = h.r * (1.0 - beta_k * p_d) / miss_factor if density is not None else 0.0
             hyps[bi] = LocalHyp(h.log_w + _log(miss_factor), r_miss, density, h.assoc)
             keys.append((col, bi))
+            log_w.append(h.log_w)
             log_miss.append(max(_log(miss_factor), LOG_FLOOR))
-            detectable.append((hyps, h, beta_k))
+            log_base.append(h.log_w + _log(h.r) + _log(beta_k) + _log(p_d))
+            comps.append(h.density.components[k].comp)
+        if hyps is not None:
+            missed[col] = BranchSlot(slot.branch_id, tuple(hyps))
+    rows = [*np.array(keys, dtype=np.intp).reshape(-1, 2).T, log_w, log_miss, log_base]
+    states = [last_states(comps)] if comps else []
+    if spawned:
+        thinned, more, moments = _missed_spawned([slots[c] for c in spawned], spawned, p_d)
+        for col, slot in zip(spawned, thinned):
+            missed[col] = slot
+        rows = [np.concatenate(pair) for pair in zip(rows, more)]
+        states.append(moments)
+    order = np.argsort(rows[0], kind="stable")  # (column, hyp) order
+    cols, bis, log_w, log_miss, log_base = (np.asarray(row)[order] for row in rows)
 
-    # --- Bernoulli trees: detected local hypotheses -------------------------
-    log_ratio = np.full((len(detectable), m_k), -np.inf)
-    child = np.full((len(detectable), m_k), -1, dtype=post.sel.dtype)
-    if detectable and m_k:
-        comps = [h.density.components[k].comp for _, h, _ in detectable]
-        zhat, S = innovation(comps, meas.H, meas.R)
+    # --- Bernoulli trees: the gated pairs -----------------------------------
+    n_rows, nz = len(cols), meas.H.shape[0]
+    gated, loglik = np.zeros((n_rows, m_k), dtype=bool), np.zeros((n_rows, m_k))
+    S, innov = np.zeros((n_rows, nz, nz)), np.zeros((n_rows, m_k, nz))
+    if n_rows and m_k:
+        means, covs = (np.concatenate(part)[order] for part in zip(*states))
+        zhat, S = innovation(Moments(means, covs), meas.H, meas.R)
         innov = Z - zhat[:, None, :]
-        inside, loglik = gate_loglik(S, innov, cfg.filters.gate)
-        rows = np.flatnonzero(inside.any(axis=1))
-        item, gated = np.nonzero(inside[rows])
-        means, covs = condition(
-            [comps[row] for row in rows], meas.H, S[rows], item, innov[rows[item], gated]
-        )
-        means = iter(means)
-        for row, cov_post in zip(rows.tolist(), covs):
-            hyps, h, beta_k = detectable[row]
-            gated = np.flatnonzero(inside[row])
-            comp_k = comps[row]
-            log_base = h.log_w + _log(h.r) + _log(beta_k) + _log(p_d)
-            log_det = log_base + loglik[row, gated]
-            log_ratio[row, gated] = log_det - (h.log_w + log_miss[row])
-            child[row, gated] = np.arange(len(hyps), len(hyps) + len(gated))
-            for m, mean, log_w in zip(gated.tolist(), means, log_det.tolist()):
-                density = BranchDensity({k: EndCase(1.0, comp_k.with_live(mean, cov_post))})
-                hyps.append(LocalHyp(log_w, 1.0, density, h.assoc | {(k, m)}))
+        gated, loglik = gate_loglik(S, innov, cfg.filters.gate)
+    log_det = np.where(gated, log_base[:, None] + loglik, -np.inf)
+    log_ratio = np.where(gated, log_det - (log_w + log_miss)[:, None], -np.inf)
+    # a detected hypothesis's index: behind its slot's missed ones and the
+    # detected ones of the slot's earlier gated pairs
+    prow, pm = np.nonzero(gated)
+    pcol = cols[prow]
+    sizes = np.array([len(s.r) if isinstance(s, SpawnedSlot) else len(s.hyps) for s in slots])
+    child = np.full((n_rows, m_k), -1, dtype=post.sel.dtype)
+    child[prow, pm] = sizes[pcol] + np.arange(len(prow)) - np.searchsorted(pcol, pcol)
 
-    trees, _ = _rebuilt(post.trees, columns)
-    cols, bis = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+    trees, _ = _rebuilt(post.trees, missed)
     return (
         Posterior(k, ppp, tuple(trees + new_trees), post.log_w, post.sel),
-        UpdateMaps(cols, bis, np.array(log_miss), log_ratio, child, new_tree_logw),
+        UpdateMaps(
+            cols, bis, log_miss, log_ratio, child, new_tree_logw, log_det, S, innov, tuple(slots)
+        ),
     )
+
+
+def _missed_spawned(
+    held: list[SpawnedSlot], cols: list[int], p_d: float
+) -> tuple[list[SpawnedSlot], list[np.ndarray], Moments]:
+    """``update``'s missed-detection step for the spawned slots at columns
+    ``cols``, in arrays: their missed versions, their association rows
+    (the fields ``update`` collects per row) and the rows' moments.
+
+    A detectable spawned hypothesis has beta(k) = 1, so its missed density,
+    if any, is its predicted one: (1 - p_D) / (1 - p_D) == 1.0 exactly.
+    """
+    sizes = [len(slot.r) for slot in held]
+    ends = np.cumsum(sizes)
+    r = np.concatenate([slot.r for slot in held])
+    log_w = np.concatenate([slot.log_w for slot in held])
+    tracked = np.concatenate([slot.tracked for slot in held])
+    det = np.flatnonzero(tracked & (r > 0.0) & (r * p_d > 0.0))
+    miss_factor = 1.0 - r[det] * p_d
+    log_factor = _logs(miss_factor)
+    new_log_w, new_r, new_tracked = log_w.copy(), r.copy(), tracked.copy()
+    new_log_w[det] = log_w[det] + log_factor
+    if p_d < 1.0:
+        new_r[det] = r[det] * (1.0 - p_d) / miss_factor
+    else:  # certain detection: the missed branch cannot exist
+        new_r[det] = 0.0
+        new_tracked[det] = False
+    starts = ends - sizes
+    touched = np.bincount(np.searchsorted(ends, det, side="right"), minlength=len(held))
+    thinned = [
+        SpawnedSlot(
+            slot.branch_id, slot.step, slot.mark, slot.parent,
+            new_log_w[lo:hi], new_r[lo:hi], new_tracked[lo:hi], slot.means, slot.covs,
+        )
+        if hit
+        else slot
+        for slot, lo, hi, hit in zip(held, starts.tolist(), ends.tolist(), touched.tolist())
+    ]
+    hyp = np.arange(len(r)) - np.repeat(starts, sizes)
+    log_base = log_w[det] + _logs(r[det]) + _log(p_d)  # log beta(k) = 0
+    rows = [
+        np.repeat(cols, sizes)[det], hyp[det], log_w[det],
+        np.maximum(log_factor, LOG_FLOOR), log_base,
+    ]
+    means = np.concatenate([slot.means for slot in held])[det]
+    covs = np.concatenate([slot.covs for slot in held])[det]
+    return thinned, rows, Moments(means, covs)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +708,8 @@ def form_hypotheses(
     hypothesis plus one new-tree column per row.
     A child copies its parent's row, takes the assigned detections in their
     columns and gets one column per new tree (1: the measurement started
-    it).  Children are merged on identical rows and renormalised.
+    it).  Children are merged on identical rows and renormalised.  Then the
+    detected hypotheses that the rows pick are built (``_detected``).
     """
     n_hyp = cfg.filters.n_hyp
     # match[g, d]: parent g selects the hypothesis of association row d
@@ -604,7 +759,55 @@ def form_hypotheses(
         child_w.append(post.log_w[parent] + baselines[parent] - (forced_cost + costs[sol]))
 
     log_w, sel = _merged(np.concatenate(child_w), np.vstack(child_sel))
-    return Posterior(post.step, post.ppp, post.trees, log_w, sel)
+    return Posterior(post.step, post.ppp, _detected(post, maps, sel, cfg), log_w, sel)
+
+
+def _detected(
+    post: Posterior, maps: UpdateMaps, sel: np.ndarray, cfg: ScenarioConfig
+) -> tuple[BernoulliTree, ...]:
+    """The trees with the detected hypotheses that the rows of ``sel`` pick,
+    renumbering ``sel`` in place.
+
+    ``sel`` holds the record's ``child`` indices.  The picked pairs are
+    conditioned in one stacked call and appended to their slots in index
+    order, and each picked index becomes its slot's size plus its rank
+    among the slot's picked ones.  That map is increasing per column, so it
+    keeps the order of the rows.  A spawned slot that gains one is built.
+    """
+    k = post.step
+    prow, pm = np.nonzero(maps.child >= 0)  # the gated pairs, by column
+    pcol, pidx = maps.col[prow], maps.child[prow, pm]
+    hit = sel[:, pcol] == pidx
+    used = np.flatnonzero(hit.any(axis=0))
+    if not len(used):
+        return post.trees
+    ucol = pcol[used]
+    # a column's first gated pair has its slot's size as index
+    first = pidx[np.searchsorted(pcol, ucol)]
+    at, u = np.nonzero(hit[:, used])
+    sel[at, ucol[u]] = (first + np.arange(len(used)) - np.searchsorted(ucol, ucol))[u]
+
+    urow, um = prow[used], pm[used]
+    rows, item = np.unique(urow, return_inverse=True)
+    predicted = []  # the predicted hyp of each row
+    for col, bi in zip(maps.col[rows].tolist(), maps.hyp[rows].tolist()):
+        slot = maps.predicted[col]
+        predicted.append(slot.built([bi])[0] if isinstance(slot, SpawnedSlot) else slot.hyps[bi])
+    comps = [h.density.components[k].comp for h in predicted]
+    meas = cfg.measurement
+    means, covs = condition(comps, meas.H, maps.S[rows], item, maps.innov[urow, um])
+    slots = [slot for tree in post.trees for slot in tree.slots]
+    found: dict[int, list[LocalHyp]] = {}
+    for col, i, m, mean, log_w in zip(
+        ucol.tolist(), item.tolist(), um.tolist(), means, maps.log_det[urow, um].tolist()
+    ):
+        density = BranchDensity({k: EndCase(1.0, comps[i].with_live(mean, covs[i]))})
+        assoc = predicted[i].assoc | {(k, m)}
+        found.setdefault(col, []).append(LocalHyp(log_w, 1.0, density, assoc))
+    for col, hyps in found.items():
+        slots[col] = BranchSlot(slots[col].branch_id, slots[col].hyps + tuple(hyps))
+    trees, _ = _rebuilt(post.trees, slots)
+    return tuple(trees)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +820,8 @@ def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
 
     Each kept column's local hypotheses shrink to the ones a kept row
     references, renumbered in order; a column whose remaining hypotheses
-    all have r = 0 is dropped, and a tree without columns with it.
+    all have r = 0 is dropped, and a tree without columns with it.  Kept
+    spawned slots are built here.
     """
     f = cfg.filters
     k = post.step
@@ -648,11 +852,26 @@ def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
     np.put_along_axis(sel, order, np.cumsum(first, axis=0) - 1, axis=0)
     refs = np.split(ranked.T[first.T], np.cumsum(first.sum(axis=0))[:-1])
 
-    columns = []  # the shrunk referenced hyps per column; None drops the column
     slots = [slot for tree in post.trees for slot in tree.slots]
-    for slot, ref in zip(slots, refs):
+    # the spawned columns that a referenced hyp keeps: a spawned hyp keeps
+    # existence through shrink_hyp when r >= gamma_bern and its beta(k) = 1
+    # passes the alive end cut
+    spawned = [col for col, slot in enumerate(slots) if isinstance(slot, SpawnedSlot)]
+    live = set()
+    if spawned and f.gamma_alive <= 1.0:
+        held = [slots[col].r for col in spawned]
+        r = np.concatenate(held)
+        at = ranked[:, spawned] + np.cumsum([0] + [len(x) for x in held[:-1]])
+        alive = (r > 0.0) & (r >= f.gamma_bern)
+        live = set(np.compress(alive[at].any(axis=0), spawned).tolist())
+    columns = []  # the slot of shrunk referenced hyps per column; None drops it
+    for col, (slot, ref) in enumerate(zip(slots, refs)):
+        if isinstance(slot, SpawnedSlot):
+            hyps = tuple(map(shrink_hyp, slot.built(ref.tolist()))) if col in live else ()
+            columns.append(BranchSlot(slot.branch_id, hyps) if hyps else None)
+            continue
         hyps = [shrink_hyp(slot.hyps[bi]) for bi in ref.tolist()]
-        columns.append(hyps if any(h.r != 0.0 for h in hyps) else None)
+        columns.append(_with_hyps(slot, hyps) if any(h.r != 0.0 for h in hyps) else None)
     trees, cols = _rebuilt(post.trees, columns)
 
     log_w, sel = _merged(post.log_w[keep], sel[:, cols])

@@ -9,18 +9,20 @@ mutated) and resymmetrise covariances on the way out.
 
 Every kernel works on a stack of N components at once; components of
 different live lengths go through one stacked pass per length.
-``last_states`` and ``transition`` move the last states one step
-(F m + d, F P F' + Q); ``survive`` appends the moved state to each live
-window and cuts it to the last L states, and ``spawn`` starts single-state
-branches from the moved moments.  ``l_scan_truncate`` is the same cut for
-components that did not move.
+``last_states`` stacks the moments of the last states (``Moments``) and
+``transition`` moves them one step (F m + d, F P F' + Q, symmetrised);
+``survive`` appends the moved state to each live window and cuts it to the
+last L states, and ``spawn`` starts single-state branches from the moved
+moments.  ``l_scan_truncate`` is the same cut for components that did not
+move.
 
 Every measurement update goes through one kernel: ``innovation`` stacks
-the predicted measurements and innovation covariances of N components,
-``gate_loglik`` gates and scores all of them against every measurement at
-once, and ``condition`` conditions the live windows on their gated
-measurements.  ``innovation`` holds the one jitter policy: it adds
-JITTER * I once to each S that is not positive definite.
+the predicted measurements and innovation covariances of N components, or
+of N last-state moments held without components, ``gate_loglik`` gates and
+scores all of them against every measurement at once, and ``condition``
+conditions the live windows on their gated measurements.  ``innovation``
+holds the one jitter policy: it adds JITTER * I once to each S that is not
+positive definite.
 
 Stacked products keep the bits of the per-component ones:
 ``np.matmul(F, means[:, :, None])`` gives those of ``F @ m`` per row, and
@@ -136,21 +138,27 @@ def _windowed(
     ]
 
 
-def last_states(
-    comps: Sequence[GaussianBranchComponent],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Means (N, nx) and covariances (N, nx, nx) of the components' last states."""
+class Moments(NamedTuple):
+    """Stacked moments of single states: means (N, nx), covariances (N, nx, nx)."""
+
+    means: np.ndarray
+    covs: np.ndarray
+
+
+def last_states(comps: Sequence[GaussianBranchComponent]) -> Moments:
+    """The moments of the components' last states."""
     nx = comps[0].nx
     means = np.stack([c.mean[-nx:] for c in comps])
     covs = np.stack([c.cov[-nx:, -nx:] for c in comps])
-    return means, covs
+    return Moments(means, covs)
 
 
 def transition(
     means: np.ndarray, covs: np.ndarray, F: np.ndarray, offsets: np.ndarray, Q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One motion step of stacked states: F m + d per row and F P F' + Q."""
-    return np.matmul(F, means[:, :, None])[..., 0] + offsets, F @ covs @ F.T + Q
+) -> Moments:
+    """One motion step of stacked states: F m + d per row and F P F' + Q,
+    symmetrised, so that ``spawn`` stores it as it is."""
+    return Moments(np.matmul(F, means[:, :, None])[..., 0] + offsets, _sym(F @ covs @ F.T + Q))
 
 
 def survive(
@@ -201,7 +209,7 @@ def spawn(
         raise ValueError(f"spawning modes start at 2, got {mark}")
     return [
         GaussianBranchComponent(c.genealogy + (mark,), m, P, c.nx)
-        for c, m, P in zip(comps, _rows(means), _rows(_sym(covs)))
+        for c, m, P in zip(comps, _rows(means), _rows(covs))
     ]
 
 
@@ -228,14 +236,14 @@ def l_scan_truncate(
 
 
 def innovation(
-    comps: Sequence[GaussianBranchComponent], H: np.ndarray, R: np.ndarray
+    states: Sequence[GaussianBranchComponent] | Moments, H: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted measurements (N, nz) and innovation covariances (N, nz, nz).
 
-    One row per component, for its last state.  Each S that is not
-    positive definite gets JITTER * I.
+    One row per component, for its last state, or per row of last-state
+    ``Moments``.  Each S that is not positive definite gets JITTER * I.
     """
-    means, covs = last_states(comps)
+    means, covs = states if isinstance(states, Moments) else last_states(states)
     zhat = np.matmul(H, means[:, :, None])[..., 0]
     S = _sym(H @ covs @ H.T + R)
     if S.shape[1:] == (2, 2):  # the 2x2 closed forms below divide by this det

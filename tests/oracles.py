@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,8 +30,12 @@ from trpmbm.filter import (
     LocalHyp,
     Posterior,
     _birth_tree,
+    _log,
     _merged,
+    _new_trees,
+    _rebuilt,
     _runs,
+    prune,
 )
 from trpmbm.gaussian import (
     JITTER,
@@ -38,10 +43,11 @@ from trpmbm.gaussian import (
     EndCase,
     GaussianBranchComponent,
     PPPComponent,
+    condition,
     gate_loglik,
     innovation,
 )
-from trpmbm.models import NX, PERP_FALLBACK, SPEED_EPS
+from trpmbm.models import NX, PERP_FALLBACK, SPEED_EPS, no_spawning
 from trpmbm.trees import branch_length, validate_genealogy
 
 
@@ -970,3 +976,109 @@ def alive_cut_by_prune(density, k):
         if kappa != k
     }
     return BranchDensity(rest) if rest else None
+
+
+# ---------------------------------------------------------------------------
+# The measurement update that built the detected hypothesis of every gated
+# pair: the reference for formation building only the picked ones, and,
+# after ``predict_by_component``'s spawned slots of records, for the
+# spawned slots that ``trpmbm.filter`` holds as arrays
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EagerRecord:
+    """The association record of ``update_eager``: ``child`` indexes the
+    built detected hypotheses."""
+
+    col: np.ndarray
+    hyp: np.ndarray
+    log_miss: np.ndarray
+    log_ratio: np.ndarray
+    child: np.ndarray
+    new_tree_logw: np.ndarray
+
+
+def update_eager(post, Z, cfg):
+    """``trpmbm.filter.update`` building every detected hypothesis, behind
+    the missed block of its slot in (row, measurement) order, from a
+    posterior of built slots."""
+    k = post.step
+    meas = cfg.measurement
+    Z = np.asarray(Z, dtype=float).reshape(-1, meas.H.shape[0])
+    m_k = Z.shape[0]
+    p_d = meas.p_detect
+    new_trees, new_tree_logw = _new_trees(post.ppp, Z, cfg, k)
+    if p_d >= 1.0:
+        ppp = ()
+    else:
+        thin = _log(1.0 - p_d)
+        ppp = tuple(PPPComponent(c.log_weight + thin, c.start_time, c.comp) for c in post.ppp)
+
+    slots = [slot for tree in post.trees for slot in tree.slots]
+    columns = [slot.hyps for slot in slots]
+    keys, log_miss, detectable = [], [], []
+    for col, predicted in enumerate(columns):
+        hyps = None
+        for bi, h in enumerate(predicted):
+            beta_k = h.density.beta(k) if h.density is not None and h.r > 0.0 else 0.0
+            detectable_mass = h.r * beta_k * p_d
+            if detectable_mass <= 0.0:
+                continue
+            if hyps is None:
+                hyps = columns[col] = list(predicted)
+            miss_factor = 1.0 - detectable_mass
+            density = h.density.missed(k, p_d)
+            r_miss = h.r * (1.0 - beta_k * p_d) / miss_factor if density is not None else 0.0
+            hyps[bi] = LocalHyp(h.log_w + _log(miss_factor), r_miss, density, h.assoc)
+            keys.append((col, bi))
+            log_miss.append(max(_log(miss_factor), LOG_FLOOR))
+            detectable.append((hyps, h, beta_k))
+
+    log_ratio = np.full((len(detectable), m_k), -np.inf)
+    child = np.full((len(detectable), m_k), -1, dtype=post.sel.dtype)
+    if detectable and m_k:
+        comps = [h.density.components[k].comp for _, h, _ in detectable]
+        zhat, S = innovation(comps, meas.H, meas.R)
+        innov = Z - zhat[:, None, :]
+        inside, loglik = gate_loglik(S, innov, cfg.filters.gate)
+        rows = np.flatnonzero(inside.any(axis=1))
+        item, gated = np.nonzero(inside[rows])
+        means, covs = condition(
+            [comps[row] for row in rows], meas.H, S[rows], item, innov[rows[item], gated]
+        )
+        means = iter(means)
+        for row, cov_post in zip(rows.tolist(), covs):
+            hyps, h, beta_k = detectable[row]
+            gated = np.flatnonzero(inside[row])
+            comp_k = comps[row]
+            log_base = h.log_w + _log(h.r) + _log(beta_k) + _log(p_d)
+            log_det = log_base + loglik[row, gated]
+            log_ratio[row, gated] = log_det - (h.log_w + log_miss[row])
+            child[row, gated] = np.arange(len(hyps), len(hyps) + len(gated))
+            for m, mean, log_w in zip(gated.tolist(), means, log_det.tolist()):
+                density = BranchDensity({k: EndCase(1.0, comp_k.with_live(mean, cov_post))})
+                hyps.append(LocalHyp(log_w, 1.0, density, h.assoc | {(k, m)}))
+
+    rebuilt = [
+        slot if hyps is slot.hyps else BranchSlot(slot.branch_id, tuple(hyps))
+        for slot, hyps in zip(slots, columns)
+    ]
+    trees, _ = _rebuilt(post.trees, rebuilt)
+    cols, bis = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+    record = EagerRecord(cols, bis, np.array(log_miss), log_ratio, child, new_tree_logw)
+    return Posterior(k, ppp, tuple(trees + new_trees), post.log_w, post.sel), record
+
+
+def step_eager(post, Z, cfg, kind="trpmbm"):
+    """``trpmbm.filter.step`` with every local hypothesis built: spawned
+    slots of records, every gated pair's detected hypothesis, and the
+    formation reference reading that record."""
+    if kind == "tpmbm" and cfg.n_modes > 1:
+        cfg = no_spawning(cfg)
+    Z = np.asarray(Z, dtype=float).reshape(-1, cfg.measurement.H.shape[0])
+    upd, record = update_eager(predict_by_component(post, cfg, kind), Z, cfg)
+    formed = form_hypotheses_by_dicts(
+        upd, *record_as_dicts(record), record.new_tree_logw, len(Z), cfg
+    )
+    return prune(formed, cfg)

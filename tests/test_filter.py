@@ -145,7 +145,9 @@ def test_update_detection_confirms_existence():
     upd, maps = update(post, z, CFG)
     assert (maps.col.tolist(), maps.hyp.tolist()) == ([0], [0])
     assert maps.child[0, 0] >= 0
-    det = upd.trees[0].slots[0].hyps[maps.child[0, 0]]
+    # formation builds the detected hypothesis that a row picks
+    formed = form_hypotheses(upd, maps, 1, CFG)
+    det = formed.trees[0].slots[0].hyps[formed.sel[:, 0].max()]
     assert det.r == 1.0
     assert det.density.beta(1) == 1.0
     assert det.assoc == {(1, 0)}
@@ -164,12 +166,13 @@ def test_update_weight_identity():
     post = posterior(1, (), (tree,), (0.0, ((0,),)))
     Z = np.array([[295.0, 168.0], [301.0, 166.0], [900.0, 900.0]])
     upd, maps = update(post, Z, CFG)
-    slot = upd.trees[0].slots[0]
+    # formation builds the detected hypotheses that rows pick: here both
+    # gated ones, behind the missed one
+    slot = form_hypotheses(upd, maps, len(Z), CFG).trees[0].slots[0]
     missed_w = math.exp(slot.hyps[0].log_w)
     det_ws = [
-        math.exp(slot.hyps[idx].log_w)
-        for idx in maps.child[maps.col == 0].ravel().tolist()
-        if idx >= 0
+        math.exp(h.log_w)
+        for h in slot.hyps[len(upd.trees[0].slots[0].hyps) :]
     ]
     zhat, S = innovation_one(comp, CFG.measurement.H, CFG.measurement.R)
     gated_lik = sum(
