@@ -10,7 +10,9 @@ metric, both sides' quartiles, per-seed values, pair wins, the verdict
 of `perfbench/compare.py` and the per-seed change/parent ratios (median,
 min, max and how many fall below 1), a paired reading where seed-to-seed
 spread leaves the verdict `unresolved`; the per-layer metrics of the
-traced records; and the environment from the records' provenance.
+traced records; the environment from the records' provenance; and a byte
+audit: per workload-seed that both sides ran, the data files whose
+digests differ between the two sides' repetitions.
 """
 
 from __future__ import annotations
@@ -71,6 +73,37 @@ def _ratios(parent: dict, change: dict, workload: str, metric: str) -> dict | No
     }
 
 
+def _digests(directory: Path) -> dict[str, dict[str, set[str]]]:
+    """workload/seed -> data file -> the digests its completed repetitions wrote."""
+    out: dict[str, dict[str, set[str]]] = {}
+    for r in _records(directory, 0):
+        files = out.setdefault(f"{r['provenance']['workload']}/{r['provenance']['seed']}", {})
+        for rep in r.get("reps", []):
+            for name, digest in rep.get("digests", {}).items():
+                files.setdefault(name, set()).add(digest)
+    return {key: files for key, files in out.items() if files}
+
+
+def _byte_audit(parent_dir: Path, change_dir: Path) -> dict:
+    """The data files that are not byte-identical on both sides, per
+    workload-seed that both sides ran."""
+    parent, change = _digests(parent_dir), _digests(change_dir)
+    both = sorted(parent.keys() & change.keys())
+    differing, files = {}, set()
+    for key in both:
+        names = parent[key].keys() | change[key].keys()
+        files |= names
+        # identical: both sides wrote the file, every repetition with one digest
+        bad = [
+            name
+            for name in sorted(names)
+            if parent[key].get(name) != change[key].get(name) or len(parent[key][name]) != 1
+        ]
+        if bad:
+            differing[key] = bad
+    return {"workload_seeds": len(both), "files": sorted(files), "differing": differing}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -102,6 +135,7 @@ def main(argv=None) -> int:
             }
             for r in rows
         ],
+        "byte_audit": _byte_audit(args.parent, args.change),
         "parent": _side(args.parent),
         "change": _side(args.change),
     }

@@ -26,9 +26,10 @@ moves in stacked passes over all components at once (``trpmbm.gaussian``);
 Local hypotheses are built only where they are kept.  The slots that
 predict spawns are held as arrays (``SpawnedSlot``) until prune builds the
 ones it keeps, and the detected hypotheses are built by formation, only
-for the gated pairs that a formed row picks.  A pruned posterior holds
-only built records; readers of the stages in between see spawned slots
-through ``SpawnedSlot.hyps``.
+for the gated pairs that a formed row picks; update's missed-detection
+rule runs once over one table of both slot kinds.  A pruned posterior
+holds only built records; readers of the stages in between see spawned
+slots through ``SpawnedSlot.hyps``.
 
 Three operating modes share the recursion:
   kind='trpmbm'  Poisson birth into the undetected-tree intensity.
@@ -37,7 +38,8 @@ Three operating modes share the recursion:
 
 All weights live in the log domain.  Structures are immutable; every
 operation returns a new posterior and shares unchanged pieces (``update``,
-``truncate_window`` and ``prune`` through one tree rebuild, ``_rebuilt``).
+``truncate_window``, formation and ``prune`` through one tree rebuild,
+``_rebuilt``, which rebuilds only the trees that hold a changed column).
 """
 
 from __future__ import annotations
@@ -81,7 +83,10 @@ def _log(x: float) -> float:
 def _logs(x: np.ndarray) -> np.ndarray:
     """``_log`` of every entry; ``np.log`` may differ from ``math.log`` in
     the last bit."""
-    return np.array([_log(v) for v in x.tolist()])
+    out = np.full(len(x), -np.inf)
+    positive = x > 0.0
+    out[positive] = list(map(math.log, x[positive].tolist()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,8 +112,9 @@ class SpawnedSlot:
     Local hypothesis bi has log-weight ``log_w[bi]`` and existence ``r[bi]``.
     Where ``tracked[bi]``, its density is one end case at ``step`` with
     beta 1 over a single state with moments ``means[bi]`` and ``covs[bi]``,
-    and its genealogy is its parent component's (``parent[bi]``) plus
-    ``mark``; elsewhere it has none.  ``update`` thins the arrays,
+    and its genealogy is its parent component's (``parent[bi]``) plus the
+    mark ``branch_id[-1]``; elsewhere it has none.  ``update`` thins the
+    arrays by the missed-detection rule of built slots, with beta(k) = 1,
     ``form_hypotheses`` builds the slot when a formed row detects one of its
     hypotheses, and ``prune`` builds the slots it keeps.  Every later
     ``predict`` builds the tracked ones it moves, so the tracked spawned
@@ -117,7 +123,6 @@ class SpawnedSlot:
 
     branch_id: tuple[int, ...]
     step: int
-    mark: int
     parent: tuple[GaussianBranchComponent | None, ...]
     log_w: np.ndarray  # (n,)
     r: np.ndarray  # (n,)
@@ -128,7 +133,8 @@ class SpawnedSlot:
     def built(self, idx: list[int]) -> list[LocalHyp]:
         """The local hypotheses at ``idx`` as records."""
         at = [bi for bi in idx if self.tracked[bi]]
-        comps = spawn([self.parent[bi] for bi in at], self.means[at], self.covs[at], self.mark)
+        parents = [self.parent[bi] for bi in at]
+        comps = spawn(parents, self.means[at], self.covs[at], self.branch_id[-1])
         density = {bi: BranchDensity({self.step: EndCase(1.0, c)}) for bi, c in zip(at, comps)}
         log_w, r = self.log_w.tolist(), self.r.tolist()
         return [LocalHyp(log_w[bi], r[bi], density.get(bi), frozenset()) for bi in idx]
@@ -188,26 +194,27 @@ def _with_hyps(slot: BranchSlot, hyps: list[LocalHyp]) -> BranchSlot:
     return BranchSlot(slot.branch_id, tuple(hyps))
 
 
-def _rebuilt(
-    trees: tuple[BernoulliTree, ...], columns: list
-) -> tuple[list[BernoulliTree], list[int]]:
-    """The trees with one new slot per table column, and the kept columns.
-    A column of None drops its slot, and a tree left without slots goes with
-    it.  A tree whose slots are all its own comes back as itself."""
-    out, kept = [], []
-    numbered = enumerate(columns)
+def _rebuilt(trees: tuple[BernoulliTree, ...], new: dict) -> tuple[BernoulliTree, ...]:
+    """The trees with the slots at these table columns replaced.  A slot of
+    None drops its column, and a tree left without slots goes with it.  The
+    trees that hold none of the columns, or get their own slots back, come
+    back as themselves."""
+    cols = sorted(new)
+    out, i, lo = [], 0, 0
     for tree in trees:
-        slots = []
-        # zip draws the tree's slot first, so it takes one column per slot
-        for _, (col, slot) in zip(tree.slots, numbered):
-            if slot is not None:
-                slots.append(slot)
-                kept.append(col)
-        if len(slots) == len(tree.slots) and all(map(operator.is_, slots, tree.slots)):
+        hi = lo + len(tree.slots)
+        if i < len(cols) and cols[i] < hi:
+            slots = list(tree.slots)
+            while i < len(cols) and cols[i] < hi:
+                slots[cols[i] - lo] = new[cols[i]]
+                i += 1
+            if not all(map(operator.is_, slots, tree.slots)):
+                kept = tuple(slot for slot in slots if slot is not None)
+                tree = BernoulliTree(tree.start_time, kept) if kept else None
+        if tree is not None:
             out.append(tree)
-        elif slots:
-            out.append(BernoulliTree(tree.start_time, tuple(slots)))
-    return out, kept
+        lo = hi
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +355,7 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
                 lo, hi, parent = spans[ti, ji]
                 slots.append(
                     SpawnedSlot(
-                        branch_id + (1,) * pad + (mark,), k, mark, parent,
+                        branch_id + (1,) * pad + (mark,), k, parent,
                         zeros[lo:hi], r[lo:hi], tracked[lo:hi], m[lo:hi], P[lo:hi],
                     )
                 )
@@ -406,13 +413,12 @@ def truncate_window(post: Posterior, lscan: int) -> Posterior:
     ppp = tuple(
         PPPComponent(c.log_weight, c.start_time, cut.get(id(c.comp), c.comp)) for c in post.ppp
     )
-    columns = [
-        slot if isinstance(slot, SpawnedSlot) else _with_hyps(slot, list(map(hyp, slot.hyps)))
-        for tree in post.trees
-        for slot in tree.slots
-    ]
-    trees, _ = _rebuilt(post.trees, columns)
-    return Posterior(post.step, ppp, tuple(trees), post.log_w, post.sel)
+    columns = {
+        col: _with_hyps(slot, list(map(hyp, slot.hyps)))
+        for col, slot in enumerate(slot for tree in post.trees for slot in tree.slots)
+        if not isinstance(slot, SpawnedSlot)
+    }
+    return Posterior(post.step, ppp, _rebuilt(post.trees, columns), post.log_w, post.sel)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +429,10 @@ def truncate_window(post: Posterior, lscan: int) -> Posterior:
 @dataclass(frozen=True)
 class UpdateMaps:
     """The association record: one row per local hypothesis with detectable
-    mass, in (column, hyp) order, and one column per measurement.  Other
-    hypotheses have a missed-detection factor of exactly 1 (log 0).
-    Outside the gate ``log_ratio`` and ``log_det`` hold -inf and ``child``
-    holds -1.
+    mass, of a built or a spawned slot alike, in (column, hyp) order, and
+    one column per measurement.  Other hypotheses have a missed-detection
+    factor of exactly 1 (log 0).  Outside the gate ``log_ratio`` and
+    ``log_det`` hold -inf and ``child`` holds -1.
 
     A gated pair's ``child`` is the index its detected hypothesis has in the
     slot when every gated pair's is appended behind the missed ones, in row
@@ -518,12 +524,15 @@ def update(
     """Measurement update: missed local hypotheses, the association record
     and new Bernoulli trees.
 
-    Missed-detection versions sit at the same index as their predicted
-    hypothesis, so previous global selections stay valid until
-    form_hypotheses rewires the detected ones, which it also builds.  The
-    intensity terms and the detectable local hypotheses are each gated
-    against every measurement in one stacked call, and the record is
-    written with array arithmetic; spawned slots are thinned as arrays.
+    Built and spawned slots give one association table (a fresh spawn has
+    beta(k) = 1), and one block of array arithmetic gives each row its
+    missed-detection factor 1 - r beta(k) p_D, missed log-weight and
+    existence, and detected base weight; built slots get
+    ``BranchDensity.missed`` records back, spawned slots thinned arrays.
+    Missed versions sit at the same index as their predicted hypothesis, so
+    previous global selections stay valid until form_hypotheses rewires the
+    detected ones, which it also builds.  The intensity terms and the
+    table's rows are each gated against every measurement in one stacked call.
 
     Approximation: a new tree's Bernoulli keeps the Gaussian of the one
     intensity term with the largest weighted likelihood for its measurement
@@ -549,47 +558,82 @@ def update(
             PPPComponent(c.log_weight + thin, c.start_time, c.comp) for c in post.ppp
         )
 
-    # --- Bernoulli trees: missed local hypotheses ---------------------------
-    # one missed hypothesis per predicted one (same index).  Per association
-    # row: (column, hyp), the predicted log-weight, the log miss factor, the
-    # detected log-weight but the likelihood, and the last-state moments
+    # --- Bernoulli trees: the association table -----------------------------
+    # per hypothesis alive at k: (column, hyp), log-weight, existence and
+    # beta(k), the built slots' rows first, then the spawned slots'
     slots = [slot for tree in post.trees for slot in tree.slots]
-    missed = list(slots)
-    keys, log_w, log_miss, log_base, comps = [], [], [], [], []
-    spawned = [col for col, slot in enumerate(slots) if isinstance(slot, SpawnedSlot)]
+    sizes, cols, bis, log_w, r, beta, comps, spawned = [], [], [], [], [], [], [], []
     for col, slot in enumerate(slots):
         if isinstance(slot, SpawnedSlot):
+            sizes.append(len(slot.r))
+            spawned.append(col)
             continue
-        hyps = None  # until the slot's first detectable hypothesis
+        sizes.append(len(slot.hyps))
         for bi, h in enumerate(slot.hyps):
-            beta_k = h.density.beta(k) if h.density is not None and h.r > 0.0 else 0.0
-            detectable_mass = h.r * beta_k * p_d
-            if detectable_mass <= 0.0:
-                continue
-            if hyps is None:
-                hyps = list(slot.hyps)
-            miss_factor = 1.0 - detectable_mass
-            # None when detection was certain: the missed branch cannot exist
-            density = h.density.missed(k, p_d)
-            r_miss = h.r * (1.0 - beta_k * p_d) / miss_factor if density is not None else 0.0
-            hyps[bi] = LocalHyp(h.log_w + _log(miss_factor), r_miss, density, h.assoc)
-            keys.append((col, bi))
-            log_w.append(h.log_w)
-            log_miss.append(max(_log(miss_factor), LOG_FLOOR))
-            log_base.append(h.log_w + _log(h.r) + _log(beta_k) + _log(p_d))
-            comps.append(h.density.components[k].comp)
-        if hyps is not None:
-            missed[col] = BranchSlot(slot.branch_id, tuple(hyps))
-    rows = [*np.array(keys, dtype=np.intp).reshape(-1, 2).T, log_w, log_miss, log_base]
-    states = [last_states(comps)] if comps else []
+            case = h.density.components.get(k) if h.density is not None else None
+            if case is not None and h.r > 0.0:
+                cols.append(col)
+                bis.append(bi)
+                log_w.append(h.log_w)
+                r.append(h.r)
+                beta.append(case.beta)
+                comps.append(case.comp)
+    table = [np.array(cols, dtype=np.intp), np.array(bis, dtype=np.intp), log_w, r, beta]
+    n_built = len(cols)
     if spawned:
-        thinned, more, moments = _missed_spawned([slots[c] for c in spawned], spawned, p_d)
-        for col, slot in zip(spawned, thinned):
-            missed[col] = slot
-        rows = [np.concatenate(pair) for pair in zip(rows, more)]
-        states.append(moments)
-    order = np.argsort(rows[0], kind="stable")  # (column, hyp) order
-    cols, bis, log_w, log_miss, log_base = (np.asarray(row)[order] for row in rows)
+        held = [slots[col] for col in spawned]
+        held_log_w, held_r, held_tracked, held_means, held_covs = (
+            np.concatenate([getattr(slot, name) for slot in held])
+            for name in ("log_w", "r", "tracked", "means", "covs")
+        )
+        held_sizes = [sizes[col] for col in spawned]
+        starts = np.cumsum([0] + held_sizes[:-1])
+        flat = np.flatnonzero(held_tracked)
+        of = np.repeat(np.arange(len(held)), held_sizes)[flat]
+        rows = [np.array(spawned)[of], flat - starts[of], held_log_w[flat], held_r[flat]]
+        table = [np.concatenate(pair) for pair in zip(table, rows + [np.ones(len(flat))])]
+    cols, bis, log_w, r, beta = (np.asarray(column) for column in table)
+    mass = r * beta * p_d
+    det = np.flatnonzero(mass > 0.0)
+    cols, bis, log_w, r, beta, mass = (x[det] for x in (cols, bis, log_w, r, beta, mass))
+
+    # the missed-detection factor, the missed log-weight and existence (the
+    # missed branch exists where BranchDensity.missed's norm 1 - beta(k) p_D
+    # is positive), and the detected log-weight but the likelihood
+    log_factor = _logs(1.0 - mass)
+    miss_log_w = log_w + log_factor
+    log_miss = np.maximum(log_factor, LOG_FLOOR)
+    exists = 1.0 - beta * p_d > 0.0
+    r_miss = np.divide(r * (1.0 - beta * p_d), 1.0 - mass, out=np.zeros(len(det)), where=exists)
+    log_base = log_w + _logs(r) + _logs(beta) + _log(p_d)
+
+    # one missed version per row, written back by slot kind
+    n_det = int(np.searchsorted(det, n_built))  # the built slots' rows
+    touched = cols[:n_det].tolist()
+    missed = {col: list(slots[col].hyps) for col in dict.fromkeys(touched)}
+    for col, bi, lw, rm in zip(touched, bis[:n_det].tolist(), miss_log_w.tolist(), r_miss.tolist()):
+        h = missed[col][bi]
+        density = h.density.missed(k, p_d)
+        missed[col][bi] = LocalHyp(lw, rm if density is not None else 0.0, density, h.assoc)
+    new = {col: BranchSlot(slots[col].branch_id, tuple(hyps)) for col, hyps in missed.items()}
+    states = [last_states([comps[i] for i in det[:n_det].tolist()])] if n_det else []
+    if n_det < len(det):
+        at = det[n_det:] - n_built
+        put = flat[at]
+        # np.concatenate copied the arrays, so the predicted slots keep theirs
+        held_log_w[put], held_r[put] = miss_log_w[n_det:], r_miss[n_det:]
+        held_tracked[put] = exists[n_det:]
+        for j in np.unique(of[at]).tolist():
+            slot, lo, hi = held[j], starts[j], starts[j] + held_sizes[j]
+            new[spawned[j]] = SpawnedSlot(
+                slot.branch_id, slot.step, slot.parent, held_log_w[lo:hi], held_r[lo:hi],
+                held_tracked[lo:hi], slot.means, slot.covs,
+            )
+        states.append(Moments(held_means[put], held_covs[put]))
+    order = np.argsort(cols, kind="stable")  # (column, hyp) order
+    cols, bis, log_w, log_miss, log_base = (
+        x[order] for x in (cols, bis, log_w, log_miss, log_base)
+    )
 
     # --- Bernoulli trees: the gated pairs -----------------------------------
     n_rows, nz = len(cols), meas.H.shape[0]
@@ -606,64 +650,15 @@ def update(
     # detected ones of the slot's earlier gated pairs
     prow, pm = np.nonzero(gated)
     pcol = cols[prow]
-    sizes = np.array([len(s.r) if isinstance(s, SpawnedSlot) else len(s.hyps) for s in slots])
     child = np.full((n_rows, m_k), -1, dtype=post.sel.dtype)
-    child[prow, pm] = sizes[pcol] + np.arange(len(prow)) - np.searchsorted(pcol, pcol)
+    child[prow, pm] = np.array(sizes)[pcol] + np.arange(len(prow)) - np.searchsorted(pcol, pcol)
 
-    trees, _ = _rebuilt(post.trees, missed)
     return (
-        Posterior(k, ppp, tuple(trees + new_trees), post.log_w, post.sel),
+        Posterior(k, ppp, _rebuilt(post.trees, new) + tuple(new_trees), post.log_w, post.sel),
         UpdateMaps(
             cols, bis, log_miss, log_ratio, child, new_tree_logw, log_det, S, innov, tuple(slots)
         ),
     )
-
-
-def _missed_spawned(
-    held: list[SpawnedSlot], cols: list[int], p_d: float
-) -> tuple[list[SpawnedSlot], list[np.ndarray], Moments]:
-    """``update``'s missed-detection step for the spawned slots at columns
-    ``cols``, in arrays: their missed versions, their association rows
-    (the fields ``update`` collects per row) and the rows' moments.
-
-    A detectable spawned hypothesis has beta(k) = 1, so its missed density,
-    if any, is its predicted one: (1 - p_D) / (1 - p_D) == 1.0 exactly.
-    """
-    sizes = [len(slot.r) for slot in held]
-    ends = np.cumsum(sizes)
-    r = np.concatenate([slot.r for slot in held])
-    log_w = np.concatenate([slot.log_w for slot in held])
-    tracked = np.concatenate([slot.tracked for slot in held])
-    det = np.flatnonzero(tracked & (r > 0.0) & (r * p_d > 0.0))
-    miss_factor = 1.0 - r[det] * p_d
-    log_factor = _logs(miss_factor)
-    new_log_w, new_r, new_tracked = log_w.copy(), r.copy(), tracked.copy()
-    new_log_w[det] = log_w[det] + log_factor
-    if p_d < 1.0:
-        new_r[det] = r[det] * (1.0 - p_d) / miss_factor
-    else:  # certain detection: the missed branch cannot exist
-        new_r[det] = 0.0
-        new_tracked[det] = False
-    starts = ends - sizes
-    touched = np.bincount(np.searchsorted(ends, det, side="right"), minlength=len(held))
-    thinned = [
-        SpawnedSlot(
-            slot.branch_id, slot.step, slot.mark, slot.parent,
-            new_log_w[lo:hi], new_r[lo:hi], new_tracked[lo:hi], slot.means, slot.covs,
-        )
-        if hit
-        else slot
-        for slot, lo, hi, hit in zip(held, starts.tolist(), ends.tolist(), touched.tolist())
-    ]
-    hyp = np.arange(len(r)) - np.repeat(starts, sizes)
-    log_base = log_w[det] + _logs(r[det]) + _log(p_d)  # log beta(k) = 0
-    rows = [
-        np.repeat(cols, sizes)[det], hyp[det], log_w[det],
-        np.maximum(log_factor, LOG_FLOOR), log_base,
-    ]
-    means = np.concatenate([slot.means for slot in held])[det]
-    covs = np.concatenate([slot.covs for slot in held])[det]
-    return thinned, rows, Moments(means, covs)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +791,6 @@ def _detected(
     comps = [h.density.components[k].comp for h in predicted]
     meas = cfg.measurement
     means, covs = condition(comps, meas.H, maps.S[rows], item, maps.innov[urow, um])
-    slots = [slot for tree in post.trees for slot in tree.slots]
     found: dict[int, list[LocalHyp]] = {}
     for col, i, m, mean, log_w in zip(
         ucol.tolist(), item.tolist(), um.tolist(), means, maps.log_det[urow, um].tolist()
@@ -804,10 +798,9 @@ def _detected(
         density = BranchDensity({k: EndCase(1.0, comps[i].with_live(mean, covs[i]))})
         assoc = predicted[i].assoc | {(k, m)}
         found.setdefault(col, []).append(LocalHyp(log_w, 1.0, density, assoc))
-    for col, hyps in found.items():
-        slots[col] = BranchSlot(slots[col].branch_id, slots[col].hyps + tuple(hyps))
-    trees, _ = _rebuilt(post.trees, slots)
-    return tuple(trees)
+    slots = [slot for tree in post.trees for slot in tree.slots]
+    grown = {col: slots[col].hyps + tuple(hyps) for col, hyps in found.items()}
+    return _rebuilt(post.trees, {c: BranchSlot(slots[c].branch_id, h) for c, h in grown.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -864,19 +857,25 @@ def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
         at = ranked[:, spawned] + np.cumsum([0] + [len(x) for x in held[:-1]])
         alive = (r > 0.0) & (r >= f.gamma_bern)
         live = set(np.compress(alive[at].any(axis=0), spawned).tolist())
-    columns = []  # the slot of shrunk referenced hyps per column; None drops it
+    # the kept columns, and the changed ones' slots of shrunk referenced
+    # hyps (None drops the column)
+    cols, changed = [], {}
     for col, (slot, ref) in enumerate(zip(slots, refs)):
         if isinstance(slot, SpawnedSlot):
             hyps = tuple(map(shrink_hyp, slot.built(ref.tolist()))) if col in live else ()
-            columns.append(BranchSlot(slot.branch_id, hyps) if hyps else None)
-            continue
-        hyps = [shrink_hyp(slot.hyps[bi]) for bi in ref.tolist()]
-        columns.append(_with_hyps(slot, hyps) if any(h.r != 0.0 for h in hyps) else None)
-    trees, cols = _rebuilt(post.trees, columns)
+            new = BranchSlot(slot.branch_id, hyps) if hyps else None
+        else:
+            hyps = [shrink_hyp(slot.hyps[bi]) for bi in ref.tolist()]
+            new = _with_hyps(slot, hyps) if any(h.r != 0.0 for h in hyps) else None
+        if new is not slot:
+            changed[col] = new
+        if new is not None:
+            cols.append(col)
+    trees = _rebuilt(post.trees, changed)
 
     log_w, sel = _merged(post.log_w[keep], sel[:, cols])
     order = _by_weight(log_w, sel)
-    return Posterior(post.step, keep_ppp, tuple(trees), log_w[order], sel[order])
+    return Posterior(post.step, keep_ppp, trees, log_w[order], sel[order])
 
 
 def _best_row(post: Posterior) -> int:

@@ -1064,10 +1064,10 @@ def update_eager(post, Z, cfg):
         slot if hyps is slot.hyps else BranchSlot(slot.branch_id, tuple(hyps))
         for slot, hyps in zip(slots, columns)
     ]
-    trees, _ = _rebuilt(post.trees, rebuilt)
+    trees = _rebuilt(post.trees, dict(enumerate(rebuilt)))
     cols, bis = np.array(keys, dtype=np.intp).reshape(-1, 2).T
     record = EagerRecord(cols, bis, np.array(log_miss), log_ratio, child, new_tree_logw)
-    return Posterior(k, ppp, tuple(trees + new_trees), post.log_w, post.sel), record
+    return Posterior(k, ppp, trees + tuple(new_trees), post.log_w, post.sel), record
 
 
 def step_eager(post, Z, cfg, kind="trpmbm"):

@@ -1,5 +1,6 @@
-"""`scripts/bench_record.py` refuses result directories without records
-and pairs the two sides' seeds into change/parent ratios."""
+"""`scripts/bench_record.py` refuses result directories without records,
+pairs the two sides' seeds into change/parent ratios and audits the data
+files' bytes."""
 
 import importlib.util
 import json
@@ -30,9 +31,10 @@ def test_a_directory_without_untraced_records_is_named(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-def _write_results(directory: Path, score_s: dict[int, float]) -> None:
+def _write_results(directory: Path, score_s: dict[int, float], digests=None) -> None:
     """One untraced record per seed of spawn-ppp: ``score_s`` as given,
-    every other end-to-end metric 1.0."""
+    every other end-to-end metric 1.0, and the data files' digests of its
+    repetitions from ``digests`` (seed -> one dict per repetition)."""
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     directory.mkdir()
     for seed, score in score_s.items():
@@ -44,6 +46,7 @@ def _write_results(directory: Path, score_s: dict[int, float]) -> None:
                 "python": "3", "numpy": "2", "scipy": "1",
             },
             "result": {"metrics": {name: {"value": v} for name, v in values.items()}},
+            "reps": [{"ok": True, "digests": d} for d in (digests or {}).get(seed, [])],
         }  # fmt: skip
         (directory / f"spawn-ppp-seed{seed}-trace0.json").write_text(json.dumps(record))
 
@@ -57,3 +60,18 @@ def test_each_row_carries_the_per_seed_change_over_parent_ratios(tmp_path):
     rows = {row["metric"]: row for row in json.loads(out.read_text())["end_to_end"]}
     assert rows["score_s"]["ratio"] == {"median": 0.75, "min": 0.5, "max": 1.5, "below_1": 2, "n": 3}
     assert rows["run_s"]["ratio"] == {"median": 1.0, "min": 1.0, "max": 1.0, "below_1": 0, "n": 3}
+
+
+def test_the_byte_audit_names_each_data_file_that_differs(tmp_path):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "out.json"
+    files = {"estimates.csv": "a", "rms_vs_time.csv": "b"}
+    # seed 12: rms_vs_time.csv differs; seed 13 ran on the parent side only
+    _write_results(parent, {11: 1.0, 12: 1.0, 13: 1.0}, {s: [files, files] for s in (11, 12, 13)})
+    changed = files | {"rms_vs_time.csv": "c"}
+    _write_results(change, {11: 1.0, 12: 1.0}, {11: [files], 12: [changed, changed]})
+    assert _bench_record().main([str(parent), str(change), str(out)]) == 0
+    assert json.loads(out.read_text())["byte_audit"] == {
+        "workload_seeds": 2,
+        "files": ["estimates.csv", "rms_vs_time.csv"],
+        "differing": {"spawn-ppp/12": ["rms_vs_time.csv"]},
+    }
