@@ -10,9 +10,11 @@ metric, both sides' quartiles, per-seed values, pair wins, the verdict
 of `perfbench/compare.py` and the per-seed change/parent ratios (median,
 min, max and how many fall below 1), a paired reading where seed-to-seed
 spread leaves the verdict `unresolved`; the per-layer metrics of the
-traced records; the environment from the records' provenance; and a byte
+traced records; the environment from the records' provenance; a byte
 audit: per workload-seed that both sides ran, the data files whose
-digests differ between the two sides' repetitions.
+digests differ between the two sides' repetitions; and, per claim,
+whether it meets the gain rule.  A claim must name a workload that both
+sides ran and one of its end-to-end metrics.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from compare import compare, load  # noqa: E402
+from spec import END_TO_END  # noqa: E402
+
+BETTER = {name: better for name, _, better, _ in END_TO_END}
 
 
 def _records(directory: Path, trace: int) -> list[dict]:
@@ -104,6 +109,25 @@ def _byte_audit(parent_dir: Path, change_dir: Path) -> dict:
     return {"workload_seeds": len(both), "files": sorted(files), "differing": differing}
 
 
+def _claim(row: dict) -> dict:
+    """The gain rule for the metric of one comparison row: the change is
+    better on at least 9 of 10 pairs (a tie is no win), and its median is
+    better than the parent's by more than the parent's quartile distance."""
+    gain = row["base"][1] - row["new"][1]
+    if BETTER[row["metric"]] == "higher":
+        gain = -gain
+    distance = row["base"][2] - row["base"][0]
+    return {
+        "workload": row["workload"],
+        "metric": row["metric"],
+        "pair_wins": row["new_wins"],
+        "pairs": row["n"],
+        "median_gain": gain,
+        "parent_quartile_distance": distance,
+        "met": row["new_wins"] >= 0.9 * row["n"] and gain > distance,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -120,10 +144,17 @@ def main(argv=None) -> int:
     env = {k: prov[k] for k in ("cpu_model", "nproc", "python", "numpy", "scipy")}
     parent, change = load(args.parent), load(args.change)
     rows = compare(parent, change)
+    by_name = {f"{r['workload']}:{r['metric']}": r for r in rows}
+    for claim in args.claim:
+        if claim not in by_name:
+            ap.error(
+                f"--claim {claim}: no WORKLOAD:METRIC of both sides' records "
+                f"(one of {', '.join(by_name)})"
+            )
     record = {
         "environment": env,
         "note": args.note,
-        "claims": args.claim,
+        "claims": [_claim(by_name[claim]) for claim in args.claim],
         "end_to_end": [
             {
                 **{k: r[k] for k in ("workload", "metric", "n", "bound", "verdict")},

@@ -55,11 +55,11 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, float]:
     n_rows, n_cols = cost.shape
     if n_rows > n_cols:
         raise ValueError(f"more rows than columns ({n_rows} > {n_cols})")
-    blocked = np.flatnonzero(~np.isfinite(cost).any(axis=1))
-    if blocked.size:
-        raise InfeasibleAssignmentError(f"row {blocked[0]} has no finite entry")
     result = _solve(cost)
     if result is None:
+        blocked = np.flatnonzero(~np.isfinite(cost).any(axis=1))
+        if blocked.size:
+            raise InfeasibleAssignmentError(f"row {blocked[0]} has no finite entry")
         raise InfeasibleAssignmentError(
             "rows cannot be jointly assigned to distinct columns"
         )
@@ -130,6 +130,17 @@ def murty_kbest(cost: np.ndarray, K: int) -> list[tuple[np.ndarray, float]]:
     of turns, because that child could come out before the next turn.  So
     the solutions and their order, ties included, are those of the plain
     method.
+
+    Solved nodes live in a table: per node, the pinned rows' cost, the
+    matrix of the free rows over the free columns (a copy: a child forbids
+    one entry of it), those rows' and columns' indices in ``cost``, a
+    full-length assignment holding the pinned rows' columns and the best
+    assignment of the free rows; an extracted node's children's bounds are
+    kept by node.  A queue entry is ``(key, order, kind, node, turn)``:
+
+    * ``_SOLVED``: key is the node's total;
+    * ``_TURNS``: key is the node's total, turn its next child;
+    * ``_BOUNDED``: key is the bound of child ``turn`` of the node.
     """
     cost = np.asarray(cost, dtype=float)
     if K < 1:
@@ -140,45 +151,38 @@ def murty_kbest(cost: np.ndarray, K: int) -> list[tuple[np.ndarray, float]]:
         return [first]
 
     out: list[tuple[np.ndarray, float]] = []
-    # (key, order, kind, fixed_pairs, fixed_cost, matrix, rows, cols, tail):
-    #   _SOLVED   key = total, tail = sub_assignment
-    #   _TURNS    key = total, tail = (sub_assignment, child bounds, next child)
-    #   _BOUNDED  key = bound, tail = (parent sub_assignment, child t)
-    root = ((), 0.0, cost, np.arange(n_rows), np.arange(n_cols))
-    heap = [(first[1], 0, _SOLVED, *root, first[0])]
+    # (fixed_cost, matrix, rows, cols, pinned, sub) per node; node 0 is the root
+    root = (0.0, cost, np.arange(n_rows), np.arange(n_cols), np.empty(n_rows, dtype=int), first[0])
+    nodes, bounds = [root], {}
+    heap = [(first[1], 0, _SOLVED, 0, 0)]
     handed_out = 1  # queue order numbers used so far
 
     while heap and len(out) < K:
-        key, order, kind, fixed, fixed_cost, matrix, rows, cols, tail = heapq.heappop(
-            heap
-        )
-        node = (fixed, fixed_cost, matrix, rows, cols)
+        key, order, kind, node, turn = heapq.heappop(heap)
         if kind == _SOLVED:
-            sub = tail
-            full = np.empty(n_rows, dtype=int)
-            for r, c in fixed:
-                full[r] = c
+            fixed_cost, matrix, rows, cols, pinned, sub = nodes[node]
+            full = pinned.copy()
             full[rows] = cols[sub]
             out.append((full, key))
             if len(out) == K:
                 break
-            bounds = _child_bounds(matrix, sub, fixed_cost).tolist()
-            heapq.heappush(heap, (key, handed_out, _TURNS, *node, (sub, bounds, 0)))
+            bounds[node] = _child_bounds(matrix, sub, fixed_cost).tolist()
+            heapq.heappush(heap, (key, handed_out, _TURNS, node, 0))
             handed_out += len(sub)
         elif kind == _TURNS:
-            sub, bounds, first_turn = tail
-            for t in range(first_turn, len(sub)):
-                if bounds[t] == math.inf:
+            node_bounds = bounds[node]
+            for t in range(turn, len(node_bounds)):
+                bound = node_bounds[t]
+                if bound == math.inf:
                     continue
-                heapq.heappush(heap, (bounds[t], handed_out, _BOUNDED, *node, (sub, t)))
+                heapq.heappush(heap, (bound, handed_out, _BOUNDED, node, t))
                 handed_out += 1
-                if bounds[t] < key and t + 1 < len(sub):
-                    rest = (sub, bounds, t + 1)
-                    turn = order + t + 1 - first_turn
-                    heapq.heappush(heap, (key, turn, _TURNS, *node, rest))
+                if bound < key and t + 1 < len(node_bounds):
+                    heapq.heappush(heap, (key, order + t + 1 - turn, _TURNS, node, t + 1))
                     break
         else:
-            sub, t = tail
+            fixed_cost, matrix, rows, cols, pinned, sub = nodes[node]
+            t = turn
             col_mask = np.ones(len(cols), dtype=bool)
             col_mask[sub[:t]] = False
             child = matrix[t:][:, col_mask]
@@ -186,22 +190,9 @@ def murty_kbest(cost: np.ndarray, K: int) -> list[tuple[np.ndarray, float]]:
             best = _solve(child)
             if best is None:
                 continue
-            child_fixed = fixed + tuple(
-                (int(rows[i]), int(cols[sub[i]])) for i in range(t)
-            )
+            child_pinned = pinned.copy()
+            child_pinned[rows[:t]] = cols[sub[:t]]
             child_fixed_cost = fixed_cost + float(matrix[np.arange(t), sub[:t]].sum())
-            heapq.heappush(
-                heap,
-                (
-                    child_fixed_cost + best[1],
-                    order,
-                    _SOLVED,
-                    child_fixed,
-                    child_fixed_cost,
-                    child,
-                    rows[t:],
-                    cols[col_mask],
-                    best[0],
-                ),
-            )
+            nodes.append((child_fixed_cost, child, rows[t:], cols[col_mask], child_pinned, best[0]))
+            heapq.heappush(heap, (child_fixed_cost + best[1], order, _SOLVED, len(nodes) - 1, 0))
     return out

@@ -692,6 +692,18 @@ def _merged(log_w: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return logs, sel[order[starts]]
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum, added from 0.0 in column order (``np.sum`` adds
+    pairwise, which can change the last bits); a fresh array, so the
+    running sums are freed."""
+    return np.hstack([np.zeros((len(x), 1)), x]).cumsum(axis=1)[:, -1].copy()
+
+
+def _aranges(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for each count n, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def form_hypotheses(
     post: Posterior, maps: UpdateMaps, m_k: int, cfg: ScenarioConfig
 ) -> Posterior:
@@ -700,60 +712,94 @@ def form_hypotheses(
     Parents that select the same hypotheses among those that gate a
     measurement share one assignment problem, sliced from the association
     record: one row per measurement they gate, one column per such
-    hypothesis plus one new-tree column per row.
-    A child copies its parent's row, takes the assigned detections in their
-    columns and gets one column per new tree (1: the measurement started
-    it).  Children are merged on identical rows and renormalised.  Then the
-    detected hypotheses that the rows pick are built (``_detected``).
+    hypothesis plus one new-tree column per row.  Stacked array ops give
+    every group its rows, columns, forced new-tree cost and K at once, so
+    the loop over groups only slices each group's cost matrix out of one
+    matrix over all of them and calls ``murty_kbest``.  One pass over all
+    solutions then gives the children, group by group and each member's
+    solutions in rank order: a child copies its parent's row, takes the
+    assigned detections in their columns and gets one column per new tree
+    (1: the measurement started it).  Children are merged on identical rows
+    and renormalised.  Then the detected hypotheses that the rows pick are
+    built (``_detected``).
     """
     n_hyp = cfg.filters.n_hyp
     # match[g, d]: parent g selects the hypothesis of association row d
     match = post.sel[:, maps.col] == maps.hyp
     # the missed-detection factors of the selected ones, summed in row order
-    miss = np.where(match, maps.log_miss, 0.0)
-    baselines = np.hstack([np.zeros((len(miss), 1)), miss]).cumsum(axis=1)[:, -1]
+    baselines = _row_sums(np.where(match, maps.log_miss, 0.0))
     # parents sharing the selected hypotheses that gate a measurement share
     # one assignment problem; only equal parents can have equal children,
     # and those share a group in arrival order, so the group order is free
     gating = np.flatnonzero((maps.child >= 0).any(axis=1))
     det = match[:, gating]
     order, starts = _runs(det)
+    n_groups = len(starts)
 
-    child_w, child_sel = [], []
-    for lo, hi in zip(starts, [*starts[1:], len(order)]):
-        members = order[lo:hi]
-        rows = gating[det[members[0]]]
-        free = np.flatnonzero((maps.child[rows] >= 0).any(axis=0))
-        n_cols, n_free = len(rows), len(free)
-        # measurements no selected hypothesis gates are forced onto new trees
-        forced_cost = -sum(np.delete(maps.new_tree_logw, free).tolist())
-        C = np.full((n_free, n_cols + n_free), np.inf)
-        C[:, :n_cols] = -maps.log_ratio[rows][:, free].T
-        C[np.arange(n_free), n_cols + np.arange(n_free)] = -maps.new_tree_logw[free]
+    # per group: its selected gating rows, the measurements they gate (free)
+    # and the cost of the others, forced onto new trees, summed in
+    # measurement order; K is the most children any member wants
+    selected = det[order[starts]]
+    free = selected @ (maps.child[gating] >= 0)
+    forced_cost = -_row_sums(np.where(free, 0.0, maps.new_tree_logw))
+    k_want = np.array([max(1, math.ceil(n_hyp * math.exp(w))) for w in post.log_w.tolist()])
+    K = np.maximum.reduceat(k_want[order], starts)
+    # every group's cost matrix is a block of one matrix: a row per
+    # measurement, a column per gating row, then a new-tree column per
+    # measurement; ``meas`` holds each group's free measurements, and
+    # ``cols`` its columns, its rows before its new trees
+    n_gating = len(gating)
+    costs = np.full((m_k, n_gating + m_k), np.inf)
+    costs[:, :n_gating] = -maps.log_ratio[gating].T
+    costs[np.arange(m_k), n_gating + np.arange(m_k)] = -maps.new_tree_logw
+    row_group, row = np.nonzero(selected)
+    free_group, meas = np.nonzero(free)
+    by_group = np.argsort(np.concatenate([row_group, free_group]), kind="stable")
+    cols = np.concatenate([row, n_gating + meas])[by_group]
+    n_rows = np.bincount(row_group, minlength=n_groups)
+    n_free = np.bincount(free_group, minlength=n_groups)
+    meas_end, col_end = np.cumsum(n_free), np.cumsum(n_rows + n_free)
+    meas_start, col_start = meas_end - n_free, col_end - n_rows - n_free
 
-        k_want = [max(1, math.ceil(n_hyp * math.exp(w))) for w in post.log_w[members].tolist()]
-        solutions = (
-            murty_kbest(C, max(k_want)) if n_free else [(np.zeros(0, dtype=int), 0.0)]
-        )
-        # per solution: the group's columns and the new-tree columns of a child
-        assigned = np.reshape([a for a, _ in solutions], (len(solutions), n_free))
-        s, pos = np.nonzero(assigned < n_cols)
-        picked = assigned[s, pos]
-        picks = np.tile(maps.hyp[rows], (len(solutions), 1))
-        picks[s, picked] = maps.child[rows[picked], free[pos]]
-        new = np.ones((len(solutions), m_k), dtype=post.sel.dtype)
-        new[s, free[pos]] = 0
-        costs = np.array([cost for _, cost in solutions])
+    solutions = []
+    for lo, hi, c_lo, c_hi, k in zip(
+        meas_start.tolist(), meas_end.tolist(), col_start.tolist(), col_end.tolist(), K.tolist()
+    ):
+        if lo == hi:
+            solutions.append([(np.zeros(0, dtype=int), 0.0)])
+            continue
+        solutions.append(murty_kbest(costs[meas[lo:hi, None], cols[c_lo:c_hi]], k))
 
-        take = np.minimum(k_want, len(solutions))
-        parent = np.repeat(members, take)
-        sol = np.concatenate([np.arange(t) for t in take])
-        children = post.sel[parent]
-        children[:, maps.col[rows]] = picks[sol]
-        child_sel.append(np.hstack([children, new[sol]]))
-        child_w.append(post.log_w[parent] + baselines[parent] - (forced_cost + costs[sol]))
+    # per solution, in group order: the detected hypotheses it picks (a free
+    # measurement assigned a gating row) and its new-tree flags
+    n_sol = np.array([len(s) for s in solutions])
+    totals = np.array([total for s in solutions for _, total in s])
+    assigned = np.concatenate([a for s in solutions for a, _ in s])
+    group_of = np.repeat(np.arange(n_groups), n_sol)
+    sol_of = np.repeat(np.arange(len(totals)), n_free[group_of])  # per assigned measurement
+    at = meas_start[group_of[sol_of]] + _aranges(n_free[group_of])
+    picked = assigned < n_rows[group_of[sol_of]]
+    sol_of, at, assigned = sol_of[picked], at[picked], assigned[picked]
+    d = gating[cols[col_start[group_of[sol_of]] + assigned]]
+    m = meas[at]
+    new = np.ones((len(totals), m_k), dtype=post.sel.dtype)
+    new[sol_of, m] = 0
+    pick_col, pick_hyp = maps.col[d], maps.child[d, m]
+    n_picks = np.bincount(sol_of, minlength=len(totals))
 
-    log_w, sel = _merged(np.concatenate(child_w), np.vstack(child_sel))
+    # the children: group by group, each member's solutions in rank order;
+    # a child copies its parent's row and takes its solution's picks
+    member_group = np.repeat(np.arange(n_groups), np.diff([*starts, len(order)]))
+    take = np.minimum(k_want[order], n_sol[member_group])
+    parent = np.repeat(order, take)
+    sol = np.repeat((np.cumsum(n_sol) - n_sol)[member_group], take) + _aranges(take)
+    children = np.hstack([post.sel[parent], new[sol]])
+    counts = n_picks[sol]
+    pick = np.repeat((np.cumsum(n_picks) - n_picks)[sol], counts) + _aranges(counts)
+    children[np.repeat(np.arange(len(sol)), counts), pick_col[pick]] = pick_hyp[pick]
+    child_w = post.log_w[parent] + baselines[parent]
+    child_w -= forced_cost[np.repeat(member_group, take)] + totals[sol]
+    log_w, sel = _merged(child_w, children)
     return Posterior(post.step, post.ppp, _detected(post, maps, sel, cfg), log_w, sel)
 
 
@@ -767,7 +813,9 @@ def _detected(
     conditioned in one stacked call and appended to their slots in index
     order, and each picked index becomes its slot's size plus its rank
     among the slot's picked ones.  That map is increasing per column, so it
-    keeps the order of the rows.  A spawned slot that gains one is built.
+    keeps the order of the rows.  A spawned slot that gains one is built,
+    and the predicted hypotheses of its picked rows come from one
+    ``SpawnedSlot.built`` call.
     """
     k = post.step
     prow, pm = np.nonzero(maps.child >= 0)  # the gated pairs, by column
@@ -784,10 +832,16 @@ def _detected(
 
     urow, um = prow[used], pm[used]
     rows, item = np.unique(urow, return_inverse=True)
-    predicted = []  # the predicted hyp of each row
+    picked: dict[int, list[int]] = {}  # per column, its rows' hyps in order
     for col, bi in zip(maps.col[rows].tolist(), maps.hyp[rows].tolist()):
+        picked.setdefault(col, []).append(bi)
+    predicted = []  # the predicted hyp of each row
+    for col, bis in picked.items():
         slot = maps.predicted[col]
-        predicted.append(slot.built([bi])[0] if isinstance(slot, SpawnedSlot) else slot.hyps[bi])
+        if isinstance(slot, SpawnedSlot):
+            predicted += slot.built(bis)
+        else:
+            predicted += [slot.hyps[bi] for bi in bis]
     comps = [h.density.components[k].comp for h in predicted]
     meas = cfg.measurement
     means, covs = condition(comps, meas.H, maps.S[rows], item, maps.innov[urow, um])

@@ -75,3 +75,47 @@ def test_the_byte_audit_names_each_data_file_that_differs(tmp_path):
         "files": ["estimates.csv", "rms_vs_time.csv"],
         "differing": {"spawn-ppp/12": ["rms_vs_time.csv"]},
     }
+
+
+def _claimed(tmp_path, parent_s, change_s, claim):
+    tmp_path.mkdir(exist_ok=True)
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "out.json"
+    _write_results(parent, dict(enumerate(parent_s, start=11)))
+    _write_results(change, dict(enumerate(change_s, start=11)))
+    assert _bench_record().main([str(parent), str(change), str(out), "--claim", claim]) == 0
+    (verdict,) = json.loads(out.read_text())["claims"]
+    return verdict
+
+
+def test_a_claim_that_wins_9_of_10_pairs_by_more_than_the_quartile_distance_is_met(tmp_path):
+    parent_s = [2.0, 2.1, 2.2, 2.3, 2.4, 2.0, 2.1, 2.2, 2.3, 2.4]
+    # one pair lost; the median falls by 1.0, and the parent's quartiles
+    # (exclusive method, as compare.py takes them) lie 0.25 apart
+    change_s = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 2.5]
+    verdict = _claimed(tmp_path, parent_s, change_s, "spawn-ppp:score_s")
+    assert verdict["workload"] == "spawn-ppp" and verdict["metric"] == "score_s"
+    assert (verdict["pair_wins"], verdict["pairs"], verdict["met"]) == (9, 10, True)
+    assert verdict["median_gain"] == pytest.approx(1.0)
+    assert verdict["parent_quartile_distance"] == pytest.approx(0.25)
+
+
+def test_a_claim_losing_two_pairs_or_inside_the_quartile_distance_is_not_met(tmp_path):
+    parent_s = [2.0, 2.1, 2.2, 2.3, 2.4, 2.0, 2.1, 2.2, 2.3, 2.4]
+    lost_two = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 2.4, 2.5]
+    assert not _claimed(tmp_path / "a", parent_s, lost_two, "spawn-ppp:score_s")["met"]
+    # every pair won, by less than the parent's quartile distance
+    close = [v - 0.05 for v in parent_s]
+    verdict = _claimed(tmp_path / "b", parent_s, close, "spawn-ppp:score_s")
+    assert verdict["pair_wins"] == 10 and not verdict["met"]
+
+
+@pytest.mark.parametrize("claim", ["spawn_ppp:score_s", "spawn-ppp:score", "spawn-ppp"])
+def test_a_claim_naming_no_workload_and_metric_of_the_records_is_refused(tmp_path, capsys, claim):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "out.json"
+    _write_results(parent, {11: 2.0, 12: 2.0})
+    _write_results(change, {11: 1.0, 12: 1.0})
+    with pytest.raises(SystemExit) as exit_info:
+        _bench_record().main([str(parent), str(change), str(out), "--claim", claim])
+    assert exit_info.value.code != 0
+    assert claim in capsys.readouterr().err
+    assert not out.exists()

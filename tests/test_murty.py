@@ -96,3 +96,18 @@ def test_murty_exact_ties_keep_reference_order(K):
     got = murty_kbest(C, K)
     want = murty_every_child(C, K)
     assert [(list(a), c) for a, c in got] == [(list(a), c) for a, c in want]
+
+
+@pytest.mark.parametrize("K", [1, 2, 50])
+def test_murty_leaves_the_cost_alone_and_returns_separate_assignments(K):
+    # a node that viewed its parent's matrix instead of copying it would
+    # write a child's forbidden entry into the caller's matrix
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        C = _association_matrix(rng, int(rng.integers(1, 16)), ties=True)
+        before = C.copy()
+        got = [a for a, _ in murty_kbest(C, K)]
+        assert C.tobytes() == before.tobytes(), trial
+        for i, a in enumerate(got):
+            assert not np.shares_memory(a, C), trial
+            assert not any(np.shares_memory(a, b) for b in got[i + 1 :]), trial

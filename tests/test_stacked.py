@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import trpmbm.filter
 from trpmbm.filter import (
     KINDS,
     BernoulliTree,
@@ -366,6 +367,46 @@ def test_form_hypotheses_matches_dict_record_reference(**case):
     upd, maps = update(post, Z, cfg)
     got = form_hypotheses(upd, maps, len(Z), cfg)
     want = form_hypotheses_by_dicts(upd, *record_as_dicts(maps), maps.new_tree_logw, len(Z), cfg)
+    assert _bits(got.log_w) == _bits(want.log_w)
+    assert _bits(_ranks(got.sel)) == _bits(_ranks(want.sel))
+
+
+def test_form_hypotheses_matches_dict_record_reference_on_every_group_kind(monkeypatch):
+    # one step that always holds a K = 1 group, a K > 1 group wanting more
+    # children than it has assignments, a group that gates no measurement
+    # and two equal parents, so the stacked pass's ragged indexing meets
+    # each of them; the measurement at (500, 0) has a twin, so costs tie
+    def hyp(x, y, log_w=0.0):
+        comp = GaussianBranchComponent((1,), np.array([x, 1.0, y, -1.0]), 4.0 * np.eye(NX), NX)
+        return LocalHyp(log_w, 0.8, BranchDensity({STEP: EndCase(1.0, comp)}), frozenset())
+
+    none = LocalHyp(0.0, 0.0, None, frozenset())
+    trees = (
+        BernoulliTree(1, (BranchSlot((1,), (none, hyp(0.0, 0.0), hyp(0.0, 8.0, -0.5))),)),
+        BernoulliTree(2, (BranchSlot((1,), (none, hyp(500.0, 0.0, 0.3))),)),
+    )
+    # parents 0 and 1 are equal, and want 15 and 2 of their 3 assignments;
+    # parent 2 wants one child; parent 3 selects no detectable hypothesis
+    sel = np.array([[1, 0], [1, 0], [2, 1], [0, 0], [1, 1]], np.int32)
+    post = Posterior(STEP, (), trees, np.log([0.3, 0.03, 0.01, 0.2, 0.46]), sel)
+    Z = np.array([[0.0, 0.0], [500.0, 0.0], [0.0, 8.0], [500.0, 0.0]])
+    cfg = replace(CFG, filters=replace(CFG.filters, n_hyp=50))
+    upd, maps = update(post, Z, cfg)
+
+    calls = []  # (K, solutions returned) per assignment problem
+    murty = trpmbm.filter.murty_kbest
+
+    def recorded(C, K):
+        out = murty(C, K)
+        calls.append((K, len(out)))
+        return out
+
+    monkeypatch.setattr(trpmbm.filter, "murty_kbest", recorded)
+    got = form_hypotheses(upd, maps, len(Z), cfg)
+    want = form_hypotheses_by_dicts(upd, *record_as_dicts(maps), maps.new_tree_logw, len(Z), cfg)
+    # four groups, of which the one without a free measurement has no
+    # problem: parents 0-1 (3 assignments), parent 2 and parent 4 (9)
+    assert sorted(calls) == [(1, 1), (15, 3), (23, 9)]
     assert _bits(got.log_w) == _bits(want.log_w)
     assert _bits(_ranks(got.sel)) == _bits(_ranks(want.sel))
 
