@@ -1016,7 +1016,8 @@ def check_posterior(
     Exclusivity is checked as "never twice" for all measurements plus
     "exactly once" for the current step when its count is given (records of
     older measurements can legitimately disappear with pruned zero-
-    existence Bernoullis).
+    existence Bernoullis).  A selection table whose width or entries do not
+    fit the slots is reported instead of walked.
     """
     problems = []
     if len(post.log_w):
@@ -1030,11 +1031,21 @@ def check_posterior(
     for qi, comp in enumerate(post.ppp):
         if any(m != 1 for m in comp.comp.genealogy):
             problems.append(f"intensity term {qi}: genealogy not all ones")
-    slots = [slot for tree in post.trees for slot in tree.slots]
-    for row in post.sel.tolist():
+    hyps = [slot.hyps for tree in post.trees for slot in tree.slots]
+    sel = post.sel
+    n_hyps = np.array([len(h) for h in hyps], dtype=int)
+    if sel.shape[1] != len(hyps):
+        faults = [f"selection table has {sel.shape[1]} columns for {len(hyps)} slots"]
+    else:
+        faults = [
+            f"selection row {r} column {c}: hyp {sel[r, c]} not among the slot's {n_hyps[c]}"
+            for r, c in zip(*np.nonzero((sel < 0) | (sel >= n_hyps)))
+        ]
+    problems += faults
+    for row in [] if faults else sel.tolist():  # the walk needs a well-formed table
         seen: set = set()
-        for slot, bi in zip(slots, row):
-            h = slot.hyps[bi]
+        for slot_hyps, bi in zip(hyps, row):
+            h = slot_hyps[bi]
             dup = h.assoc & seen
             if dup:
                 problems.append(f"measurements {sorted(dup)} associated twice")

@@ -170,16 +170,10 @@ _COMPONENTS = ("total", "localisation", "missed", "false", "switch")
 def rms_curves(reports: list[RunReport]) -> dict[str, dict[str, np.ndarray]]:
     """Per filter label: root-mean-square of each metric component over runs."""
     out: dict[str, dict[str, np.ndarray]] = {}
-    labels = sorted({r.label for r in reports}, key=_label_key)
-    for label in labels:
-        batch = [r for r in reports if r.label == label]
-        curves = {}
-        for comp in _COMPONENTS:
-            vals = np.array(
-                [[getattr(b, comp) for b in r.breakdowns] for r in batch]
-            )
-            curves[comp] = np.sqrt((vals**2).mean(axis=0))
-        out[label] = curves
+    for label in sorted({r.label for r in reports}, key=_label_key):
+        # (runs, steps, components), the components in `_COMPONENTS` order
+        vals = np.array([[b.as_tuple() for b in r.breakdowns] for r in reports if r.label == label])
+        out[label] = dict(zip(_COMPONENTS, np.sqrt((vals**2).mean(axis=0)).T))
     return out
 
 
@@ -204,47 +198,34 @@ def emit_outputs(reports: list[RunReport], out_dir: str | Path) -> list[Path]:
     n_steps = len(next(iter(curves.values()))["total"])
     written = []
 
-    lines = ["step," + ",".join(labels)]
-    for k in range(n_steps):
-        lines.append(
-            f"{k + 1}," + ",".join(_fmt(curves[lb]["total"][k]) for lb in labels)
-        )
-    path = out / "rms_vs_time.csv"
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
+    def write(name: str, lines: list[str]) -> None:
+        path = out / name
+        path.write_text("\n".join(lines) + "\n")
+        written.append(path)
 
-    lines = ["step,filter,localisation,missed,false,switch"]
-    for lb in labels:
-        for k in range(n_steps):
-            row = [str(k + 1), lb] + [
-                _fmt(curves[lb][comp][k])
-                for comp in ("localisation", "missed", "false", "switch")
-            ]
-            lines.append(",".join(row))
-    path = out / "decomposition.csv"
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
+    def wide(comp: str, sep: str, head: str = "") -> list[str]:
+        """A header, then per step the step and every label's RMS ``comp``."""
+        return [head + sep.join(["step", *labels])] + [
+            sep.join([str(k + 1)] + [_fmt(curves[lb][comp][k]) for lb in labels])
+            for k in range(n_steps)
+        ]
 
-    lines = ["filter,lscan,runs,mean_seconds,total_seconds"]
+    write("rms_vs_time.csv", wide("total", ","))
+    write("decomposition.csv", ["step,filter,localisation,missed,false,switch"] + [
+        ",".join([str(k + 1), lb] + [_fmt(curves[lb][comp][k]) for comp in _COMPONENTS[1:]])
+        for lb in labels
+        for k in range(n_steps)
+    ])  # fmt: skip
+    timing = ["filter,lscan,runs,mean_seconds,total_seconds"]
     for lb in labels:
         batch = [r for r in reports if r.label == lb]
         total = sum(r.filter_seconds for r in batch)
-        lines.append(
+        timing.append(
             f"{batch[0].kind},{batch[0].lscan},{len(batch)},"
             f"{_fmt(total / len(batch))},{_fmt(total)}"
         )
-    path = out / "timing.csv"
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
-
-    header = "# step " + " ".join(labels)
+    write("timing.csv", timing)
     names = {"total": "rms_vs_time"} | {c: f"decomposition_{c}" for c in _COMPONENTS[1:]}
     for comp, name in names.items():
-        rows = [header] + [
-            f"{k + 1} " + " ".join(_fmt(curves[lb][comp][k]) for lb in labels)
-            for k in range(n_steps)
-        ]
-        path = out / f"{name}.dat"
-        path.write_text("\n".join(rows) + "\n")
-        written.append(path)
+        write(f"{name}.dat", wide(comp, " ", "# "))
     return written

@@ -142,9 +142,9 @@ def _geometry(est: list[Track], truth: list[Track], k: int):
     steps = np.arange(1, k + 1)[:, None]
 
     def grid(tracks):
-        out = np.full((k, len(tracks), 2), np.nan)
+        out = np.full((2, k, len(tracks)), np.nan)
         for i, tr in enumerate(tracks):
-            out[tr.start - 1 : tr.end, i] = tr.positions
+            out[:, tr.start - 1 : tr.end, i] = tr.positions.T
         return out
 
     def alive(tracks):
@@ -152,8 +152,9 @@ def _geometry(est: list[Track], truth: list[Track], k: int):
         ends = np.array([tr.end for tr in tracks], dtype=int)
         return (starts <= steps) & (steps <= ends)
 
-    diff = grid(est)[:, :, None] - grid(truth)[:, None]
-    return np.hypot(diff[..., 0], diff[..., 1]), alive(est), alive(truth)
+    (ex, ey), (tx, ty) = grid(est), grid(truth)
+    dx = ex[:, :, None] - tx[:, None]
+    return np.hypot(dx, ey[:, :, None] - ty[:, None], out=dx), alive(est), alive(truth)
 
 
 def _clusters(close: np.ndarray) -> list[tuple[list[int], list[int]]]:
@@ -284,40 +285,6 @@ def _model(n: int, m: int, T: int, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
     return indptr, cols.astype(np.int32), vals, lhs, rhs
 
 
-def _highs_options():
-    """``linprog(method="highs")``'s options: presolve on, dual simplex,
-    default tolerances, no output."""
-    opts = _highs.HighsOptions()
-    opts.presolve = "on"
-    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-    opts.output_flag = False
-    opts.log_to_console = False
-    return opts
-
-
-def _highs_run(cost, model, start=None):
-    """One HiGHS solve of ``model``; the Highs object once it has run, or
-    None if ``start`` was rejected as a basis."""
-    indptr, indices, values, lhs, rhs = model
-    n_col = len(cost)
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    highs.passModel(
-        n_col, len(rhs), len(values),
-        int(_highs.MatrixFormat.kRowwise), int(_highs.ObjSense.kMinimize), 0.0,
-        cost, np.zeros(n_col), np.full(n_col, np.inf), lhs, rhs,
-        indptr, indices, values, np.zeros(n_col, dtype=np.int32),
-    )  # fmt: skip
-    if start is not None:
-        basis = _highs.HighsBasis()
-        basis.col_status, basis.row_status = start
-        if highs.setBasis(basis) != _highs.HighsStatus.kOk:
-            return None
-    highs.run()
-    return highs
-
-
 def _highs_solve(cost, model, start=None):
     """Optimal x of the cluster LP through HiGHS, and its basic variables.
 
@@ -325,13 +292,27 @@ def _highs_solve(cost, model, start=None):
     from; a rejected or failed warm start is solved again cold.  The basic
     variables come as HiGHS lists them: column j as j, row i as -1-i.
     """
-    highs = None if start is None else _highs_run(cost, model, start)
-    if highs is None or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
-        highs = _highs_run(cost, model)
-    status = highs.getModelStatus()
-    if status != _highs.HighsModelStatus.kOptimal:
-        raise RuntimeError(f"metric LP failed: {highs.modelStatusToString(status)}")
-    return np.array(highs.getSolution().col_value), highs.getBasicVariables()[1]
+    indptr, indices, values, lhs, rhs = model
+    n_col = len(cost)
+    for begin in (start, None) if start is not None else (None,):
+        highs = _highs._Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
+        highs.passModel(
+            n_col, len(rhs), len(values),
+            int(_highs.MatrixFormat.kRowwise), int(_highs.ObjSense.kMinimize), 0.0,
+            cost, np.zeros(n_col), np.full(n_col, np.inf), lhs, rhs,
+            indptr, indices, values, np.zeros(n_col, dtype=np.int32),
+        )  # fmt: skip
+        if begin is not None:
+            basis = _highs.HighsBasis()
+            basis.col_status, basis.row_status = begin
+            if highs.setBasis(basis) != _highs.HighsStatus.kOk:
+                continue
+        highs.run()
+        status = highs.getModelStatus()
+        if status == _highs.HighsModelStatus.kOptimal:
+            return np.array(highs.getSolution().col_value), highs.getBasicVariables()[1]
+    raise RuntimeError(f"metric LP failed: {highs.modelStatusToString(status)}")
 
 
 def _scipy_solve(cost, model, start=None):
@@ -351,7 +332,13 @@ def _scipy_solve(cost, model, start=None):
 _LOWER, _BASIC, _UPPER = range(3)  # `_warm_start`'s codes of the HiGHS basis statuses
 
 if _highs is not None:
-    _HIGHS_OPTIONS = _highs_options()
+    # linprog(method="highs")'s options: presolve, dual simplex, default tolerances, no output
+    _HIGHS_OPTIONS = _highs.HighsOptions()
+    _HIGHS_OPTIONS.presolve = "on"
+    _HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    _HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    _HIGHS_OPTIONS.output_flag = False
+    _HIGHS_OPTIONS.log_to_console = False
     _status = _highs.HighsBasisStatus
     _STATUSES = np.array([_status.kLower, _status.kBasic, _status.kUpper], dtype=object)
     linprog = _highs_solve

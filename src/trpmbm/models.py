@@ -24,6 +24,7 @@ NZ = 2
 
 PERP_FALLBACK = np.array([0.0, 0.0, 1.0, 0.0])
 SPEED_EPS = 1e-6
+SAMPLE_JITTER = 1e-12  # the samplers factor Q and birth cov plus this on the diagonal
 
 
 class ScenarioError(ValueError):
@@ -411,7 +412,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     for i, m in enumerate(cfg.modes):
         if not 0.0 <= m.prob <= 1.0:
             problems.append(f"modes[{i}].prob {m.prob} outside [0, 1]")
-        problems += _covariance_problems(m.Q, f"modes[{i}].Q", 1e-12)
+        problems += _covariance_problems(m.Q, f"modes[{i}].Q", SAMPLE_JITTER)
     if not 0.0 <= cfg.measurement.p_detect <= 1.0:
         problems.append(f"p_detect {cfg.measurement.p_detect} outside [0, 1]")
     if cfg.measurement.clutter_rate < 0:
@@ -423,7 +424,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     for i, b in enumerate(cfg.births):
         if b.weight < 0:
             problems.append(f"birth[{i}].weight {b.weight} negative")
-        problems += _covariance_problems(b.cov, f"birth[{i}].cov", 1e-12)
+        problems += _covariance_problems(b.cov, f"birth[{i}].cov", SAMPLE_JITTER)
     if cfg.horizon < 1:
         problems.append(f"horizon {cfg.horizon} must be >= 1")
     if cfg.seed < 0:
@@ -466,8 +467,8 @@ def sample_ground_truth(
     cfg: ScenarioConfig, seed: int, run: int = 0
 ) -> list[TreeTrajectory]:
     """Draw a full set of tree trajectories over the scenario horizon."""
-    chol_q = [np.linalg.cholesky(m.Q + 1e-12 * np.eye(NX)) for m in cfg.modes]
-    chol_b = [np.linalg.cholesky(b.cov + 1e-12 * np.eye(NX)) for b in cfg.births]
+    chol_q = [np.linalg.cholesky(m.Q + SAMPLE_JITTER * np.eye(NX)) for m in cfg.modes]
+    chol_b = [np.linalg.cholesky(b.cov + SAMPLE_JITTER * np.eye(NX)) for b in cfg.births]
     weights = np.array([b.weight for b in cfg.births])
     total_birth = weights.sum()
 

@@ -544,3 +544,14 @@ def test_check_posterior_reports_non_finite_weights():
         assert any("not finite" in p for p in problems), log_ws
     ok = posterior(1, (), (tree,), (0.0, ((0,),)))
     assert check_posterior(ok) == []
+
+
+def test_check_posterior_reports_a_selection_table_that_does_not_fit():
+    tree = _one_branch_tree(0.6, {1: EndCase(1.0, _component([1.0, 0, 2, 0]))})
+    narrow = Posterior(1, (), (tree, tree), np.zeros(1), np.zeros((1, 1), dtype=np.int32))
+    assert check_posterior(narrow) == ["selection table has 1 columns for 2 slots"]
+    for bad in (-1, 1):
+        post = Posterior(1, (), (tree, tree), np.zeros(1), np.array([[0, bad]], dtype=np.int32))
+        assert check_posterior(post) == [
+            f"selection row 0 column 1: hyp {bad} not among the slot's 1"
+        ]

@@ -90,6 +90,29 @@ def test_emit_outputs_files_and_rerun_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_dat_files_repeat_their_csv_twins(tmp_path):
+    cfg = _small_cfg(6)
+    reports = run_experiment(cfg, [FilterSpec("tpmbm", 2), FilterSpec("tpmbm", 1)], n_runs=1, seed=5)
+    emit_outputs(reports, tmp_path)
+
+    def rows(name, sep):
+        return [line.split(sep) for line in (tmp_path / name).read_text().splitlines()]
+
+    rms = rows("rms_vs_time.csv", ",")
+    dat = rows("rms_vs_time.dat", " ")
+    assert dat[0] == ["#"] + rms[0]
+    assert dat[1:] == rms[1:]
+
+    deco = rows("decomposition.csv", ",")
+    labels = rms[0][1:]
+    for c, comp in enumerate(deco[0][2:], start=2):
+        dat = rows(f"decomposition_{comp}.dat", " ")
+        assert dat[0] == ["#", "step"] + labels
+        for j, label in enumerate(labels, start=1):
+            mine = [row for row in deco[1:] if row[1] == label]
+            assert [[row[0], row[c]] for row in mine] == [[row[0], row[j]] for row in dat[1:]]
+
+
 def test_emit_outputs_rejects_empty():
     with pytest.raises(ValueError):
         emit_outputs([], "/tmp/nowhere")
