@@ -31,6 +31,9 @@ rule runs once over one table of both slot kinds.  A pruned posterior
 holds only built records; readers of the stages in between see spawned
 slots through ``SpawnedSlot.hyps``.
 
+A branch's genealogy is held once: its slot's ``branch_id`` and its tree's
+``start_time`` give its marks (``alive_marks``); components hold states.
+
 Three operating modes share the recursion:
   kind='trpmbm'  Poisson birth into the undetected-tree intensity.
   kind='trmbm'   zero intensity, one birth Bernoulli tree per step.
@@ -89,6 +92,12 @@ def _logs(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def alive_marks(branch_id: tuple[int, ...], start_time: int, kappa: int) -> tuple[int, ...]:
+    """The genealogy of a branch alive until step ``kappa`` in a tree that
+    starts at ``start_time``: its id, then a survival mark per later step."""
+    return branch_id + (1,) * (kappa - start_time + 1 - len(branch_id))
+
+
 @dataclass(frozen=True)
 class LocalHyp:
     """One measurement history of a branch slot."""
@@ -111,9 +120,9 @@ class SpawnedSlot:
 
     Local hypothesis bi has log-weight ``log_w[bi]`` and existence ``r[bi]``.
     Where ``tracked[bi]``, its density is one end case at ``step`` with
-    beta 1 over a single state with moments ``means[bi]`` and ``covs[bi]``,
-    and its genealogy is its parent component's (``parent[bi]``) plus the
-    mark ``branch_id[-1]``; elsewhere it has none.  ``update`` thins the
+    beta 1 over a single state with moments ``means[bi]`` and ``covs[bi]``;
+    elsewhere it has none.  ``branch_id`` holds the slot's marks up to
+    ``step``, ending in the spawning mark.  ``update`` thins the
     arrays by the missed-detection rule of built slots, with beta(k) = 1,
     ``form_hypotheses`` builds the slot when a formed row detects one of its
     hypotheses, and ``prune`` builds the slots it keeps.  Every later
@@ -123,7 +132,6 @@ class SpawnedSlot:
 
     branch_id: tuple[int, ...]
     step: int
-    parent: tuple[GaussianBranchComponent | None, ...]
     log_w: np.ndarray  # (n,)
     r: np.ndarray  # (n,)
     tracked: np.ndarray  # (n,) bool
@@ -133,8 +141,7 @@ class SpawnedSlot:
     def built(self, idx: list[int]) -> list[LocalHyp]:
         """The local hypotheses at ``idx`` as records."""
         at = [bi for bi in idx if self.tracked[bi]]
-        parents = [self.parent[bi] for bi in at]
-        comps = spawn(parents, self.means[at], self.covs[at], self.branch_id[-1])
+        comps = spawn(self.means[at], self.covs[at])
         density = {bi: BranchDensity({self.step: EndCase(1.0, c)}) for bi, c in zip(at, comps)}
         log_w, r = self.log_w.tolist(), self.r.tolist()
         return [LocalHyp(log_w[bi], r[bi], density.get(bi), frozenset()) for bi in idx]
@@ -224,9 +231,7 @@ def _rebuilt(trees: tuple[BernoulliTree, ...], new: dict) -> tuple[BernoulliTree
 
 def _birth_component(b: BirthComponent) -> GaussianBranchComponent:
     """Single-state Gaussian of a newborn branch, with the birth term's moments."""
-    return GaussianBranchComponent(
-        (1,), np.asarray(b.mean, dtype=float), np.asarray(b.cov, dtype=float), NX
-    )
+    return GaussianBranchComponent(np.asarray(b.mean, float), np.asarray(b.cov, float), NX)
 
 
 def _birth_tree(cfg: ScenarioConfig, k: int) -> BernoulliTree:
@@ -284,9 +289,9 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
     comps = [case.comp for case in prevs] + [c.comp for c in ppp]
     moved: dict[int, GaussianBranchComponent] = {}
     # every spawning mode spawns one slot per spawnable slot, whose hyps
-    # take one span of the mode's arrays: per spawnable slot its span and
-    # parent components, per mode the means, covariances and existences
-    spans: dict[tuple[int, int], tuple[int, int, tuple]] = {}
+    # take one span of the mode's arrays: per spawnable slot its span, per
+    # mode the means, covariances and existences
+    spans: dict[tuple[int, int], tuple[int, int]] = {}
     modes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     if comps:
         means, covs = last_states(comps)
@@ -300,13 +305,11 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
         for ti, js in spawnable.items():
             for ji in js:
                 hyps = post.trees[ti].slots[ji].hyps
-                parent: list = [None] * len(hyps)
                 for bi, c in found[ti][ji]:
-                    parent[bi] = comps[c]
                     parents.append(c)
                     at.append(n + bi)
                     r_parent.append(hyps[bi].r)
-                spans[ti, ji] = (n, n + len(hyps), tuple(parent))
+                spans[ti, ji] = (n, n + len(hyps))
                 n += len(hyps)
         tracked, zeros = np.zeros(n, dtype=bool), np.zeros(n)
         tracked[at] = True
@@ -349,16 +352,11 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
         parent_of = spawnable.get(ti, [])
         for mark, (m, P, r) in enumerate(modes, start=2):
             for ji in parent_of:
-                branch_id = tree.slots[ji].branch_id
-                # deterministic alive genealogy of the parent at step k-1
-                pad = (k - 1 - tree.start_time + 1) - len(branch_id)
-                lo, hi, parent = spans[ti, ji]
-                slots.append(
-                    SpawnedSlot(
-                        branch_id + (1,) * pad + (mark,), k, parent,
-                        zeros[lo:hi], r[lo:hi], tracked[lo:hi], m[lo:hi], P[lo:hi],
-                    )
-                )
+                # the parent's marks at step k-1, then the spawning mark
+                marks = alive_marks(tree.slots[ji].branch_id, tree.start_time, k - 1) + (mark,)
+                lo, hi = spans[ti, ji]
+                held = (zeros[lo:hi], r[lo:hi], tracked[lo:hi], m[lo:hi], P[lo:hi])
+                slots.append(SpawnedSlot(marks, k, *held))
                 cols.append(start + ji)
         changed = changed or len(slots) > len(tree.slots)
         trees.append(BernoulliTree(tree.start_time, tuple(slots)) if changed else tree)
@@ -472,13 +470,12 @@ def _new_trees(
     meas = cfg.measurement
     m_k = Z.shape[0]
     ppp_loglik = np.full((len(ppp), m_k), -np.inf)
-    live = [qi for qi, c in enumerate(ppp) if np.isfinite(c.log_weight)]
-    if live and m_k:
-        zhat, ppp_S = innovation([ppp[qi].comp for qi in live], meas.H, meas.R)
+    if ppp and m_k:
+        zhat, ppp_S = innovation(last_states([c.comp for c in ppp]), meas.H, meas.R)
         ppp_innov = Z - zhat[:, None, :]
         inside, loglik = gate_loglik(ppp_S, ppp_innov, cfg.filters.gate)
-        log_base = np.array([ppp[qi].log_weight for qi in live]) + _log(meas.p_detect)
-        ppp_loglik[live] = np.where(inside, log_base[:, None] + loglik, -np.inf)
+        log_base = np.array([c.log_weight for c in ppp]) + _log(meas.p_detect)
+        ppp_loglik = np.where(inside, log_base[:, None] + loglik, -np.inf)
     if len(ppp):
         # per column; summing axis 0 of the untransposed array changes bits
         totals = logsumexp(np.ascontiguousarray(ppp_loglik.T), axis=1)
@@ -498,14 +495,8 @@ def _new_trees(
         rank[order] = np.arange(len(ppp))
         best = np.where(cols == cols.max(axis=0), rank[:, None], -1).argmax(axis=0)
         terms, which = np.unique(best, return_inverse=True)
-        row_of = np.cumsum(np.isfinite([c.log_weight for c in ppp])) - 1
-        means, covs = condition(
-            [ppp[q].comp for q in terms.tolist()],
-            meas.H,
-            ppp_S[row_of[terms]],
-            which,
-            ppp_innov[row_of[best], found],
-        )
+        comps = [ppp[q].comp for q in terms.tolist()]
+        means, covs = condition(comps, meas.H, ppp_S[terms], which, ppp_innov[best, found])
         for m, r2, q, w, mean in zip(found.tolist(), r, best.tolist(), which.tolist(), means):
             comp = ppp[q].comp.with_live(mean, covs[w])
             new[m] = (r2, BranchDensity({k: EndCase(1.0, comp)}), ppp[q].start_time)
@@ -626,7 +617,7 @@ def update(
         for j in np.unique(of[at]).tolist():
             slot, lo, hi = held[j], starts[j], starts[j] + held_sizes[j]
             new[spawned[j]] = SpawnedSlot(
-                slot.branch_id, slot.step, slot.parent, held_log_w[lo:hi], held_r[lo:hi],
+                slot.branch_id, slot.step, held_log_w[lo:hi], held_r[lo:hi],
                 held_tracked[lo:hi], slot.means, slot.covs,
             )
         states.append(Moments(held_means[put], held_covs[put]))
@@ -952,7 +943,6 @@ def estimate(post: Posterior, cfg: ScenarioConfig) -> list[TreeTrajectory]:
     picks = iter(post.sel[_best_row(post)].tolist())
     out = []
     for tree in post.trees:
-        horizon = post.step - tree.start_time + 1
         branches = []
         for slot in tree.slots:
             h = slot.hyps[next(picks)]
@@ -960,9 +950,8 @@ def estimate(post: Posterior, cfg: ScenarioConfig) -> list[TreeTrajectory]:
                 continue
             kappa = h.density.most_likely_end()
             comp = h.density.components[kappa].comp
-            marks = comp.genealogy + (0,) * (horizon - len(comp.genealogy))
-            states = comp.full_mean().reshape(-1, comp.nx)
-            branches.append(Branch(marks, states))
+            marks = alive_marks(slot.branch_id, tree.start_time, kappa) + (0,) * (post.step - kappa)
+            branches.append(Branch(marks, comp.full_mean().reshape(-1, comp.nx)))
         if branches:
             out.append(TreeTrajectory(tree.start_time, branches))
     return out
@@ -1028,9 +1017,6 @@ def check_posterior(
             total = float(np.exp(post.log_w).sum())
         if not abs(total - 1.0) <= tol:  # also catches a NaN total
             problems.append(f"hypothesis weights sum to {total}, not 1")
-    for qi, comp in enumerate(post.ppp):
-        if any(m != 1 for m in comp.comp.genealogy):
-            problems.append(f"intensity term {qi}: genealogy not all ones")
     hyps = [slot.hyps for tree in post.trees for slot in tree.slots]
     sel = post.sel
     n_hyps = np.array([len(h) for h in hyps], dtype=int)
@@ -1085,21 +1071,24 @@ def check_posterior(
 def posterior_to_dict(post: Posterior) -> dict:
     """JSON-ready snapshot of the full posterior (debugging aid)."""
 
-    def comp_dict(c: GaussianBranchComponent) -> dict:
+    def comp_dict(c: GaussianBranchComponent, marks: tuple[int, ...]) -> dict:
         mean, cov = c.full_mean().tolist(), c.full_cov().tolist()
-        return {"genealogy": list(c.genealogy), "mean": mean, "cov": cov}
+        return {"genealogy": list(marks), "mean": mean, "cov": cov}
 
-    def hyp_dict(h: LocalHyp) -> dict:
+    def hyp_dict(h: LocalHyp, branch_id: tuple, start: int) -> dict:
         density = None
         if h.density is not None:
             cases = sorted(h.density.components.items())
-            comps = {str(t): {"beta": c.beta, **comp_dict(c.comp)} for t, c in cases}
+            comps = {
+                str(t): {"beta": c.beta, **comp_dict(c.comp, alive_marks(branch_id, start, t))}
+                for t, c in cases
+            }
             density = {"components": comps}
         assoc = sorted(h.assoc)
         return {"log_w": h.log_w, "r": h.r, "associations": assoc, "density": density}
 
-    def slot_dict(slot: BranchSlot) -> dict:
-        hyps = [hyp_dict(h) for h in slot.hyps]
+    def slot_dict(slot: BranchSlot, start: int) -> dict:
+        hyps = [hyp_dict(h, slot.branch_id, start) for h in slot.hyps]
         return {"branch_id": list(slot.branch_id), "hypotheses": hyps}
 
     return {
@@ -1108,12 +1097,12 @@ def posterior_to_dict(post: Posterior) -> dict:
             {
                 "log_weight": c.log_weight,
                 "start_time": c.start_time,
-                "component": comp_dict(c.comp),
+                "component": comp_dict(c.comp, alive_marks((1,), c.start_time, post.step)),
             }
             for c in post.ppp
         ],
         "trees": [
-            {"start_time": t.start_time, "slots": [slot_dict(s) for s in t.slots]}
+            {"start_time": t.start_time, "slots": [slot_dict(s, t.start_time) for s in t.slots]}
             for t in post.trees
         ],
         "hypotheses": [

@@ -7,8 +7,10 @@ independent of the live window and are never touched again.  All
 operations here work on the live window only, are pure (inputs are never
 mutated) and resymmetrise covariances on the way out.
 
-Every kernel works on a stack of N components at once; components of
-different live lengths go through one stacked pass per length.
+A component holds states only: a branch's genealogy marks live with its
+slot (``trpmbm.filter``).  Every kernel works on a stack of N components at
+once; components of different live lengths go through one stacked pass per
+length.
 ``last_states`` stacks the moments of the last states (``Moments``) and
 ``transition`` moves them one step (F m + d, F P F' + Q, symmetrised);
 ``survive`` appends the moved state to each live window and cuts it to the
@@ -17,8 +19,8 @@ moments.  ``l_scan_truncate`` is the same cut for components that did not
 move.
 
 Every measurement update goes through one kernel: ``innovation`` stacks
-the predicted measurements and innovation covariances of N components, or
-of N last-state moments held without components, ``gate_loglik`` gates and
+the predicted measurements and innovation covariances of N last-state
+moments (``last_states`` of N components), ``gate_loglik`` gates and
 scores all of them against every measurement at once, and ``condition``
 conditions the live windows on their gated measurements.  ``innovation``
 holds the one jitter policy: it adds JITTER * I once to each S that is not
@@ -38,8 +40,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .trees import Genealogy
-
 JITTER = 1e-9
 _LOG2PI = math.log(2.0 * math.pi)
 
@@ -58,12 +58,10 @@ def _rows(stack: np.ndarray) -> list[np.ndarray]:
 class GaussianBranchComponent:
     """Gaussian over the state sequence of one branch ending at a known step.
 
-    ``genealogy`` is the alive part of the branch's marks (tree-relative, no
-    trailing zeros).  ``mean``/``cov`` cover the live window; earlier states
-    sit in ``frozen_means``/``frozen_covs`` chunks, ordered oldest first.
+    ``mean``/``cov`` cover the live window; earlier states sit in
+    ``frozen_means``/``frozen_covs`` chunks, ordered oldest first.
     """
 
-    genealogy: Genealogy
     mean: np.ndarray
     cov: np.ndarray
     nx: int
@@ -85,9 +83,7 @@ class GaussianBranchComponent:
 
     def with_live(self, mean: np.ndarray, cov: np.ndarray) -> GaussianBranchComponent:
         """This component with new live-window moments."""
-        return GaussianBranchComponent(
-            self.genealogy, mean, cov, self.nx, self.frozen_means, self.frozen_covs
-        )
+        return GaussianBranchComponent(mean, cov, self.nx, self.frozen_means, self.frozen_covs)
 
     def full_mean(self) -> np.ndarray:
         return np.concatenate([*self.frozen_means, self.mean])
@@ -113,11 +109,7 @@ def _by_live_length(comps: Sequence[GaussianBranchComponent]) -> list[list[int]]
 
 
 def _windowed(
-    group: Sequence[GaussianBranchComponent],
-    genealogies: Sequence[Genealogy],
-    means: np.ndarray,
-    covs: np.ndarray,
-    L: int,
+    group: Sequence[GaussianBranchComponent], means: np.ndarray, covs: np.ndarray, L: int
 ) -> list[GaussianBranchComponent]:
     """Components with stacked live moments (G, n), (G, n, n), the live
     states older than the last L frozen off into one more chunk each.
@@ -133,8 +125,8 @@ def _windowed(
         frozen = [(fm + (m,), fc + (P,)) for (fm, fc), (m, P) in zip(frozen, chunks)]
         means, covs = means[:, cut:], _sym(covs[:, cut:, cut:])
     return [
-        GaussianBranchComponent(g, m, P, nx, fm, fc)
-        for g, m, P, (fm, fc) in zip(genealogies, _rows(means), _rows(covs), frozen)
+        GaussianBranchComponent(m, P, nx, fm, fc)
+        for m, P, (fm, fc) in zip(_rows(means), _rows(covs), frozen)
     ]
 
 
@@ -168,8 +160,8 @@ def survive(
     F: np.ndarray,
     L: int,
 ) -> list[GaussianBranchComponent]:
-    """Append each component's surviving next state (mark 1), then keep the
-    last L states of the live window.
+    """Append each component's surviving next state, then keep the last L
+    states of the live window.
 
     ``means``/``covs`` are the moved last states from ``transition``.  The
     marginal over the existing states is untouched; the cross terms of the
@@ -187,30 +179,19 @@ def survive(
         full[:, n:, :n] = cross.swapaxes(1, 2)
         full[:, n:, n:] = covs[idx]
         mean = np.concatenate([np.stack([c.mean for c in group]), means[idx]], axis=1)
-        genealogies = [c.genealogy + (1,) for c in group]
-        for i, c in zip(idx, _windowed(group, genealogies, mean, _sym(full), L)):
+        for i, c in zip(idx, _windowed(group, mean, _sym(full), L)):
             out[i] = c
     return out
 
 
-def spawn(
-    comps: Sequence[GaussianBranchComponent],
-    means: np.ndarray,
-    covs: np.ndarray,
-    mark: int,
-) -> list[GaussianBranchComponent]:
-    """Single-state components of branches spawned with ``mark`` >= 2.
+def spawn(means: np.ndarray, covs: np.ndarray) -> list[GaussianBranchComponent]:
+    """Single-state components of spawned branches.
 
     ``means``/``covs`` are the parents' last states moved by the spawning
-    mode's ``transition``; a child's genealogy is its parent's alive marks
-    plus the mark.
+    mode's ``transition``.
     """
-    if mark < 2:
-        raise ValueError(f"spawning modes start at 2, got {mark}")
-    return [
-        GaussianBranchComponent(c.genealogy + (mark,), m, P, c.nx)
-        for c, m, P in zip(comps, _rows(means), _rows(covs))
-    ]
+    nx = means.shape[1]
+    return [GaussianBranchComponent(m, P, nx) for m, P in zip(_rows(means), _rows(covs))]
 
 
 def l_scan_truncate(
@@ -229,21 +210,17 @@ def l_scan_truncate(
         group = [comps[i] for i in idx]
         means = np.stack([c.mean for c in group])
         covs = np.stack([c.cov for c in group])
-        genealogies = [c.genealogy for c in group]
-        for i, c in zip(idx, _windowed(group, genealogies, means, covs, L)):
+        for i, c in zip(idx, _windowed(group, means, covs, L)):
             out[i] = c
     return out
 
 
-def innovation(
-    states: Sequence[GaussianBranchComponent] | Moments, H: np.ndarray, R: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted measurements (N, nz) and innovation covariances (N, nz, nz).
-
-    One row per component, for its last state, or per row of last-state
-    ``Moments``.  Each S that is not positive definite gets JITTER * I.
+def innovation(states: Moments, H: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted measurements (N, nz) and innovation covariances (N, nz, nz),
+    one row per row of last-state ``Moments``.  Each S that is not positive
+    definite gets JITTER * I.
     """
-    means, covs = states if isinstance(states, Moments) else last_states(states)
+    means, covs = states
     zhat = np.matmul(H, means[:, :, None])[..., 0]
     S = _sym(H @ covs @ H.T + R)
     if S.shape[1:] == (2, 2):  # the 2x2 closed forms below divide by this det

@@ -76,7 +76,8 @@ except ImportError:
 
 @dataclass(frozen=True)
 class TrajMetricParams:
-    """Exponent p >= 1, cutoff c > 0 and switch penalty gamma >= 0, all finite."""
+    """Exponent p >= 1, cutoff c > 0 and switch penalty gamma >= 0, all
+    finite, and so are c**p and gamma**p, which the costs are made of."""
 
     p: float = 2.0
     c: float = 10.0
@@ -84,9 +85,14 @@ class TrajMetricParams:
 
     def __post_init__(self):
         finite = all(math.isfinite(v) for v in (self.p, self.c, self.gamma))
-        if not (finite and self.p >= 1 and self.c > 0 and self.gamma >= 0):
+        valid = finite and self.p >= 1 and self.c > 0 and self.gamma >= 0
+        try:
+            valid = valid and all(math.isfinite(x**self.p) for x in (self.c, self.gamma))
+        except OverflowError:
+            valid = False
+        if not valid:
             raise ValueError(
-                f"metric needs finite p >= 1, c > 0, gamma >= 0; got {self}"
+                f"metric needs finite p >= 1, c > 0, gamma >= 0, c**p, gamma**p; got {self}"
             )
 
 

@@ -46,9 +46,9 @@ from trpmbm.gaussian import (
     condition,
     gate_loglik,
     innovation,
+    last_states,
 )
 from trpmbm.models import NX, PERP_FALLBACK, SPEED_EPS, no_spawning
-from trpmbm.trees import branch_length, validate_genealogy
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +549,17 @@ def gauss_logpdf(x, mean, cov) -> float:
 # ---------------------------------------------------------------------------
 
 
-def component_from_moments(genealogy, mean, cov, nx) -> GaussianBranchComponent:
+def component_from_moments(mean, cov, nx) -> GaussianBranchComponent:
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    return GaussianBranchComponent(tuple(genealogy), mean, (cov + cov.T) / 2.0, nx)
+    return GaussianBranchComponent(mean, (cov + cov.T) / 2.0, nx)
 
 
 def check_component(c: GaussianBranchComponent) -> None:
-    """Raise if a component's sizes or genealogy are inconsistent."""
-    marks = validate_genealogy(c.genealogy)
-    if marks[-1] == 0:
-        raise ValueError("component genealogy must be the alive prefix")
-    if branch_length(marks) != c.length:
-        raise ValueError(f"{c.length} states but genealogy implies {branch_length(marks)}")
+    """Raise if a component's moments are not whole states."""
+    for m, P in ((c.mean, c.cov), *zip(c.frozen_means, c.frozen_covs)):
+        if len(m) == 0 or len(m) % c.nx or P.shape != (len(m), len(m)):
+            raise ValueError(f"moments {m.shape}, {P.shape} are not whole states of {c.nx}")
 
 
 def innovation_one(c: GaussianBranchComponent, H, R) -> tuple[np.ndarray, np.ndarray]:
@@ -737,15 +735,11 @@ def predict_augment_survive(c, F, d, Q):
     top = np.hstack([P, cross])
     bottom = np.hstack([cross.T, corner])
     new_cov = _sym(np.vstack([top, bottom]))
-    return GaussianBranchComponent(
-        c.genealogy + (1,), new_mean, new_cov, nx, c.frozen_means, c.frozen_covs
-    )
+    return GaussianBranchComponent(new_mean, new_cov, nx, c.frozen_means, c.frozen_covs)
 
 
-def spawn_component(c, F, d, Q, mode):
-    """Single-state component for a branch spawned with ``mode`` >= 2."""
-    if mode < 2:
-        raise ValueError(f"spawning modes start at 2, got {mode}")
+def spawn_component(c, F, d, Q):
+    """Single-state component for a branch spawned from ``c``'s last state."""
     nx = c.nx
     if F.shape != (nx, nx):
         raise ValueError(f"transition matrix {F.shape} does not match n_x={nx}")
@@ -753,7 +747,7 @@ def spawn_component(c, F, d, Q, mode):
     last = slice(P.shape[0] - nx, P.shape[0])
     mean = F @ c.mean[last] + d
     cov = _sym(F @ P[last, last] @ F.T + Q)
-    return GaussianBranchComponent(c.genealogy + (mode,), mean, cov, nx)
+    return GaussianBranchComponent(mean, cov, nx)
 
 
 def l_scan_truncate_component(c, L):
@@ -765,7 +759,6 @@ def l_scan_truncate_component(c, L):
         return c
     cut = (w - L) * c.nx
     return GaussianBranchComponent(
-        c.genealogy,
         c.mean[cut:].copy(),
         _sym(c.cov[cut:, cut:].copy()),
         c.nx,
@@ -835,9 +828,7 @@ def tree_predict(tree, cfg, k):
                 r_new = h.r * mode.prob * prev.beta
                 last = prev.comp.last_mean
                 predicted_mean = surv.F @ last + offset_one(surv, last)
-                child = spawn_component(
-                    prev.comp, mode.F, offset_one(mode, predicted_mean), mode.Q, mark
-                )
+                child = spawn_component(prev.comp, mode.F, offset_one(mode, predicted_mean), mode.Q)
                 density = BranchDensity({k: EndCase(1.0, child)})
                 hyps.append(LocalHyp(0.0, r_new, density, frozenset()))
             new_slots.append(BranchSlot(child_id, tuple(hyps)))
@@ -877,7 +868,7 @@ def predict_by_component(post, cfg, kind="trpmbm"):
         for b in cfg.births:
             weight = math.log(b.weight) if b.weight > 0.0 else -math.inf
             mean, cov = np.asarray(b.mean, float), np.asarray(b.cov, float)
-            comp = GaussianBranchComponent((1,), mean, cov, NX)
+            comp = GaussianBranchComponent(mean, cov, NX)
             out.append(PPPComponent(weight, k, comp))
         ppp = tuple(out)
 
@@ -917,7 +908,7 @@ def new_trees_by_measurement(ppp, Z, cfg, k):
     live = [qi for qi, c in enumerate(ppp) if np.isfinite(c.log_weight)]
     row_of = {}
     if live and m_k:
-        zhat, ppp_S = innovation([ppp[qi].comp for qi in live], meas.H, meas.R)
+        zhat, ppp_S = innovation(last_states([ppp[qi].comp for qi in live]), meas.H, meas.R)
         ppp_innov = Z - zhat[:, None, :]
         inside, loglik = gate_loglik(ppp_S, ppp_innov, cfg.filters.gate)
         for row, qi in enumerate(live):
@@ -1039,7 +1030,7 @@ def update_eager(post, Z, cfg):
     child = np.full((len(detectable), m_k), -1, dtype=post.sel.dtype)
     if detectable and m_k:
         comps = [h.density.components[k].comp for _, h, _ in detectable]
-        zhat, S = innovation(comps, meas.H, meas.R)
+        zhat, S = innovation(last_states(comps), meas.H, meas.R)
         innov = Z - zhat[:, None, :]
         inside, loglik = gate_loglik(S, innov, cfg.filters.gate)
         rows = np.flatnonzero(inside.any(axis=1))

@@ -12,7 +12,7 @@ from trpmbm.gaussian import BranchDensity, EndCase, GaussianBranchComponent
 from oracles import alive_cut_by_prune, missed_by_update
 
 K = 9  # the step whose end the rules condition on
-COMP = GaussianBranchComponent((1,), np.zeros(4), np.eye(4), 4)
+COMP = GaussianBranchComponent(np.zeros(4), np.eye(4), 4)
 
 
 def _density(weights, ends_at_k):

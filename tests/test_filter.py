@@ -36,10 +36,10 @@ from tables import posterior
 CFG = default_scenario()
 
 
-def _component(mean, genealogy=(1,), scale=1.0):
+def _component(mean, scale=1.0):
     mean = np.asarray(mean, dtype=float)
     n = len(mean)
-    return GaussianBranchComponent(tuple(genealogy), mean, scale * np.eye(n), 4)
+    return GaussianBranchComponent(mean, scale * np.eye(n), 4)
 
 
 def ppp_predict(ppp, cfg, k):
@@ -68,13 +68,11 @@ def test_ppp_predict_thins_and_adds_birth():
     comp = PPPComponent(0.0, 1, _component(np.zeros(4)))
     out = ppp_predict((comp,), CFG, 2)[:1]  # the thinned term precedes the births
     assert math.exp(out[0].log_weight) == pytest.approx(0.99, abs=1e-12)
-    assert out[0].comp.genealogy == (1, 1)
 
     births = ppp_predict((), CFG, 5)
     assert len(births) == 1
     assert math.exp(births[0].log_weight) == pytest.approx(0.08, abs=1e-12)
     assert births[0].start_time == 5
-    assert births[0].comp.genealogy == (1,)
 
 
 def test_trmbm_prediction_keeps_intensity_empty():
@@ -87,7 +85,7 @@ def test_trmbm_prediction_keeps_intensity_empty():
 
 
 def test_tree_predict_beta_split_and_spawn():
-    cases = {2: EndCase(1.0, _component(np.array([0.0, 1.0, 0.0, 1.0]), (1, 1)))}
+    cases = {2: EndCase(1.0, _component(np.array([0.0, 1.0, 0.0, 1.0])))}
     tree = _one_branch_tree(0.8, cases, start=1)
     out, parents = _predict_tree(tree, CFG, 3)
     assert parents == [0, 0]
@@ -97,19 +95,18 @@ def test_tree_predict_beta_split_and_spawn():
     assert surv.density.beta(3) == pytest.approx(0.99, abs=1e-12)
     # two spawning modes, slot ids extend the parent's alive marks
     assert [s.branch_id for s in out.slots] == [(1,), (1, 1, 2), (1, 1, 3)]
-    for mode_slot, mode in zip(out.slots[1:], (2, 3)):
+    for mode_slot in out.slots[1:]:
         h = mode_slot.hyps[0]
         assert h.r == pytest.approx(0.8 * 0.01 * 1.0, abs=1e-15)
         case = h.density.components[3]
         assert case.beta == 1.0
-        assert case.comp.genealogy == (1, 1, mode)
         assert list(h.density.components) == [3] and case.comp.length == 1
 
 
 def test_tree_predict_spawned_existence_formula():
     cases = {
         1: EndCase(0.5, _component(np.zeros(4))),
-        2: EndCase(0.5, _component(np.array([0.0, 1.0, 0.0, 1.0]), (1, 1))),
+        2: EndCase(0.5, _component(np.array([0.0, 1.0, 0.0, 1.0]))),
     }
     tree = _one_branch_tree(0.8, cases)
     out, _ = _predict_tree(tree, CFG, 3)
@@ -190,7 +187,7 @@ def test_update_near_singular_innovation_stays_finite():
     # exact position knowledge and a vanishing R: S underflows to a singular
     # matrix, and the jitter policy must hold for gating and the gain alike
     cfg = replace(CFG, measurement=replace(CFG.measurement, R=1e-200 * np.eye(2)))
-    comp = GaussianBranchComponent((1,), np.array([300.0, 3, 170, 1]), np.diag([0.0, 1, 0, 1]), 4)
+    comp = GaussianBranchComponent(np.array([300.0, 3, 170, 1]), np.diag([0.0, 1, 0, 1]), 4)
     tree = _one_branch_tree(0.5, {1: EndCase(1.0, comp)})
     ppp = (PPPComponent(math.log(0.08), 1, comp),)
     post = posterior(1, ppp, (tree,), (0.0, ((0,),)))
@@ -306,7 +303,7 @@ def test_prune_wide_open_thresholds_keep_everything():
             n_hyp=10**6,
         ),
     )
-    tree = _one_branch_tree(0.5, {2: EndCase(1.0, _component([300.0, 3, 170, 1], (1, 1)))})
+    tree = _one_branch_tree(0.5, {2: EndCase(1.0, _component([300.0, 3, 170, 1]))})
     post = posterior(
         2,
         ppp_predict((), cfg, 2),
@@ -325,7 +322,7 @@ def test_prune_wide_open_thresholds_keep_everything():
 def test_prune_freezes_small_alive_mass():
     cases = {
         1: EndCase(0.9999, _component([1.0, 0, 1, 0])),
-        2: EndCase(0.0001 - 1e-9, _component([1.0, 0, 1, 0, 1, 0, 1, 0], (1, 1))),
+        2: EndCase(0.0001 - 1e-9, _component([1.0, 0, 1, 0, 1, 0, 1, 0])),
     }
     cases[2] = EndCase(5e-5, cases[2].comp)
     cases[1] = EndCase(1 - 5e-5, cases[1].comp)
@@ -415,7 +412,7 @@ def test_estimate_threshold_and_end_time():
     low = _one_branch_tree(0.39, {1: EndCase(1.0, _component([1.0, 0, 2, 0]))})
     beta_mix = {
         1: EndCase(0.3, _component([1.0, 0, 2, 0])),
-        2: EndCase(0.7, _component([1.0, 0, 2, 0, 3, 0, 4, 0], (1, 1))),
+        2: EndCase(0.7, _component([1.0, 0, 2, 0, 3, 0, 4, 0])),
     }
     high = _one_branch_tree(0.41, beta_mix)
     post = posterior(

@@ -31,10 +31,10 @@ def _survive_one(c, F, d, Q, L=10**6):
     return out
 
 
-def _spawn_one(c, F, d, Q, mode):
+def _spawn_one(c, F, d, Q):
     means, covs = last_states([c])
     moved_means, moved_covs = transition(means, covs, F, np.asarray(d)[None], Q)
-    (out,) = spawn([c], moved_means, moved_covs, mode)
+    (out,) = spawn(moved_means, moved_covs)
     return out
 
 
@@ -49,17 +49,16 @@ def _condition_one(c, H, S, innovations):
     return means, cov
 
 
-def _rand_component(rng, length, nx=2, genealogy=None):
+def _rand_component(rng, length, nx=2):
     n = length * nx
     A = rng.normal(size=(n, n))
     cov = A @ A.T + 0.5 * np.eye(n)
-    marks = genealogy if genealogy is not None else (1,) * length
-    return GaussianBranchComponent(tuple(marks), rng.normal(size=n), cov, nx)
+    return GaussianBranchComponent(rng.normal(size=n), cov, nx)
 
 
 def _update_one(c, z, H, R):
     """Condition ``c`` on one measurement through the gate/update kernel."""
-    zhat, S = innovation([c], H, R)
+    zhat, S = innovation(last_states([c]), H, R)
     innov = np.asarray(z, dtype=float) - zhat[:, None, :]
     _, ((loglik,),) = gate_loglik(S, innov, math.inf)
     (mean,), cov = _condition_one(c, H, S[0], innov[0])
@@ -67,15 +66,14 @@ def _update_one(c, z, H, R):
 
 
 def _gated(z, c, H, R, threshold):
-    zhat, S = innovation([c], H, R)
+    zhat, S = innovation(last_states([c]), H, R)
     ((inside,),), _ = gate_loglik(S, np.asarray(z, dtype=float) - zhat[:, None, :], threshold)
     return bool(inside)
 
 
 def test_predict_augment_reference_value():
-    c = component_from_moments((1,), [2.0], [[1.0]], 1)
+    c = component_from_moments([2.0], [[1.0]], 1)
     out = _survive_one(c, np.array([[1.0]]), np.array([0.0]), np.array([[0.5]]))
-    assert out.genealogy == (1, 1)
     assert np.allclose(out.mean, [2.0, 2.0])
     assert np.allclose(out.cov, [[1.0, 1.0], [1.0, 1.5]])
 
@@ -84,7 +82,7 @@ def test_predict_augment_cv_step():
     from trpmbm.models import default_scenario
 
     cfg = default_scenario()
-    c = component_from_moments((1,), [0.0, 1.0, 0.0, 1.0], np.eye(4), 4)
+    c = component_from_moments([0.0, 1.0, 0.0, 1.0], np.eye(4), 4)
     out = _survive_one(c, cfg.survival.F, np.zeros(4), cfg.survival.Q)
     assert np.allclose(out.mean[4:], [1.0, 1.0, 1.0, 1.0])
 
@@ -99,13 +97,10 @@ def test_predict_augment_preserves_existing_marginal():
 
 
 def test_spawn_reference_value():
-    c = component_from_moments((1, 1), [0.0, 3.0], [[1.0, 0.0], [0.0, 2.0]], 1)
-    out = _spawn_one(c, np.array([[1.0]]), np.array([5.0]), np.array([[0.5]]), 2)
-    assert out.genealogy == (1, 1, 2)
+    c = component_from_moments([0.0, 3.0], [[1.0, 0.0], [0.0, 2.0]], 1)
+    out = _spawn_one(c, np.array([[1.0]]), np.array([5.0]), np.array([[0.5]]))
     assert np.allclose(out.mean, [8.0])
     assert np.allclose(out.cov, [[2.5]])
-    with pytest.raises(ValueError):
-        _spawn_one(c, np.array([[1.0]]), np.array([5.0]), np.array([[0.5]]), 1)
 
 
 def test_spawn_perpendicular_offset():
@@ -119,7 +114,7 @@ def test_spawn_perpendicular_offset():
 
 
 def test_update_scalar_kalman():
-    c = component_from_moments((1,), [0.0], [[1.0]], 1)
+    c = component_from_moments([0.0], [[1.0]], 1)
     out, loglik = _update_one(c, np.array([0.0]), np.array([[1.0]]), np.array([[1.0]]))
     assert np.allclose(out.mean, [0.0])
     assert np.allclose(out.cov, [[0.5]])
@@ -151,7 +146,7 @@ def test_update_matches_joint_conditioning():
         A = rng.normal(size=(nz, nz))
         R = A @ A.T + 0.1 * np.eye(nz)
         Z = rng.normal(size=(3, nz)) * 3
-        (zhat,), (S,) = innovation([c], H, R)
+        (zhat,), (S,) = innovation(last_states([c]), H, R)
         (inside,), (logliks,) = gate_loglik(S[None], (Z - zhat)[None], math.inf)
         means, cov = _condition_one(c, H, S, Z - zhat)
         assert list(np.flatnonzero(inside)) == [0, 1, 2]
@@ -165,13 +160,13 @@ def test_update_matches_joint_conditioning():
 
 
 def test_update_shifts_past_states_through_cross_covariance():
-    c = component_from_moments((1, 1), [0.0, 0.0], [[1.0, 0.8], [0.8, 1.0]], 1)
+    c = component_from_moments([0.0, 0.0], [[1.0, 0.8], [0.8, 1.0]], 1)
     out, _ = _update_one(c, np.array([2.0]), np.array([[1.0]]), np.array([[0.1]]))
     assert out.mean[0] > 1.0  # smoothing-while-filtering
 
 
 def test_update_degenerate_prior_keeps_mean():
-    c = component_from_moments((1,), [4.0], [[0.0]], 1)
+    c = component_from_moments([4.0], [[0.0]], 1)
     out, _ = _update_one(c, np.array([9.0]), np.array([[1.0]]), np.array([[1.0]]))
     assert out.mean[0] == pytest.approx(4.0, abs=1e-6)
 
@@ -183,21 +178,21 @@ def test_likelihood_closed_forms():
         var_p, var_r = rng.uniform(0.1, 3, size=2)
         mean = rng.normal()
         z = rng.normal()
-        c = component_from_moments((1,), [mean], [[var_p]], 1)
+        c = component_from_moments([mean], [[var_p]], 1)
         _, ll = _update_one(c, np.array([z]), np.array([[1.0]]), np.array([[var_r]]))
         s = var_p + var_r
         want = -0.5 * (z - mean) ** 2 / s - 0.5 * math.log(2 * math.pi * s)
         assert ll == pytest.approx(want, abs=1e-12)
         assert math.exp(ll) >= 0.0
         # 2-d diagonal
-        c2 = component_from_moments((1,), [0.0, 0.0, mean, 0.0], np.diag([1.0, 1.0, var_p, 1.0]), 4)
+        c2 = component_from_moments([0.0, 0.0, mean, 0.0], np.diag([1.0, 1.0, var_p, 1.0]), 4)
         H = np.array([[0.0, 0.0, 1.0, 0.0]])
         _, ll2 = _update_one(c2, np.array([z]), H, np.array([[var_r]]))
         assert ll2 == pytest.approx(want, abs=1e-12)
 
 
 def test_lscan_reference_and_idempotence():
-    c = component_from_moments((1, 1), [0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]], 1)
+    c = component_from_moments([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]], 1)
     t = _truncate_one(c, 1)
     assert np.allclose(t.full_cov(), [[1.0, 0.0], [0.0, 1.0]])
     assert _truncate_one(t, 1) is t
@@ -220,7 +215,7 @@ def test_lscan_preserves_current_marginal():
 
 
 def test_lscan_density_shares_untouched_object():
-    c = component_from_moments((1,), [1.0], [[1.0]], 1)
+    c = component_from_moments([1.0], [[1.0]], 1)
     assert l_scan_truncate([c], 5)[0] is c
     d = BranchDensity({3: EndCase(1.0, c)})
     tree = BernoulliTree(3, (BranchSlot((1,), (LocalHyp(0.0, 0.5, d, frozenset()),)),))
@@ -229,7 +224,7 @@ def test_lscan_density_shares_untouched_object():
 
 
 def test_gate_reference_cases():
-    c = component_from_moments((1,), [0.0], [[0.0]], 1)
+    c = component_from_moments([0.0], [[0.0]], 1)
     H = np.array([[1.0]])
     assert _gated(np.array([0.0]), c, H, np.array([[1.0]]), 15.0)
     # scalar S=1, innovation 4 -> distance 16 > 15
@@ -251,11 +246,8 @@ def test_operations_keep_covariances_symmetric():
 
 
 def test_component_check_and_innovation():
-    c = component_from_moments((1, 1), np.zeros(4), np.eye(4), 2)
+    c = component_from_moments(np.zeros(4), np.eye(4), 2)
     check_component(c)
-    (zhat,), (S,) = innovation([c], np.eye(2), np.eye(2))
+    (zhat,), (S,) = innovation(last_states([c]), np.eye(2), np.eye(2))
     assert np.allclose(zhat, [0.0, 0.0])
     assert np.allclose(S, 2 * np.eye(2))
-    bad = GaussianBranchComponent((1, 0), np.zeros(2), np.eye(2), 2)
-    with pytest.raises(ValueError):
-        check_component(bad)

@@ -146,6 +146,10 @@ def test_clusters_match_pairwise_reference():
         {"p": float("inf")},
         {"c": float("nan")},
         {"gamma": float("inf")},
+        # finite, but c**p or gamma**p overflows a double
+        {"p": 400.0},
+        {"c": 1e200},
+        {"gamma": 1e200},
     ],
 )
 def test_params_reject_invalid(kwargs):

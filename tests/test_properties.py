@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from trpmbm.cli import main
 from trpmbm.filter import KINDS, _merged, check_posterior, initial_posterior, step
-from trpmbm.gaussian import GaussianBranchComponent, gate_loglik, innovation
+from trpmbm.gaussian import GaussianBranchComponent, gate_loglik, innovation, last_states
 from trpmbm.models import (
     BirthComponent,
     FilterParams,
@@ -44,7 +44,7 @@ def _components(rng, n, nx, flat_last):
             cov[-nx:, :] = 0.0
             cov[:, -nx:] = 0.0
         mean = rng.normal(size=dim) * 100.0
-        out.append(GaussianBranchComponent((1,) * (dim // nx), mean, cov, nx))
+        out.append(GaussianBranchComponent(mean, cov, nx))
     return out
 
 
@@ -71,7 +71,7 @@ def test_stacked_gate_matches_per_component_formulas(
         R = B @ B.T + 0.1 * np.eye(nz)
     Z = rng.normal(size=(m, nz)) * 30.0
 
-    zhat, S = innovation(comps, H, R)
+    zhat, S = innovation(last_states(comps), H, R)
     inside, loglik = gate_loglik(S, Z - zhat[:, None, :], threshold)
     assert zhat.shape == (n, nz) and S.shape == (n, nz, nz)
     assert inside.shape == loglik.shape == (n, m)

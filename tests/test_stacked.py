@@ -38,6 +38,7 @@ from trpmbm.gaussian import (
     PPPComponent,
     condition,
     innovation,
+    last_states,
 )
 from trpmbm.models import (
     NX,
@@ -74,9 +75,8 @@ def _component(rng, live, chunks, slow=False, nx=NX):
         mean[-nx + 1] = mean[-nx + 3] = 1e-9
     frozen_means = tuple(rng.normal(size=s * nx) for s in chunks)
     frozen_covs = tuple(_spd(rng, s * nx) for s in chunks)
-    genealogy = (1,) * (live + sum(chunks))
     cov = _spd(rng, live * nx)
-    return GaussianBranchComponent(genealogy, mean, cov, nx, frozen_means, frozen_covs)
+    return GaussianBranchComponent(mean, cov, nx, frozen_means, frozen_covs)
 
 
 def _random_posterior(rng, lscan, max_live, slow_share):
@@ -127,7 +127,6 @@ def _ranks(sel):
 
 def _comp_bits(c):
     return (
-        c.genealogy,
         c.nx,
         _bits(c.mean),
         _bits(c.cov),
@@ -250,7 +249,7 @@ def test_stacked_condition_matches_per_component_reference(seed, n, n_pairs, nz,
     ]
     H = rng.normal(size=(nz, nx))
     R = _spd(rng, nz, 1.0)
-    zhat, S = innovation(comps, H, R)
+    zhat, S = innovation(last_states(comps), H, R)
     item = np.sort(rng.integers(0, n, size=n_pairs))
     innov = rng.normal(size=(n_pairs, nz)) * 20.0
     means, covs = condition(comps, H, S, item, innov)
@@ -377,7 +376,7 @@ def test_form_hypotheses_matches_dict_record_reference_on_every_group_kind(monke
     # and two equal parents, so the stacked pass's ragged indexing meets
     # each of them; the measurement at (500, 0) has a twin, so costs tie
     def hyp(x, y, log_w=0.0):
-        comp = GaussianBranchComponent((1,), np.array([x, 1.0, y, -1.0]), 4.0 * np.eye(NX), NX)
+        comp = GaussianBranchComponent(np.array([x, 1.0, y, -1.0]), 4.0 * np.eye(NX), NX)
         return LocalHyp(log_w, 0.8, BranchDensity({STEP: EndCase(1.0, comp)}), frozenset())
 
     none = LocalHyp(0.0, 0.0, None, frozenset())
