@@ -4,8 +4,9 @@
 
 Runs every (filter, window) combination on identical per-run measurement
 streams over a fixed ground truth, writes RMS-vs-time and decomposition
-tables plus timing, all under --out.  Exit code 0 on success; on failure a
-JSON error object goes to stderr and the exit code is nonzero.
+tables plus timing, all under --out.  Exit code 0 on success; on any
+failure a JSON error object (the exception's class name and message) goes
+to stderr and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .filter import KINDS
 from .harness import FilterSpec, emit_outputs, run_experiment
-from .models import NX, ScenarioError, default_scenario, load_scenario
+from .models import NX, default_scenario, load_scenario
 from .trees import TreeTrajectory, parse_trees, validate_tree
 
 
@@ -59,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def read_truth(path: str, n_modes: int) -> list[TreeTrajectory]:
     """Parse and check a ground-truth file: every tree must pass
-    `validate_tree` and hold finite states of NX numbers each."""
+    `validate_tree` and hold states of NX numbers each."""
     try:
         trees = parse_trees(Path(path).read_text())
     except ValueError as err:
@@ -69,8 +68,6 @@ def read_truth(path: str, n_modes: int) -> list[TreeTrajectory]:
         for bi, br in enumerate(tree.branches):
             if br.states.ndim != 2 or br.states.shape[1] != NX:
                 problems.append(f"branch {bi}: states must have {NX} numbers each")
-            elif not np.isfinite(br.states).all():
-                problems.append(f"branch {bi}: states must be finite")
         if problems:
             raise ValueError(f"--truth: tree {ti}: " + "; ".join(problems))
     return trees
@@ -105,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg, specs, args.runs, seed, truth=truth, jobs=args.jobs
         )
         written = emit_outputs(reports, args.out)
-    except (ScenarioError, ValueError, OSError, RuntimeError) as err:
+    except Exception as err:  # Ctrl-C is no Exception, so it still interrupts
         json.dump(
             {"error": type(err).__name__, "message": str(err)},
             sys.stderr,

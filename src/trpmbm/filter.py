@@ -75,6 +75,7 @@ from .models import NX, BirthComponent, ScenarioConfig, no_spawning
 from .trees import Branch, TreeTrajectory
 
 LOG_FLOOR = -700.0  # stand-in for log 0 where a finite baseline is required
+CHECK_TOL = 1e-9  # check_posterior's tolerance on sums to 1 and covariances
 
 KINDS = ("trpmbm", "trmbm", "tpmbm")
 
@@ -264,35 +265,44 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
     joined by the births.
 
     Spawned slots copy their parent's column, after their tree's columns;
-    the birth tree of 'trmbm' gets zero columns.
+    the birth tree of 'trmbm' gets zero columns.  A tree without an end case
+    to move comes back as itself.
     """
     k = post.step + 1
     surv = cfg.survival
     p_s = surv.prob
-    # the end cases at k-1, by tree and slot: (hyp, index into prevs)
+    # one walk over the end cases at k-1 (prevs) records, per tree by slot,
+    # the ones that move (beta != 0) as (hyp, index into prevs); a slot with
+    # alive mass spawns one slot per spawning mode, whose hyps take the
+    # slot's span of the mode's arrays, with one parent row per end case:
+    # (index into prevs, position in the arrays, r)
     prevs: list[EndCase] = []
-    found: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    spawnable: dict[int, list[int]] = {}
+    moving: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    spans: dict[int, dict[int, tuple[int, int]]] = {}
+    parents: list[tuple[int, int, float]] = []
+    n = 0
     for ti, tree in enumerate(post.trees):
         for ji, slot in enumerate(tree.slots):
-            alive = False
+            hits = []
             for bi, h in enumerate(slot.hyps):
                 prev = h.density.components.get(k - 1) if h.density is not None else None
-                if prev is None:
-                    continue
-                found.setdefault(ti, {}).setdefault(ji, []).append((bi, len(prevs)))
-                prevs.append(prev)
-                alive = alive or (prev.beta != 0.0 and h.r > 0.0)
-            if alive:
-                spawnable.setdefault(ti, []).append(ji)
+                if prev is not None:
+                    hits.append((bi, len(prevs)))
+                    prevs.append(prev)
+            if not hits:
+                continue
+            moves = [(bi, c) for bi, c in hits if prevs[c].beta != 0.0]
+            if not moves:
+                continue
+            moving.setdefault(ti, {})[ji] = moves
+            if any(slot.hyps[bi].r > 0.0 for bi, _ in moves):
+                spans.setdefault(ti, {})[ji] = (n, n + len(slot.hyps))
+                parents += ((c, n + bi, slot.hyps[bi].r) for bi, c in hits)
+                n += len(slot.hyps)
     ppp = post.ppp if p_s > 0.0 and kind != "trmbm" else ()
     comps = [case.comp for case in prevs] + [c.comp for c in ppp]
     moved: dict[int, GaussianBranchComponent] = {}
-    # every spawning mode spawns one slot per spawnable slot, whose hyps
-    # take one span of the mode's arrays: per spawnable slot its span, per
-    # mode the means, covariances and existences
-    spans: dict[tuple[int, int], tuple[int, int]] = {}
-    modes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    modes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per mode: m, P, r
     if comps:
         means, covs = last_states(comps)
         pm, pP = transition(means, covs, surv.F, surv.offsets_at(means), surv.Q)
@@ -301,43 +311,32 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
             go += range(len(prevs), len(comps))
             survived = survive([comps[i] for i in go], pm[go], pP[go], surv.F, cfg.filters.lscan)
             moved = dict(zip(go, survived))
-        parents, at, r_parent, n = [], [], [], 0
-        for ti, js in spawnable.items():
-            for ji in js:
-                hyps = post.trees[ti].slots[ji].hyps
-                for bi, c in found[ti][ji]:
-                    parents.append(c)
-                    at.append(n + bi)
-                    r_parent.append(hyps[bi].r)
-                spans[ti, ji] = (n, n + len(hyps))
-                n += len(hyps)
-        tracked, zeros = np.zeros(n, dtype=bool), np.zeros(n)
-        tracked[at] = True
-        beta = np.array([prevs[c].beta for c in parents])
-        for mode in cfg.spawn_modes if parents else ():
-            sm, sP = transition(
-                means[parents], covs[parents], mode.F, mode.offsets_at(pm[parents]), mode.Q
-            )
-            m, P, r = np.zeros((n, *sm.shape[1:])), np.zeros((n, *sP.shape[1:])), np.zeros(n)
-            m[at], P[at], r[at] = sm, sP, np.array(r_parent) * mode.prob * beta
-            modes.append((m, P, r))
+        if parents:
+            at_prev, at, r_parent = (list(x) for x in zip(*parents))
+            tracked, zeros = np.zeros(n, dtype=bool), np.zeros(n)
+            tracked[at] = True
+            beta = np.array([prevs[c].beta for c in at_prev])
+            for mode in cfg.spawn_modes:
+                sm, sP = transition(
+                    means[at_prev], covs[at_prev], mode.F, mode.offsets_at(pm[at_prev]), mode.Q
+                )
+                m, P, r = np.zeros((n, *sm.shape[1:])), np.zeros((n, *sP.shape[1:])), np.zeros(n)
+                m[at], P[at], r[at] = sm, sP, np.array(r_parent) * mode.prob * beta
+                modes.append((m, P, r))
 
     trees, cols = [], []
     start = 0
     for ti, tree in enumerate(post.trees):
-        cols += range(start, start + len(tree.slots))
-        if ti not in found:
+        own = range(start, start + len(tree.slots))
+        cols += own
+        start += len(tree.slots)
+        if ti not in moving:
             trees.append(tree)
-            start += len(tree.slots)
             continue
         slots = list(tree.slots)
-        changed = False
-        for ji, hits in found[ti].items():
-            alive = [(bi, c) for bi, c in hits if prevs[c].beta != 0.0]
-            if not alive:
-                continue
+        for ji, moves in moving[ti].items():
             hyps = list(slots[ji].hyps)
-            for bi, c in alive:
+            for bi, c in moves:
                 prev, h = prevs[c], hyps[bi]
                 cases = dict(h.density.components)
                 if p_s < 1.0:
@@ -348,19 +347,14 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
                     cases[k] = EndCase(prev.beta * p_s, moved[c])
                 hyps[bi] = LocalHyp(h.log_w, h.r, BranchDensity(cases), h.assoc)
             slots[ji] = BranchSlot(slots[ji].branch_id, tuple(hyps))
-            changed = True
-        parent_of = spawnable.get(ti, [])
         for mark, (m, P, r) in enumerate(modes, start=2):
-            for ji in parent_of:
+            for ji, (lo, hi) in spans.get(ti, {}).items():
                 # the parent's marks at step k-1, then the spawning mark
                 marks = alive_marks(tree.slots[ji].branch_id, tree.start_time, k - 1) + (mark,)
-                lo, hi = spans[ti, ji]
                 held = (zeros[lo:hi], r[lo:hi], tracked[lo:hi], m[lo:hi], P[lo:hi])
                 slots.append(SpawnedSlot(marks, k, *held))
-                cols.append(start + ji)
-        changed = changed or len(slots) > len(tree.slots)
-        trees.append(BernoulliTree(tree.start_time, tuple(slots)) if changed else tree)
-        start += len(tree.slots)
+                cols.append(own[ji])
+        trees.append(BernoulliTree(tree.start_time, tuple(slots)))
     sel = post.sel[:, cols]
     if kind == "trmbm":
         new_ppp: tuple[PPPComponent, ...] = ()
@@ -995,11 +989,7 @@ def step(
     return pruned
 
 
-def check_posterior(
-    post: Posterior,
-    current_step_measurements: int | None = None,
-    tol: float = 1e-9,
-) -> list[str]:
+def check_posterior(post: Posterior, current_step_measurements: int | None = None) -> list[str]:
     """Structural invariants; returns human-readable violations.
 
     Exclusivity is checked as "never twice" for all measurements plus
@@ -1015,7 +1005,7 @@ def check_posterior(
             problems.append(f"{bad} hypothesis log-weights not finite")
         with np.errstate(over="ignore"):
             total = float(np.exp(post.log_w).sum())
-        if not abs(total - 1.0) <= tol:  # also catches a NaN total
+        if not abs(total - 1.0) <= CHECK_TOL:  # also catches a NaN total
             problems.append(f"hypothesis weights sum to {total}, not 1")
     hyps = [slot.hyps for tree in post.trees for slot in tree.slots]
     sel = post.sel
@@ -1052,13 +1042,13 @@ def check_posterior(
                 if h.density is None:
                     continue
                 s = h.density.beta_total()
-                if abs(s - 1.0) > tol:
+                if abs(s - 1.0) > CHECK_TOL:
                     problems.append(f"{where}: beta sums to {s}")
                 for kappa, case in h.density.components.items():
                     for P in (case.comp.cov, *case.comp.frozen_covs):
-                        if np.abs(P - P.T).max() > tol:
+                        if np.abs(P - P.T).max() > CHECK_TOL:
                             problems.append(f"{where} end {kappa}: cov asymmetric")
-                        elif np.linalg.eigvalsh(P).min() < -tol:
+                        elif np.linalg.eigvalsh(P).min() < -CHECK_TOL:
                             problems.append(f"{where} end {kappa}: cov not PSD")
     return problems
 

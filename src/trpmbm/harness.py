@@ -22,7 +22,7 @@ import numpy as np
 from .filter import KINDS, estimate, initial_posterior, step
 from .metric import MetricBreakdown, Track, TrajMetricParams, branches_as_tracks, trajectory_metric
 from .models import ScenarioConfig, sample_ground_truth, sample_measurement_sequence
-from .trees import TreeTrajectory
+from .trees import TreeTrajectory, validate_tree
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,12 @@ def run_experiment(
     if repeated:
         raise ValueError(f"filter {', '.join(repeated)} requested more than once")
     if truth is None:
-        truth = sample_ground_truth(cfg, seed)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            truth = sample_ground_truth(cfg, seed)
+        for ti, tree in enumerate(truth):
+            problems = validate_tree(tree, cfg.n_modes)
+            if problems:
+                raise ValueError(f"sampled truth: tree {ti}: " + "; ".join(problems))
     work = [(cfg, tuple(specs), truth, seed, run) for run in range(n_runs)]
     if jobs > 1 and n_runs > 1:
         # a fork pool starts all of its workers up front

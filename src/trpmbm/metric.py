@@ -518,8 +518,8 @@ def _cluster_objective(
 def trajectory_metric(
     est: list[Track],
     truth: list[Track],
-    params: TrajMetricParams = TrajMetricParams(),
-    k: int | None = None,
+    params: TrajMetricParams,
+    k: int,
     bases: dict | None = None,
 ) -> MetricBreakdown:
     """Distance between two labeled track sets evaluated at step ``k``.
@@ -531,9 +531,6 @@ def trajectory_metric(
     cluster of the next step that holds one of them whole starts from it.
     The breakdown is the one without it (module docstring).
     """
-    if k is None:
-        ends = [t.end for t in est + truth]
-        k = max(ends) if ends else 1
     if k < 1:
         raise ValueError(f"evaluation step must be >= 1, got {k}")
     for tr in est + truth:

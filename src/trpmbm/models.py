@@ -418,8 +418,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     if cfg.measurement.clutter_rate < 0:
         problems.append(f"clutter_rate {cfg.measurement.clutter_rate} negative")
     region = cfg.measurement.clutter_region
+    with np.errstate(over="ignore"):
+        area = cfg.measurement.clutter_area
     if np.any(region[:, 1] <= region[:, 0]):
         problems.append("clutter_region spans must be positive")
+    elif not 0.0 < area < math.inf:  # the spans' product can underflow or overflow
+        problems.append(f"clutter_region area {area} must be a positive finite number")
     problems += _covariance_problems(cfg.measurement.R, "measurement.R", 0.0)
     for i, b in enumerate(cfg.births):
         if b.weight < 0:

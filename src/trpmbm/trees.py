@@ -195,6 +195,8 @@ def validate_tree(tree: TreeTrajectory, n_modes: int | None = None) -> list[str]
     ids: dict[Genealogy, int] = {}
     genealogies: list[Genealogy | None] = []
     for idx, br in enumerate(tree.branches):
+        if not np.isfinite(br.states).all():
+            report.append(f"branch {idx}: states must be finite")
         try:
             marks = validate_genealogy(br.genealogy, n_modes)
         except GenealogyError as err:

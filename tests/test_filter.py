@@ -123,6 +123,28 @@ def test_frozen_branch_spawns_nothing():
     assert out.slots[0].hyps[0] is tree.slots[0].hyps[0]
 
 
+def test_predict_hands_back_the_trees_it_does_not_move():
+    # at step 3: a tree that ended at step 2, a tree whose only end case at
+    # step 3 has beta 0, and a live tree
+    ended = _one_branch_tree(0.9, {2: EndCase(1.0, _component(np.zeros(4)))})
+    dead_end = _one_branch_tree(
+        0.9,
+        {
+            2: EndCase(1.0, _component(np.zeros(4))),
+            3: EndCase(0.0, _component(np.array([0.0, 1.0, 0.0, 1.0]))),
+        },
+    )
+    live = _one_branch_tree(0.8, {3: EndCase(1.0, _component(np.array([5.0, 1.0, 5.0, 1.0])))})
+    post = posterior(3, (), (ended, dead_end, live), (0.0, ((0,), (0,), (0,))))
+    out = predict(post, CFG)
+    assert out.trees[0] is ended
+    assert out.trees[1] is dead_end
+    assert out.trees[2] is not live
+    assert [s.branch_id for s in out.trees[2].slots] == [(1,), (1, 1, 1, 2), (1, 1, 1, 3)]
+    assert out.sel.tolist() == [[0, 0, 0, 0, 0]]
+    assert check_posterior(out) == []
+
+
 def test_update_missed_detection_reference_values():
     tree = _one_branch_tree(0.5, {1: EndCase(1.0, _component([300.0, 3, 170, 1]))})
     post = posterior(1, (), (tree,), (0.0, ((0,),)))

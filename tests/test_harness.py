@@ -12,7 +12,7 @@ import trpmbm
 from trpmbm import harness
 from trpmbm.cli import main
 from trpmbm.harness import FilterSpec, emit_outputs, rms_curves, run_experiment
-from trpmbm.models import default_scenario, sample_ground_truth
+from trpmbm.models import default_scenario, sample_ground_truth, scenario_from_dict
 
 
 def _small_cfg(horizon=10):
@@ -324,6 +324,43 @@ def test_cli_reports_runtime_errors(tmp_path, capsys, monkeypatch):
     assert code == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload == {"error": "RuntimeError", "message": "metric LP failed: infeasible"}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError("cannot allocate the cost matrix"), ZeroDivisionError("float division by zero")],
+    ids=["MemoryError", "ZeroDivisionError"],
+)
+def test_cli_reports_every_failure_as_json(tmp_path, capsys, monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("trpmbm.cli.run_experiment", failing)
+    code = main(["--runs", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"error": type(error).__name__, "message": str(error)}
+
+
+# a finite birth mean whose sampled states overflow to inf, then NaN
+HUGE_BIRTH = {"birth": [{"weight": 1, "mean": [1e308] * 4}], "horizon": 3}
+
+
+def test_run_experiment_refuses_a_sampled_truth_with_non_finite_states():
+    cfg = scenario_from_dict(HUGE_BIRTH)
+    with pytest.raises(ValueError, match="sampled truth: tree 0: branch 0: states must be finite"):
+        run_experiment(cfg, [FilterSpec("trpmbm", 1)], n_runs=1, seed=0)
+
+
+def test_cli_refuses_a_sampled_truth_with_non_finite_states(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(HUGE_BIRTH))
+    out = tmp_path / "o"
+    code = main(["--scenario", str(scenario), "--runs", "1", "--out", str(out)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValueError" and "finite" in payload["message"]
+    assert not out.exists()
 
 
 def test_cli_subprocess_exit_codes(tmp_path):

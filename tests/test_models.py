@@ -249,6 +249,19 @@ def test_loader_rejects_non_finite_values(tmp_path, text, field):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "region, area",
+    [([[0, 1e-300], [0, 1e-300]], "0.0"), ([[0, 1e308], [-1e308, 1e308]], "inf")],
+    ids=["area-underflows", "area-overflows"],
+)
+def test_loader_rejects_a_clutter_region_without_positive_finite_area(tmp_path, region, area):
+    # every span is positive, but their product is not a usable area
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"measurement": {"clutter_region": region}}))
+    with pytest.raises(ScenarioError, match=f"clutter_region area {area} must be"):
+        load_scenario(path)
+
+
 def test_exports(tmp_path):
     cfg = replace(default_scenario(), horizon=8)
     truth = sample_ground_truth(cfg, seed=2)

@@ -132,6 +132,12 @@ def test_validate_tree_reports_length_mismatch():
     assert any("states" in r for r in validate_tree(tree))
 
 
+def test_validate_tree_reports_non_finite_states():
+    states = np.array([[0.0, 1.0, 0.0, 1.0], [np.inf, 1.0, 0.0, 1.0], [np.nan] * 4])
+    tree = TreeTrajectory(1, [Branch((1, 1, 1), states)])
+    assert validate_tree(tree) == ["branch 0: states must be finite"]
+
+
 def test_targets_at_time():
     dead = TreeTrajectory(4, [Branch((1, 1, 0), np.array([[1.0] * 4, [2.0] * 4]))])
     assert targets_at_time(dead, 6) == []
