@@ -13,8 +13,10 @@ spread leaves the verdict `unresolved`; the per-layer metrics of the
 traced records; the environment from the records' provenance; a byte
 audit: per workload-seed that both sides ran, the data files whose
 digests differ between the two sides' repetitions; and, per claim,
-whether it meets the gain rule.  A claim must name a workload that both
-sides ran and one of its end-to-end metrics.
+whether it meets the gain rule, with the end-to-end rows of every
+workload whose verdict reads `worse` (a claim is met only when there are
+none).  A claim must name a workload that both sides ran and one of its
+end-to-end metrics.
 """
 
 from __future__ import annotations
@@ -109,14 +111,16 @@ def _byte_audit(parent_dir: Path, change_dir: Path) -> dict:
     return {"workload_seeds": len(both), "files": sorted(files), "differing": differing}
 
 
-def _claim(row: dict) -> dict:
+def _claim(row: dict, rows: list[dict]) -> dict:
     """The gain rule for the metric of one comparison row: the change is
     better on at least 9 of 10 pairs (a tie is no win), and its median is
-    better than the parent's by more than the parent's quartile distance."""
+    better than the parent's by more than the parent's quartile distance;
+    and no end-to-end row of any workload in ``rows`` reads ``worse``."""
     gain = row["base"][1] - row["new"][1]
     if BETTER[row["metric"]] == "higher":
         gain = -gain
     distance = row["base"][2] - row["base"][0]
+    worse = [f"{r['workload']}:{r['metric']}" for r in rows if r["verdict"] == "worse"]
     return {
         "workload": row["workload"],
         "metric": row["metric"],
@@ -124,7 +128,8 @@ def _claim(row: dict) -> dict:
         "pairs": row["n"],
         "median_gain": gain,
         "parent_quartile_distance": distance,
-        "met": row["new_wins"] >= 0.9 * row["n"] and gain > distance,
+        "worse": worse,
+        "met": row["new_wins"] >= 0.9 * row["n"] and gain > distance and not worse,
     }
 
 
@@ -154,7 +159,7 @@ def main(argv=None) -> int:
     record = {
         "environment": env,
         "note": args.note,
-        "claims": [_claim(by_name[claim]) for claim in args.claim],
+        "claims": [_claim(by_name[claim], rows) for claim in args.claim],
         "end_to_end": [
             {
                 **{k: r[k] for k in ("workload", "metric", "n", "bound", "verdict")},

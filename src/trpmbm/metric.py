@@ -54,6 +54,26 @@ solve needs a few pivots instead of a solve from scratch.  Where the
 optimum it reaches may tie with one of another split, the LP is solved
 cold again.  Without the private module, ``linprog`` itself solves every
 LP cold.
+
+Most steps need no solve at all: the cluster has the same labels, first
+step and kept pairs as one of k-1, and that cluster's optimum, its last
+step repeated with a zero switch between the two, is still optimal.  A
+lower bound proves it.  Restricted to one step t, a feasible point of the
+cluster's LP is a feasible point of step t's assignment LP: with the
+kept pairs W, an (n+m) x (m+n) doubly stochastic matrix holds W in its
+estimate x truth block, each estimate's dummy on the diagonal of the
+estimate x estimate-dummy block, each truth's dummy on the diagonal of
+the truth-dummy x truth block, and W transposed, at zero cost, in the
+truth-dummy x estimate-dummy block; every other entry is forbidden.  The
+vertices of that polytope are permutations, so its optimum A_t is the
+one `linear_sum_assignment` finds.  Switches cost >= 0, so no feasible
+point costs less than LB = sum_t A_t, and the extended optimum, which is
+feasible, is optimal where it costs no more than LB (to a relative
+1e-12).  It is then taken as the solution (`_shortcut`), with the mapped
+start as its basis, and only the `_split_may_tie` test can still send
+the LP to HiGHS.  A_t depends on step t's costs alone, so the bases entry
+keeps the LP costs and each A_t, and only the new step and the steps
+whose costs changed get a fresh one.
 """
 
 from __future__ import annotations
@@ -65,6 +85,7 @@ from itertools import repeat
 import numpy as np
 import scipy.optimize
 from scipy import sparse
+from scipy.optimize import linear_sum_assignment
 
 from .trees import TreeTrajectory, first_own_generation, unique_id
 
@@ -335,7 +356,7 @@ def _scipy_solve(cost, model, start=None):
     return res.x, None
 
 
-_LOWER, _BASIC, _UPPER = range(3)  # `_warm_start`'s codes of the HiGHS basis statuses
+_LOWER, _BASIC, _UPPER = range(3)  # `_mapped_start`'s codes of the HiGHS basis statuses
 
 if _highs is not None:
     # linprog(method="highs")'s options: presolve, dual simplex, default tolerances, no output
@@ -352,12 +373,13 @@ else:
     linprog = _scipy_solve
 
 
-def _warm_start(
+def _mapped_start(
     prev: dict, est: tuple, truth: tuple, t0: int, T: int, pairs: np.ndarray, cost: np.ndarray
-):
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The basis to start the LP of the cluster with labels ``est`` and
     ``truth``, first step t0, T steps, kept pairs ``pairs`` and costs
-    ``cost`` from, or None for a cold solve.
+    ``cost`` from, as int8 codes (`_LOWER`, `_BASIC`, `_UPPER`) of its
+    columns and rows, or None for a cold solve.
 
     The start is the final basis of the one cluster in ``prev`` whose labels
     all lie in this one, if it has the same t0 and T-1 steps.  Its W pairs,
@@ -386,7 +408,7 @@ def _warm_start(
     ]
     if len(inside) != 1:
         return None
-    (old_est, old_truth, old_t0), (T_prev, old_pairs, basic) = inside[0], prev[inside[0]]
+    (old_est, old_truth, old_t0), (T_prev, old_pairs, basic, *_) = inside[0], prev[inside[0]]
     labels = (est, truth, old_est, old_truth)
     if any(len(set(ls)) < len(ls) for ls in labels) or old_t0 != t0 or T_prev != T - 1:
         return None
@@ -438,7 +460,64 @@ def _warm_start(
     idle = (cost[dummies] == 0.0) & ~placed[rows]
     col_status[dummies[idle]] = _BASIC
     row_status[rows[idle]] = _UPPER
-    return _STATUSES[col_status[:-1]].tolist(), _STATUSES[row_status[:-1]].tolist()
+    return col_status[:-1], row_status[:-1]
+
+
+def _statuses(codes: tuple[np.ndarray, np.ndarray]) -> tuple[list, list]:
+    """Column and row codes of a start as the HiGHS basis status lists."""
+    return _STATUSES[codes[0]].tolist(), _STATUSES[codes[1]].tolist()
+
+
+def _warm_start(*args):
+    """`_mapped_start` (same arguments) as the status lists HiGHS takes, or None."""
+    codes = _mapped_start(*args)
+    return None if codes is None else _statuses(codes)
+
+
+def _step_bounds(
+    n: int, m: int, pairs: np.ndarray, blocks: np.ndarray, known: tuple | None = None
+) -> np.ndarray:
+    """Each step's assignment optimum A_t, from the (T, S') step blocks of
+    the costs of the LP that keeps ``pairs``; the steps whose block equals
+    the first rows of ``known``'s (blocks, A_t) keep their A_t.
+
+    A step alone is an (n+m) x (m+n) assignment: estimates then truth
+    dummies as rows, truths then estimate dummies as columns; a kept pair,
+    an estimate's own dummy and a truth's own dummy at their costs, the
+    truth-dummy x estimate-dummy filler at zero, every other entry
+    forbidden (module docstring).
+    """
+    P = len(pairs)
+    pi, pj = np.divmod(pairs, m)
+    est, truth = np.arange(n), np.arange(m)
+    grid = np.full((n + m, m + n), np.inf)
+    grid[n:, m:] = 0.0
+    bounds = np.empty(len(blocks))
+    fresh = np.ones(len(blocks), dtype=bool)
+    if known is not None:
+        old_blocks, old_bounds = known
+        fresh[: len(old_blocks)] = (blocks[: len(old_blocks)] != old_blocks).any(axis=1)
+        bounds[: len(old_blocks)] = old_bounds
+    for t in np.flatnonzero(fresh).tolist():
+        block = blocks[t]
+        grid[pi, pj] = block[:P]
+        grid[est, m + est] = block[P : P + n]
+        grid[n + truth, truth] = block[P + n :]
+        rows, cols = linear_sum_assignment(grid)
+        bounds[t] = grid[rows, cols].sum()
+    return bounds
+
+
+def _shortcut(cost: np.ndarray, x: np.ndarray, start: tuple[np.ndarray, np.ndarray]):
+    """The solve the certificate replaces: ``x``, the k-1 optimum extended
+    by one step, proved optimal for ``cost`` (module docstring), and the
+    basic variables of ``start``, its mapped codes, in `_highs_solve`'s
+    numbering: column j as j, row i as -1-i."""
+    col_status, row_status = start
+    basic = np.concatenate([
+        np.flatnonzero(col_status == _BASIC), -1 - np.flatnonzero(row_status == _BASIC)
+    ])  # fmt: skip
+    return x, basic
 
 
 def _split_may_tie(x, cost, tag, close: np.ndarray, T: int, params: TrajMetricParams) -> bool:
@@ -485,9 +564,11 @@ def _cluster_objective(
     ``geometry`` is the cluster's slice of the step's `_geometry`, from its
     first step to k, and ``close`` its (n, m) mask of the pairs within c at
     some step: the LP keeps those pairs only (module docstring).  ``prev``
-    maps the clusters solved at k-1 to their final LP bases; the LP starts
-    from one of them where `_warm_start` maps it onto this cluster.
-    ``solved`` collects the entries of this step.
+    holds the entries of the clusters solved at k-1 (`trajectory_metric`'s
+    ``bases``): the LP starts from one of their bases where `_mapped_start`
+    maps it onto this cluster, and takes the extended optimum of its own
+    key where the step bounds prove it optimal.  ``solved`` collects the
+    entries of this step.
     """
     n, m = len(est), len(truth)
     T = len(geometry[0])
@@ -500,15 +581,34 @@ def _cluster_objective(
     else:
         key = (tuple(tr.label for tr in est), tuple(tr.label for tr in truth), t0)
         pairs = np.flatnonzero(close)
+        P = len(pairs)
+        S = P + n + m
         cols = _columns(n, m, T, pairs)
         lp_cost = cost[cols]
-        start = None if not prev else _warm_start(prev, *key, T, pairs, lp_cost)
-        model = _model(n, m, T, pairs)
-        x[cols], basis = linprog(lp_cost, model, start)
+        start = None if not prev else _mapped_start(prev, *key, T, pairs, lp_cost)
+        bounds = x_lp = model = None
+        if start is not None and key in prev:
+            T_prev, old_pairs, _, old_x, old_cost, old_bounds = prev[key]
+            if T_prev == T - 1 and np.array_equal(old_pairs, pairs):
+                old_blocks = old_cost[: T_prev * S].reshape(T_prev, S)
+                known = None if old_bounds is None else (old_blocks, old_bounds)
+                bounds = _step_bounds(n, m, pairs, lp_cost[: T * S].reshape(T, S), known)
+                lower = bounds.sum()
+                # the k-1 optimum, its last step repeated, no switch between the two
+                steps = old_x[: T_prev * S]
+                x_ext = np.concatenate([steps, steps[-S:], old_x[T_prev * S :], np.zeros(P)])
+                if lp_cost @ x_ext <= lower + 1e-12 * abs(lower):
+                    x_lp, basis = _shortcut(lp_cost, x_ext, start)
+        if x_lp is None:
+            model = _model(n, m, T, pairs)
+            x_lp, basis = linprog(lp_cost, model, None if start is None else _statuses(start))
+        x[cols] = x_lp
         if start is not None and _split_may_tie(x, cost, tag, close, T, params):
-            x[cols], basis = linprog(lp_cost, model)
+            model = _model(n, m, T, pairs) if model is None else model
+            x_lp, basis = linprog(lp_cost, model)
+            x[cols] = x_lp
         if solved is not None and basis is not None:
-            solved[key] = (T, pairs, basis)
+            solved[key] = (T, pairs, basis, x_lp, lp_cost, bounds)
     # summed in the all-pairs layout: the zeros of dropped pairs keep the
     # order, and so the bits, of a sum over every pair
     contrib = cost * x
@@ -526,10 +626,16 @@ def trajectory_metric(
 
     Tracks are truncated to steps 1..k; genealogy plays no role here (the
     caller already flattened branches to tracks).  ``bases`` is a dict the
-    caller keeps across the steps of one run, empty at first: afterwards it
-    holds the final LP basis of every cluster solved at this step, and a
-    cluster of the next step that holds one of them whole starts from it.
-    The breakdown is the one without it (module docstring).
+    caller keeps across the steps of one run, empty at first.  Afterwards
+    it holds an entry for every cluster LP of this step, keyed by its
+    estimate labels, truth labels and first step: its number of steps, its
+    kept pairs, its final basis (HiGHS's basic variables, column j as j
+    and row i as -1-i; the mapped start's where the shortcut took the
+    step), its optimal x and its costs in the LP's layout, and each step's
+    assignment bound A_t (None where none was needed).  A cluster of the
+    next step that holds one of them whole starts from its basis, and one
+    with the same key and kept pairs may take its extended optimum.  The
+    breakdown is the one without it (module docstring).
     """
     if k < 1:
         raise ValueError(f"evaluation step must be >= 1, got {k}")

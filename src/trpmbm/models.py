@@ -257,6 +257,27 @@ def _matrix(value, shape, what, problems) -> np.ndarray:
     return arr
 
 
+def _entry(entry: dict, defaults: tuple, i: int, key: str, problems: list[str]) -> dict:
+    """Entry ``i`` of the list ``key``, its missing fields taken from the
+    default scenario's entry at the same index, ``defaults[i]``.  A mode's
+    ``offset`` and ``perp_scale`` are one field, its offset.  Past the end
+    of ``defaults`` every field must be given, and the missing ones are
+    reported."""
+    given = set(entry)
+    if given & {"offset", "perp_scale"}:
+        given |= {"offset", "perp_scale"}
+    if i < len(defaults):
+        default = defaults[i]
+        kept = {f.name: getattr(default, f.name) for f in fields(default) if f.name not in given}
+        return {**kept, **entry}
+    absent = [f.name for f in fields(defaults[0]) if f.name not in given | {"perp_scale"}]
+    if absent:
+        problems.append(
+            f"{key}[{i}]: missing fields {absent}; only the first {len(defaults)} have defaults"
+        )
+    return entry
+
+
 def _section_problems(data: dict) -> list[str]:
     """Sections of the wrong JSON type ('modes' may be null next to 'rho')."""
     problems = []
@@ -324,6 +345,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
             modes = []
             for i, m in enumerate(raw_modes):
                 _known(m, _MODE_KEYS, f"modes[{i}]", problems)
+                m = _entry(m, base.modes, i, "modes", problems)
                 prob = _scalar(m, "prob", 0.0, f"modes[{i}].", problems)
                 F = _matrix(m.get("F", np.eye(NX)), (NX, NX), f"modes[{i}].F", problems)
                 Q = _matrix(m.get("Q", np.zeros((NX, NX))), (NX, NX), f"modes[{i}].Q", problems)
@@ -363,6 +385,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
         births = []
         for i, b in enumerate(data["birth"]):
             _known(b, _BIRTH_KEYS, f"birth[{i}]", problems)
+            b = _entry(b, base.births, i, "birth", problems)
             births.append(
                 BirthComponent(
                     weight=_scalar(b, "weight", 0.0, f"birth[{i}].", problems),

@@ -31,14 +31,15 @@ def test_a_directory_without_untraced_records_is_named(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-def _write_results(directory: Path, score_s: dict[int, float], digests=None) -> None:
+def _write_results(directory: Path, score_s: dict[int, float], digests=None, others=None) -> None:
     """One untraced record per seed of spawn-ppp: ``score_s`` as given,
-    every other end-to-end metric 1.0, and the data files' digests of its
-    repetitions from ``digests`` (seed -> one dict per repetition)."""
+    every other end-to-end metric 1.0 or its value in ``others``, and the
+    data files' digests of its repetitions from ``digests`` (seed -> one
+    dict per repetition)."""
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     directory.mkdir()
     for seed, score in score_s.items():
-        values = {name: 1.0 for name in names} | {"score_s": score}
+        values = {name: 1.0 for name in names} | (others or {}) | {"score_s": score}
         record = {
             "provenance": {
                 "workload": "spawn-ppp", "seed": seed, "commit": directory.name,
@@ -77,11 +78,11 @@ def test_the_byte_audit_names_each_data_file_that_differs(tmp_path):
     }
 
 
-def _claimed(tmp_path, parent_s, change_s, claim):
+def _claimed(tmp_path, parent_s, change_s, claim, change_others=None):
     tmp_path.mkdir(exist_ok=True)
     parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "out.json"
     _write_results(parent, dict(enumerate(parent_s, start=11)))
-    _write_results(change, dict(enumerate(change_s, start=11)))
+    _write_results(change, dict(enumerate(change_s, start=11)), others=change_others)
     assert _bench_record().main([str(parent), str(change), str(out), "--claim", claim]) == 0
     (verdict,) = json.loads(out.read_text())["claims"]
     return verdict
@@ -107,6 +108,18 @@ def test_a_claim_losing_two_pairs_or_inside_the_quartile_distance_is_not_met(tmp
     close = [v - 0.05 for v in parent_s]
     verdict = _claimed(tmp_path / "b", parent_s, close, "spawn-ppp:score_s")
     assert verdict["pair_wins"] == 10 and not verdict["met"]
+
+
+def test_a_claim_is_not_met_while_any_end_to_end_row_reads_worse(tmp_path):
+    parent_s = [2.0, 2.1, 2.2, 2.3, 2.4, 2.0, 2.1, 2.2, 2.3, 2.4]
+    change_s = [v - 1.0 for v in parent_s]
+    met = _claimed(tmp_path / "a", parent_s, change_s, "spawn-ppp:score_s")
+    assert met["met"] and met["worse"] == []
+    # the same gain, while filter_s rose 30% against its 0.25 bound
+    verdict = _claimed(tmp_path / "b", parent_s, change_s, "spawn-ppp:score_s", {"filter_s": 1.3})
+    assert (verdict["pair_wins"], verdict["pairs"]) == (10, 10)
+    assert verdict["median_gain"] > verdict["parent_quartile_distance"]
+    assert verdict["worse"] == ["spawn-ppp:filter_s"] and not verdict["met"]
 
 
 @pytest.mark.parametrize("claim", ["spawn_ppp:score_s", "spawn-ppp:score", "spawn-ppp"])

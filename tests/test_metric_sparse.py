@@ -16,17 +16,18 @@ needs_highs = pytest.mark.skipif(metric._highs is None, reason="scipy ships no H
 
 
 def _recording(monkeypatch):
-    """Replace ``metric.linprog`` by a wrapper; returns the list of its
-    calls as (cost, start, x)."""
+    """Replace ``metric.linprog`` and ``metric._shortcut`` (which takes the
+    extended optimum where linprog takes the model) by wrappers; returns the
+    list of their calls as (cost, start, x)."""
     calls = []
-    real = metric.linprog
 
-    def recording(cost, model, start=None):
-        x, basis = real(cost, model, start)
-        calls.append((cost, start, x))
-        return x, basis
+    for name in ("linprog", "_shortcut"):
+        def recording(cost, model, start=None, real=getattr(metric, name)):
+            x, basis = real(cost, model, start)
+            calls.append((cost, start, x))
+            return x, basis
 
-    monkeypatch.setattr(metric, "linprog", recording)
+        monkeypatch.setattr(metric, name, recording)
     return calls
 
 

@@ -93,6 +93,6 @@ def test_rowwise_model_solves_as_the_colwise_feed(monkeypatch, gamma):
         bases = {}
         for k in range(1, K + 1):
             trajectory_metric(est, truth, params, k, bases)
-            dropped += sum(len(pairs) < len(e) * len(t) for (e, t, _), (_, pairs, _) in bases.items())
+            dropped += sum(len(pairs) < len(e) * len(t) for (e, t, _), (_, pairs, *_) in bases.items())
     assert sum(solves) > 30 and solves.count(False) > 15
     assert dropped > 10

@@ -16,16 +16,17 @@ needs_highs = pytest.mark.skipif(metric._highs is None, reason="scipy ships no H
 
 
 def _recording(monkeypatch):
-    """Replace ``metric.linprog`` by a wrapper; returns the list of the
-    ``start`` arguments it saw (None for a cold solve)."""
+    """Replace ``metric.linprog`` and ``metric._shortcut`` (which takes the
+    extended optimum where linprog takes the model) by wrappers; returns the
+    list of the ``start`` arguments they saw (None for a cold solve)."""
     starts = []
-    real = metric.linprog
 
-    def recording(cost, model, start=None):
-        starts.append(start)
-        return real(cost, model, start)
+    for name in ("linprog", "_shortcut"):
+        def recording(cost, model, start=None, real=getattr(metric, name)):
+            starts.append(start)
+            return real(cost, model, start)
 
-    monkeypatch.setattr(metric, "linprog", recording)
+        monkeypatch.setattr(metric, name, recording)
     return starts
 
 
@@ -214,7 +215,7 @@ def _check_mapped_start(gone):
     bases = {}
     for k in range(1, T):
         trajectory_metric(est, truth, params, k, bases)
-    ((key, (T_prev, old_pairs, basic)),) = bases.items()
+    ((key, (T_prev, old_pairs, basic, *_)),) = bases.items()
     old_kept = np.zeros((2, 2), dtype=bool)
     old_kept.flat[old_pairs] = True
     assert old_kept.tolist() == [[True, True], [False, True]]

@@ -1,6 +1,7 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +261,84 @@ def test_loader_rejects_a_clutter_region_without_positive_finite_area(tmp_path, 
     path.write_text(json.dumps({"measurement": {"clutter_region": region}}))
     with pytest.raises(ScenarioError, match=f"clutter_region area {area} must be"):
         load_scenario(path)
+
+
+BENCHMARK_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "benchmark.json"
+
+
+def _objects(value, path=()):
+    """The path of every JSON object in ``value``, itself included."""
+    if isinstance(value, dict):
+        yield path
+        for key, child in value.items():
+            yield from _objects(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _objects(child, path + (i,))
+
+
+def _deletions():
+    """(object path, key) for every key of every object of the benchmark file."""
+    data = json.loads(BENCHMARK_SCENARIO.read_text())
+    out = []
+    for path in _objects(data):
+        obj = data
+        for step in path:
+            obj = obj[step]
+        out += [(path, key) for key in obj]
+    return out
+
+
+def _assert_same_fields(got, want, where="cfg"):
+    """Dataclasses compared field by field, arrays and floats to a relative 1e-12."""
+    if is_dataclass(want):
+        assert type(got) is type(want), where
+        for f in fields(want):
+            _assert_same_fields(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_same_fields(a, b, f"{where}[{i}]")
+    elif isinstance(want, (np.ndarray, float)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=where)
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("path, key", _deletions(), ids=lambda v: str(v))
+def test_benchmark_scenario_without_any_one_key_loads_to_the_defaults(path, key):
+    # the file spells out every default, so a deleted key falls back to it
+    data = json.loads(BENCHMARK_SCENARIO.read_text())
+    obj = data
+    for step in path:
+        obj = obj[step]
+    del obj[key]
+    _assert_same_fields(scenario_from_dict(data), default_scenario())
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"birth": [{}, {"mean": [0, 0, 0, 0]}]}, "birth[1]: missing fields ['weight', 'cov']"),
+        ({"modes": [{}, {}, {}, {"prob": 0.0}]}, "modes[3]: missing fields ['F', 'Q', 'offset']"),
+    ],
+)
+def test_an_entry_past_the_default_list_names_its_missing_fields(data, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        scenario_from_dict(data)
+
+
+def test_an_entry_past_the_default_list_may_give_its_offset_by_perp_scale():
+    mode = {"prob": 0.0, "F": np.eye(4).tolist(), "Q": np.eye(4).tolist(), "perp_scale": 2.0}
+    cfg = scenario_from_dict({"modes": [{}, {}, {}, mode]})
+    assert cfg.modes[3].perp_scale == 2.0 and cfg.modes[3].offset is None
+
+
+def test_a_given_offset_replaces_the_default_entrys_perp_scale():
+    cfg = scenario_from_dict({"modes": [{}, {"offset": [1, 0, 1, 0]}]})
+    assert cfg.modes[1].perp_scale is None
+    assert cfg.modes[1].offset.tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert cfg.modes[1].prob == default_scenario().modes[1].prob
 
 
 def test_exports(tmp_path):
