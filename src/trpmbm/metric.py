@@ -69,11 +69,11 @@ vertices of that polytope are permutations, so its optimum A_t is the
 one `linear_sum_assignment` finds.  Switches cost >= 0, so no feasible
 point costs less than LB = sum_t A_t, and the extended optimum, which is
 feasible, is optimal where it costs no more than LB (to a relative
-1e-12).  It is then taken as the solution (`_shortcut`), with the mapped
-start as its basis, and only the `_split_may_tie` test can still send
-the LP to HiGHS.  A_t depends on step t's costs alone, so the bases entry
-keeps the LP costs and each A_t, and only the new step and the steps
-whose costs changed get a fresh one.
+1e-12).  It is then taken as the solution (`_certified`), its entry keeps
+the predecessor's basis for the next LP that HiGHS solves, and only the
+`_split_may_tie` test can still send the LP to HiGHS.  A_t depends on
+step t's costs alone, so the bases entry keeps the LP costs and each A_t,
+and only the new step and the steps whose costs changed get a fresh one.
 """
 
 from __future__ import annotations
@@ -381,23 +381,24 @@ def _mapped_start(
     ``cost`` from, as int8 codes (`_LOWER`, `_BASIC`, `_UPPER`) of its
     columns and rows, or None for a cold solve.
 
-    The start is the final basis of the one cluster in ``prev`` whose labels
-    all lie in this one, if it has the same t0 and T-1 steps.  Its W pairs,
-    dummies and switch columns, its switch rows and its equality rows keep
-    their statuses at the indices of the same labels in this layout; a pair
-    is named by its (estimate, truth) labels, and one that is no longer
-    kept drops out.  Where its last step holds one basic variable per
-    equality row, the old tracks' part of the new step repeats that step:
-    a pair matched at T-2 starts matched at T-1.  Every other column starts
+    The start is the stored basis of the one cluster in ``prev`` whose
+    labels all lie in this one, if it has the same t0 and T-1 steps, of
+    which the basis covers T_b (`trajectory_metric`).  Its W pairs, dummies
+    and switch columns, its switch rows and its equality rows keep their
+    statuses at the indices of the same labels in this layout; a pair is
+    named by its (estimate, truth) labels, and one that is no longer kept
+    drops out.  Where its last step holds one basic variable per equality
+    row, the old tracks' part of steps T_b..T-1 repeats that step: a pair
+    matched at T_b-1 starts matched up to T-1.  Every other column starts
     nonbasic at zero and every other row basic (the columns and rows of
     tracks that joined, of pairs kept for the first time, and otherwise the
-    new step), except that a track starts on its dummy at the steps where
-    it is not alive, where the dummy costs nothing.  Nonbasic rows sit at
-    their upper side: the switch rows have no other, and either side is the
-    value of an equality row.  The start need not be feasible or
-    nonsingular; HiGHS repairs it.  Nothing is mapped where a label
-    repeats, here or in the predecessor, or where two clusters of k-1 lie
-    in this one.
+    steps from T_b on), except that a track starts on its dummy at the steps
+    where it is not alive, where the dummy costs nothing.  Nonbasic rows sit
+    at their upper side: the switch rows have no other, and either side is
+    the value of an equality row.  The start need not be feasible or
+    nonsingular; HiGHS repairs it.  Nothing is mapped where a label repeats,
+    here or in the predecessor, or where two clusters of k-1 lie in this
+    one.
     """
     est_at = {label: i for i, label in enumerate(est)}
     truth_at = {label: j for j, label in enumerate(truth)}
@@ -408,7 +409,7 @@ def _mapped_start(
     ]
     if len(inside) != 1:
         return None
-    (old_est, old_truth, old_t0), (T_prev, old_pairs, basic, *_) = inside[0], prev[inside[0]]
+    (old_est, old_truth, old_t0), (T_prev, old_pairs, basic, *_, T_b) = inside[0], prev[inside[0]]
     labels = (est, truth, old_est, old_truth)
     if any(len(set(ls)) < len(ls) for ls in labels) or old_t0 != t0 or T_prev != T - 1:
         return None
@@ -427,16 +428,16 @@ def _mapped_start(
     step_cols = np.concatenate([slot, P + pe, P + n + pt])
     step_kept = np.concatenate([kept, np.ones(len(pe) + len(pt), dtype=bool)])
     step_rows = n_ub + np.concatenate([pe, n + pt])
-    old_steps = np.arange(T - 1)[:, None]
-    switch = (np.arange(T - 2)[:, None] * P + slot).ravel()
-    switch_kept = np.tile(kept, T - 2)
+    old_steps = np.arange(T_b)[:, None]
+    switch = (np.arange(T_b - 1)[:, None] * P + slot).ravel()
+    switch_kept = np.tile(kept, T_b - 1)
     col_of = np.concatenate([(old_steps * S + step_cols).ravel(), T * S + switch])
     row_of = np.concatenate([
         np.column_stack([2 * switch, 2 * switch + 1]).ravel(),
         (old_steps * (n + m) + step_rows).ravel(),
     ])  # fmt: skip
     # the columns and rows of old pairs no longer kept go to a sink past the end
-    col_of[~np.concatenate([np.tile(step_kept, T - 1), switch_kept])] = n_col
+    col_of[~np.concatenate([np.tile(step_kept, T_b), switch_kept])] = n_col
     row_of[: 2 * len(switch)][~np.repeat(switch_kept, 2)] = n_row
     col_status = np.full(n_col + 1, _LOWER, dtype=np.int8)
     col_status[col_of[basic[basic >= 0]]] = _BASIC
@@ -445,14 +446,15 @@ def _mapped_start(
     row_status[row_of[-1 - basic[basic < 0]]] = _BASIC
     placed = np.zeros(len(row_status), dtype=bool)
     placed[row_of] = True
-    # the old tracks' part of the new step repeats their part of step T-2
+    # the old tracks' part of steps T_b..T-1 repeats their part of step T_b-1
     step_cols = step_cols[step_kept]
-    last_cols = col_status[(T - 2) * S + step_cols]
-    last_rows = row_status[(T - 2) * (n + m) + step_rows]
+    last_cols = col_status[(T_b - 1) * S + step_cols]
+    last_rows = row_status[(T_b - 1) * (n + m) + step_rows]
     if (last_cols == _BASIC).sum() + (last_rows == _BASIC).sum() == len(step_rows):
-        col_status[(T - 1) * S + step_cols] = last_cols
-        row_status[(T - 1) * (n + m) + step_rows] = last_rows
-        placed[(T - 1) * (n + m) + step_rows] = True
+        later = np.arange(T_b, T)[:, None]
+        col_status[later * S + step_cols] = last_cols
+        row_status[later * (n + m) + step_rows] = last_rows
+        placed[later * (n + m) + step_rows] = True
     # a track sits on its dummy, at zero cost, at the steps it is not alive
     steps = np.arange(T)[:, None]
     dummies = (steps * S + P + np.arange(n + m)).ravel()
@@ -466,12 +468,6 @@ def _mapped_start(
 def _statuses(codes: tuple[np.ndarray, np.ndarray]) -> tuple[list, list]:
     """Column and row codes of a start as the HiGHS basis status lists."""
     return _STATUSES[codes[0]].tolist(), _STATUSES[codes[1]].tolist()
-
-
-def _warm_start(*args):
-    """`_mapped_start` (same arguments) as the status lists HiGHS takes, or None."""
-    codes = _mapped_start(*args)
-    return None if codes is None else _statuses(codes)
 
 
 def _step_bounds(
@@ -508,16 +504,24 @@ def _step_bounds(
     return bounds
 
 
-def _shortcut(cost: np.ndarray, x: np.ndarray, start: tuple[np.ndarray, np.ndarray]):
-    """The solve the certificate replaces: ``x``, the k-1 optimum extended
-    by one step, proved optimal for ``cost`` (module docstring), and the
-    basic variables of ``start``, its mapped codes, in `_highs_solve`'s
-    numbering: column j as j, row i as -1-i."""
-    col_status, row_status = start
-    basic = np.concatenate([
-        np.flatnonzero(col_status == _BASIC), -1 - np.flatnonzero(row_status == _BASIC)
-    ])  # fmt: skip
-    return x, basic
+def _certified(entry: tuple | None, n: int, m: int, T: int, pairs: np.ndarray, cost: np.ndarray):
+    """The k-1 optimum of a cluster's ``bases`` entry ``entry``, extended by
+    one step, where the step bounds prove it optimal for the LP with T
+    steps, kept pairs ``pairs`` and costs ``cost`` (module docstring), else
+    None; and the bounds A_t, None where ``entry`` is missing or has not
+    T-1 steps and the same kept pairs."""
+    if entry is None or entry[0] != T - 1 or not np.array_equal(entry[1], pairs):
+        return None, None
+    T_prev, _, _, old_x, old_cost, old_bounds, _ = entry
+    P = len(pairs)
+    S = P + n + m
+    known = None if old_bounds is None else (old_cost[: T_prev * S].reshape(T_prev, S), old_bounds)
+    bounds = _step_bounds(n, m, pairs, cost[: T * S].reshape(T, S), known)
+    lower = bounds.sum()
+    # the k-1 optimum, its last step repeated, no switch between the two
+    steps = old_x[: T_prev * S]
+    x = np.concatenate([steps, steps[-S:], old_x[T_prev * S :], np.zeros(P)])
+    return (x if cost @ x <= lower + 1e-12 * abs(lower) else None), bounds
 
 
 def _split_may_tie(x, cost, tag, close: np.ndarray, T: int, params: TrajMetricParams) -> bool:
@@ -565,10 +569,10 @@ def _cluster_objective(
     first step to k, and ``close`` its (n, m) mask of the pairs within c at
     some step: the LP keeps those pairs only (module docstring).  ``prev``
     holds the entries of the clusters solved at k-1 (`trajectory_metric`'s
-    ``bases``): the LP starts from one of their bases where `_mapped_start`
-    maps it onto this cluster, and takes the extended optimum of its own
-    key where the step bounds prove it optimal.  ``solved`` collects the
-    entries of this step.
+    ``bases``): the LP takes the extended optimum of its own key where
+    `_certified` proves it optimal, and otherwise starts HiGHS from one of
+    their bases where `_mapped_start` maps it onto this cluster.
+    ``solved`` collects the entries of this step.
     """
     n, m = len(est), len(truth)
     T = len(geometry[0])
@@ -581,34 +585,26 @@ def _cluster_objective(
     else:
         key = (tuple(tr.label for tr in est), tuple(tr.label for tr in truth), t0)
         pairs = np.flatnonzero(close)
-        P = len(pairs)
-        S = P + n + m
         cols = _columns(n, m, T, pairs)
         lp_cost = cost[cols]
-        start = None if not prev else _mapped_start(prev, *key, T, pairs, lp_cost)
-        bounds = x_lp = model = None
-        if start is not None and key in prev:
-            T_prev, old_pairs, _, old_x, old_cost, old_bounds = prev[key]
-            if T_prev == T - 1 and np.array_equal(old_pairs, pairs):
-                old_blocks = old_cost[: T_prev * S].reshape(T_prev, S)
-                known = None if old_bounds is None else (old_blocks, old_bounds)
-                bounds = _step_bounds(n, m, pairs, lp_cost[: T * S].reshape(T, S), known)
-                lower = bounds.sum()
-                # the k-1 optimum, its last step repeated, no switch between the two
-                steps = old_x[: T_prev * S]
-                x_ext = np.concatenate([steps, steps[-S:], old_x[T_prev * S :], np.zeros(P)])
-                if lp_cost @ x_ext <= lower + 1e-12 * abs(lower):
-                    x_lp, basis = _shortcut(lp_cost, x_ext, start)
+        entry = prev.get(key) if prev else None
+        x_lp, bounds = _certified(entry, n, m, T, pairs, lp_cost)
+        model = None
         if x_lp is None:
+            start = None if not prev else _mapped_start(prev, *key, T, pairs, lp_cost)
             model = _model(n, m, T, pairs)
             x_lp, basis = linprog(lp_cost, model, None if start is None else _statuses(start))
+            T_b, inherited = T, start is not None
+        else:  # no HiGHS call: the entry keeps the predecessor's basis and its T_b
+            basis, T_b, inherited = entry[2], entry[-1], True
         x[cols] = x_lp
-        if start is not None and _split_may_tie(x, cost, tag, close, T, params):
+        if inherited and _split_may_tie(x, cost, tag, close, T, params):
             model = _model(n, m, T, pairs) if model is None else model
             x_lp, basis = linprog(lp_cost, model)
+            T_b = T
             x[cols] = x_lp
         if solved is not None and basis is not None:
-            solved[key] = (T, pairs, basis, x_lp, lp_cost, bounds)
+            solved[key] = (T, pairs, basis, x_lp, lp_cost, bounds, T_b)
     # summed in the all-pairs layout: the zeros of dropped pairs keep the
     # order, and so the bits, of a sum over every pair
     contrib = cost * x
@@ -628,14 +624,15 @@ def trajectory_metric(
     caller already flattened branches to tracks).  ``bases`` is a dict the
     caller keeps across the steps of one run, empty at first.  Afterwards
     it holds an entry for every cluster LP of this step, keyed by its
-    estimate labels, truth labels and first step: its number of steps, its
-    kept pairs, its final basis (HiGHS's basic variables, column j as j
-    and row i as -1-i; the mapped start's where the shortcut took the
-    step), its optimal x and its costs in the LP's layout, and each step's
-    assignment bound A_t (None where none was needed).  A cluster of the
-    next step that holds one of them whole starts from its basis, and one
-    with the same key and kept pairs may take its extended optimum.  The
-    breakdown is the one without it (module docstring).
+    estimate labels, truth labels and first step: its number of steps T,
+    its kept pairs, a final basis (HiGHS's basic variables, column j as j
+    and row i as -1-i), its optimal x and its costs in the LP's layout,
+    each step's assignment bound A_t (None where none was needed), and the
+    number of steps T_b the basis covers: T after a HiGHS solve, the
+    predecessor's T_b where `_certified` took the step.  A cluster of the
+    next step with the same key and kept pairs may take its extended
+    optimum, and one that holds an entry whole and runs HiGHS starts from
+    its basis.  The breakdown is the one without it (module docstring).
     """
     if k < 1:
         raise ValueError(f"evaluation step must be >= 1, got {k}")

@@ -447,6 +447,11 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         problems.append("clutter_region spans must be positive")
     elif not 0.0 < area < math.inf:  # the spans' product can underflow or overflow
         problems.append(f"clutter_region area {area} must be a positive finite number")
+    elif not math.isfinite(cfg.measurement.clutter_rate / area):
+        problems.append(
+            f"clutter_rate {cfg.measurement.clutter_rate} over the clutter_region area "
+            f"{area} must be a finite clutter density"
+        )
     problems += _covariance_problems(cfg.measurement.R, "measurement.R", 0.0)
     for i, b in enumerate(cfg.births):
         if b.weight < 0:

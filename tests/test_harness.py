@@ -377,3 +377,24 @@ def test_cli_subprocess_exit_codes(tmp_path):
     )
     assert result.returncode == 1
     assert "error" in result.stderr
+
+
+def test_cli_refuses_a_clutter_density_that_overflows(tmp_path):
+    # loaded, the density is inf and the filter fails at step 1 after a numpy warning
+    (tmp_path / "s.json").write_text(
+        json.dumps({"measurement": {"clutter_region": [[0, 1], [0, 1e-320]]}, "horizon": 3})
+    )
+    src = str(Path(trpmbm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "trpmbm.cli", "--scenario", str(tmp_path / "s.json"),
+         "--runs", "1", "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )  # fmt: skip
+    assert result.returncode == 1
+    (line,) = result.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "ScenarioError"
+    assert "clutter_rate" in payload["message"] and "clutter_region" in payload["message"]

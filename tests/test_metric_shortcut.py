@@ -1,5 +1,6 @@
 """The metric's shortcut: a cluster's k-1 optimum extended by one step is
-taken without HiGHS when the per-step assignment bounds prove it optimal."""
+taken without HiGHS when the per-step assignment bounds prove it optimal,
+and its bases entry keeps the basis of the last HiGHS solve."""
 
 import math
 import struct
@@ -85,26 +86,36 @@ def _pair_history(K, swap_at=None):
     return est, truth
 
 
-def _recorded(monkeypatch, T_of):
-    """Record the shortcut solves, each checked against HiGHS started from
-    the same mapped basis, and the HiGHS solves; ``T_of()`` gives the
-    current step count of the one cluster."""
-    shortcuts, solves = [], []
-    real_shortcut, real_linprog = metric._shortcut, metric.linprog
+def _recorded(monkeypatch, bases):
+    """Record the certified steps of the one cluster scored with ``bases``,
+    each checked against HiGHS started from the start `_mapped_start` gives
+    for that step, the HiGHS solves, and the T_b of each entry that
+    `_mapped_start` maps."""
+    shortcuts, solves, mapped = [], [], []
+    real_certified, real_linprog = metric._certified, metric.linprog
+    real_mapped_start = metric._mapped_start
 
-    def shortcut(cost, x, start):
-        model = metric._model(2, 2, T_of(), np.arange(4))
-        x_warm, _ = real_linprog(cost, model, metric._statuses(start))
-        shortcuts.append(np.array_equal(x, x_warm))
-        return real_shortcut(cost, x, start)
+    def certified(entry, n, m, T, pairs, cost):
+        x, bounds = real_certified(entry, n, m, T, pairs, cost)
+        if x is not None:
+            ((key, _),) = bases.items()
+            start = real_mapped_start(bases, *key, T, pairs, cost)
+            x_warm, _ = real_linprog(cost, metric._model(n, m, T, pairs), metric._statuses(start))
+            shortcuts.append(np.array_equal(x, x_warm))
+        return x, bounds
 
     def linprog(cost, model, start=None):
         solves.append(start is not None)
         return real_linprog(cost, model, start)
 
-    monkeypatch.setattr(metric, "_shortcut", shortcut)
+    def mapped_start(prev, *args):
+        mapped.extend(entry[-1] for entry in prev.values())
+        return real_mapped_start(prev, *args)
+
+    monkeypatch.setattr(metric, "_certified", certified)
     monkeypatch.setattr(metric, "linprog", linprog)
-    return shortcuts, solves
+    monkeypatch.setattr(metric, "_mapped_start", mapped_start)
+    return shortcuts, solves, mapped
 
 
 @needs_highs
@@ -113,11 +124,9 @@ def test_a_steady_pair_history_takes_the_shortcut_with_highs_x(monkeypatch, gamm
     params = TrajMetricParams(gamma=gamma)
     K = 8
     est, truth = _pair_history(K)
-    step = [0]
-    shortcuts, solves = _recorded(monkeypatch, lambda: step[0])
     bases = {}
+    shortcuts, solves, _ = _recorded(monkeypatch, bases)
     for k in range(1, K + 1):
-        step[0] = k
         shortcuts.clear()
         solves.clear()
         warm = trajectory_metric(est, truth, params, k, bases)
@@ -136,16 +145,61 @@ def test_estimates_that_swap_truths_at_the_new_step_are_solved_by_highs(monkeypa
     params = TrajMetricParams(gamma=gamma)
     K = 6
     est, truth = _pair_history(K, swap_at=K)
-    step = [0]
-    shortcuts, solves = _recorded(monkeypatch, lambda: step[0])
     bases = {}
+    shortcuts, solves, mapped = _recorded(monkeypatch, bases)
     for k in range(1, K + 1):
-        step[0] = k
         shortcuts.clear()
         solves.clear()
+        mapped.clear()
         warm = trajectory_metric(est, truth, params, k, bases)
+        if 1 < k < K:
+            # certified: no start is mapped, and the entry keeps step 1's basis
+            assert (shortcuts, solves, mapped) == ([True], [], []), k
+            assert next(iter(bases.values()))[-1] == 1
         assert _bits(warm) == _bits(trajectory_metric(est, truth, params, k)), k
-    # the certificate refuses the repeated matching: HiGHS runs from the mapped basis
+    # the certificate refuses the repeated matching: HiGHS runs from the
+    # basis of step 1, mapped over the K-1 steps it lacks
+    assert mapped == [1]
     assert shortcuts == [] and solves[0] is True
     # and finds the trade, paying its switches
     assert (warm.switch > 0.0) == (gamma > 0.0)
+
+
+def _basic(codes):
+    """Basic variables of a start's codes, numbered as `metric._highs_solve`
+    gives them: column j as j, row i as -1-i."""
+    col_status, row_status = codes
+    basic_rows = np.flatnonzero(row_status == metric._BASIC)
+    return np.concatenate([np.flatnonzero(col_status == metric._BASIC), -1 - basic_rows])
+
+
+@needs_highs
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_a_lagging_basis_maps_as_one_step_mappings_in_a_row(gamma):
+    """After the steady history's certified steps the entry of step j keeps
+    step 1's basis, j-1 steps behind; mapped onto step j+1 it gives the
+    start of j one-step mappings from step 1, each turned into a basis."""
+    params = TrajMetricParams(gamma=gamma)
+    K = 5
+    est, truth = _pair_history(K)
+    bases, entries = {}, {}
+    for k in range(1, K):
+        trajectory_metric(est, truth, params, k, bases)
+        ((key, entries[k]),) = bases.items()
+        assert entries[k][0] == k and entries[k][-1] == 1
+
+    def start(entry, T):
+        """`_mapped_start` of ``entry`` onto the cluster at step T."""
+        clipped = [[tr.clipped(T) for tr in tracks] for tracks in (est, truth)]
+        pairs = np.arange(4)
+        every_pair = np.ones((2, 2), dtype=bool)
+        cost, _ = metric._cluster_costs(metric._geometry(*clipped, T), every_pair, params)
+        cost = cost[metric._columns(2, 2, T, pairs)]
+        return metric._mapped_start({key: entry}, *key, T, pairs, cost)
+
+    for j in range(1, K):
+        codes = start(entries[1], 2)
+        for T in range(3, j + 2):
+            codes = start((T - 1, np.arange(4), _basic(codes), None, None, None, T - 1), T)
+        lagging = start(entries[j], j + 1)
+        assert all(np.array_equal(a, b) for a, b in zip(lagging, codes)), j

@@ -16,18 +16,25 @@ needs_highs = pytest.mark.skipif(metric._highs is None, reason="scipy ships no H
 
 
 def _recording(monkeypatch):
-    """Replace ``metric.linprog`` and ``metric._shortcut`` (which takes the
-    extended optimum where linprog takes the model) by wrappers; returns the
-    list of their calls as (cost, start, x)."""
+    """Replace ``metric.linprog`` and ``metric._certified`` by wrappers;
+    returns the list of the solves as (cost, start, x) and of the steps the
+    certificate took as (cost, extended bases entry, x)."""
     calls = []
+    real_linprog, real_certified = metric.linprog, metric._certified
 
-    for name in ("linprog", "_shortcut"):
-        def recording(cost, model, start=None, real=getattr(metric, name)):
-            x, basis = real(cost, model, start)
-            calls.append((cost, start, x))
-            return x, basis
+    def linprog(cost, model, start=None):
+        x, basis = real_linprog(cost, model, start)
+        calls.append((cost, start, x))
+        return x, basis
 
-        monkeypatch.setattr(metric, name, recording)
+    def certified(entry, n, m, T, pairs, cost):
+        x, bounds = real_certified(entry, n, m, T, pairs, cost)
+        if x is not None:
+            calls.append((cost, entry, x))
+        return x, bounds
+
+    monkeypatch.setattr(metric, "linprog", linprog)
+    monkeypatch.setattr(metric, "_certified", certified)
     return calls
 
 

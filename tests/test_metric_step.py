@@ -87,7 +87,7 @@ def test_rowwise_model_solves_as_the_colwise_feed(monkeypatch, gamma):
     rng = np.random.default_rng(17)
     params = TrajMetricParams(gamma=gamma)
     dropped = 0
-    for _ in range(12):
+    for _ in range(24):
         K = int(rng.integers(4, 12))
         est, truth = _scene(rng, K, params.c)
         bases = {}

@@ -16,18 +16,33 @@ needs_highs = pytest.mark.skipif(metric._highs is None, reason="scipy ships no H
 
 
 def _recording(monkeypatch):
-    """Replace ``metric.linprog`` and ``metric._shortcut`` (which takes the
-    extended optimum where linprog takes the model) by wrappers; returns the
-    list of the ``start`` arguments they saw (None for a cold solve)."""
+    """Replace ``metric.linprog`` and ``metric._certified`` by wrappers;
+    returns the list of the ``start`` arguments of the solves (None for a
+    cold solve) and, for each step the certificate took, of the bases
+    entry it extended."""
     starts = []
+    real_linprog, real_certified = metric.linprog, metric._certified
 
-    for name in ("linprog", "_shortcut"):
-        def recording(cost, model, start=None, real=getattr(metric, name)):
-            starts.append(start)
-            return real(cost, model, start)
+    def linprog(cost, model, start=None):
+        starts.append(start)
+        return real_linprog(cost, model, start)
 
-        monkeypatch.setattr(metric, name, recording)
+    def certified(entry, *args):
+        x, bounds = real_certified(entry, *args)
+        if x is not None:
+            starts.append(entry)
+        return x, bounds
+
+    monkeypatch.setattr(metric, "linprog", linprog)
+    monkeypatch.setattr(metric, "_certified", certified)
     return starts
+
+
+def _warm_start(*args):
+    """`metric._mapped_start` (same arguments) as the status lists HiGHS
+    takes, or None."""
+    codes = metric._mapped_start(*args)
+    return None if codes is None else metric._statuses(codes)
 
 
 def _walk(rng, label, start, length, offset=(0.0, 0.0)):
@@ -215,10 +230,17 @@ def _check_mapped_start(gone):
     bases = {}
     for k in range(1, T):
         trajectory_metric(est, truth, params, k, bases)
-    ((key, (T_prev, old_pairs, basic, *_)),) = bases.items()
+    ((key, (T_prev, old_pairs, *_)),) = bases.items()
     old_kept = np.zeros((2, 2), dtype=bool)
     old_kept.flat[old_pairs] = True
     assert old_kept.tolist() == [[True, True], [False, True]]
+    # the entry of step T-1 by hand, its basis from a cold solve, so that it
+    # covers all T-1 steps
+    clipped = [[tr.clipped(T_prev) for tr in tracks] for tracks in (est, truth)]
+    old_cost, _ = metric._cluster_costs(metric._geometry(*clipped, T_prev), old_kept, params)
+    old_cost = old_cost[metric._columns(2, 2, T_prev, old_pairs)]
+    x, basic = metric._highs_solve(old_cost, metric._model(2, 2, T_prev, old_pairs))
+    bases[key] = (T_prev, old_pairs, basic, x, old_cost, None, T_prev)
     old_cols, old_rows = _names(*key[:2], T_prev, _kept(*key[:2], old_kept))
     was_basic = {old_cols[j] if j >= 0 else old_rows[-1 - j] for j in basic.tolist()}
     last_step = [name for name in old_cols + old_rows if name[1] == T - 2 and name[0] != "switch"]
@@ -246,14 +268,14 @@ def _check_mapped_start(gone):
     geometry = metric._geometry(est, truth, T)
     cost, _ = metric._cluster_costs(geometry, np.ones((3, 3), dtype=bool), params)
     cost = cost[metric._columns(3, 3, T, pairs)]
-    col_status, row_status = metric._warm_start(bases, *labels, 1, T, pairs, cost)
+    col_status, row_status = _warm_start(bases, *labels, 1, T, pairs, cost)
     cols, rows = _names(*labels, T, _kept(*labels, close))
     assert len(col_status) == len(cols) == len(cost) and len(row_status) == len(rows)
     alive = {(side, tr.label): range(tr.start - 1, tr.end)
              for side, tracks in (("est", est), ("truth", truth)) for tr in tracks}
 
     def expected(name, old, on, off, fresh, idle):
-        """Status of ``name`` by the rules of `_warm_start`, read by label:
+        """Status of ``name`` by the rules of `metric._mapped_start`, read by label:
         ``on`` / ``off`` as it ended basic or not at k-1, ``fresh`` for
         everything new, ``idle`` for the dummy or row of a track not alive."""
         repeated = (name[0], T - 2, *name[2:])
@@ -293,21 +315,21 @@ def test_clusters_without_one_fitting_predecessor_start_cold():
     pairs = np.arange(4)
     geometry = metric._geometry(est, truth, 4)
     cost, _ = metric._cluster_costs(geometry, np.ones((2, 2), dtype=bool), params)
-    assert metric._warm_start(bases, *labels, 1, 4, pairs, cost) is not None
-    assert metric._warm_start(bases, *labels, 1, 5, pairs, cost) is None  # a skipped step
-    assert metric._warm_start(bases, *labels, 0, 5, pairs, cost) is None  # t0 moved
+    assert _warm_start(bases, *labels, 1, 4, pairs, cost) is not None
+    assert _warm_start(bases, *labels, 1, 5, pairs, cost) is None  # a skipped step
+    assert _warm_start(bases, *labels, 0, 5, pairs, cost) is None  # t0 moved
     # t0 one later and a step skipped: T-1 steps again, but shifted by one
-    assert metric._warm_start(bases, *labels, 2, 4, pairs, cost) is None
-    assert metric._warm_start(bases, labels[0][:1], labels[1], 1, 4, pairs, cost) is None  # one left
+    assert _warm_start(bases, *labels, 2, 4, pairs, cost) is None
+    assert _warm_start(bases, labels[0][:1], labels[1], 1, 4, pairs, cost) is None  # one left
     repeated = (labels[0] + labels[0][:1], labels[1])
-    assert metric._warm_start(bases, *repeated, 1, 4, pairs, cost) is None
+    assert _warm_start(bases, *repeated, 1, 4, pairs, cost) is None
     # two clusters of k-1 inside this one
     ((key, entry),) = bases.items()
     other = ((("e", 5),), (("t", 5),), 1)
     two = {key: entry, other: entry}
     merged = (labels[0] + other[0], labels[1] + other[1])
-    assert metric._warm_start(two, *merged, 1, 4, pairs, cost) is None
-    assert metric._warm_start(two, *labels, 1, 4, pairs, cost) is not None
+    assert _warm_start(two, *merged, 1, 4, pairs, cost) is None
+    assert _warm_start(two, *labels, 1, 4, pairs, cost) is not None
 
 
 EVENTS = ("keep", "join later", "join earlier", "leave", "reorder", "repeat", "skip")

@@ -263,6 +263,14 @@ def test_loader_rejects_a_clutter_region_without_positive_finite_area(tmp_path, 
         load_scenario(path)
 
 
+def test_loader_rejects_a_clutter_density_that_overflows(tmp_path):
+    # the area 1e-320 is positive and finite, but the rate over it is not
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"measurement": {"clutter_region": [[0, 1], [0, 1e-320]]}}))
+    with pytest.raises(ScenarioError, match="clutter_rate 10.0 over the clutter_region area 1e-320"):
+        load_scenario(path)
+
+
 BENCHMARK_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "benchmark.json"
 
 
