@@ -11,9 +11,10 @@ from .filter import (
     BernoulliTree,
     BranchSlot,
     GlobalHyp,
+    HeldSlot,
+    HypTable,
     LocalHyp,
     Posterior,
-    SpawnedSlot,
     check_posterior,
     estimate,
     form_hypotheses,

@@ -23,13 +23,15 @@ per parent hypothesis, and pruning.  Predict and update make their Gaussian
 moves in stacked passes over all components at once (``trpmbm.gaussian``);
 ``truncate_window`` stays for callers that cut windows themselves.
 
-Local hypotheses are built only where they are kept.  The slots that
-predict spawns are held as arrays (``SpawnedSlot``) until prune builds the
-ones it keeps, and the detected hypotheses are built by formation, only
-for the gated pairs that a formed row picks; update's missed-detection
-rule runs once over one table of both slot kinds.  A pruned posterior
-holds only built records; readers of the stages in between see spawned
-slots through ``SpawnedSlot.hyps``.
+The local hypotheses of every slot with alive mass are rows of one table
+per step (``HypTable``), and such a slot (``HeldSlot``) spans its rows.
+Every stage writes one new table with array ops: predict moves the rows
+and writes the spawned ones, update thins every row by one
+missed-detection rule (``_missed``), formation appends the rows of the
+detected hypotheses that its formed rows pick, and prune drops and
+renumbers rows.  A pruned posterior holds records (``BranchSlot``) only
+for the slots that have settled, with no alive mass left; readers see
+held slots through ``HeldSlot.hyps``, which builds their records.
 
 A branch's genealogy is held once: its slot's ``branch_id`` and its tree's
 ``start_time`` give its marks (``alive_marks``); components hold states.
@@ -47,9 +49,10 @@ operation returns a new posterior and shares unchanged pieces (``update``,
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -79,6 +82,8 @@ CHECK_TOL = 1e-9  # check_posterior's tolerance on sums to 1 and covariances
 
 KINDS = ("trpmbm", "trmbm", "tpmbm")
 
+_NO_ASSOC = frozenset()
+
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
@@ -91,6 +96,16 @@ def _logs(x: np.ndarray) -> np.ndarray:
     positive = x > 0.0
     out[positive] = list(map(math.log, x[positive].tolist()))
     return out
+
+
+def _aranges(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for each count n, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _objects(items) -> np.ndarray:
+    """The items as a 1-d object array."""
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 def alive_marks(branch_id: tuple[int, ...], start_time: int, kappa: int) -> tuple[int, ...]:
@@ -111,52 +126,237 @@ class LocalHyp:
 
 @dataclass(frozen=True)
 class BranchSlot:
+    """A slot whose local hypotheses are records."""
+
     branch_id: tuple[int, ...]  # genealogy prefix up to last spawning, tree-relative
     hyps: tuple[LocalHyp, ...]
 
+    @property
+    def size(self) -> int:
+        return len(self.hyps)
+
+    @cached_property
+    def last_alive(self) -> int:
+        """The last step on which a hypothesis puts beta > 0, or -1."""
+        ends = (h.density.components.items() for h in self.hyps if h.density is not None)
+        return max((kappa for cases in ends for kappa, c in cases if c.beta > 0.0), default=-1)
+
+
+_ROWS = ("log_w", "r", "assoc", "dense", "alive", "beta", "comp", "mean", "cov", "n_ends")
+_ENDS = ("kappa", "end_beta", "end_comp")
+
 
 @dataclass(frozen=True, eq=False)
-class SpawnedSlot:
-    """A slot that ``predict`` spawned at ``step``, held as arrays.
+class HypTable:
+    """The local hypotheses of the held slots at ``step``, one row each.
 
-    Local hypothesis bi has log-weight ``log_w[bi]`` and existence ``r[bi]``.
-    Where ``tracked[bi]``, its density is one end case at ``step`` with
-    beta 1 over a single state with moments ``means[bi]`` and ``covs[bi]``;
-    elsewhere it has none.  ``branch_id`` holds the slot's marks up to
-    ``step``, ending in the spawning mark.  ``update`` thins the
-    arrays by the missed-detection rule of built slots, with beta(k) = 1,
-    ``form_hypotheses`` builds the slot when a formed row detects one of its
-    hypotheses, and ``prune`` builds the slots it keeps.  Every later
-    ``predict`` builds the tracked ones it moves, so the tracked spawned
-    slots of a posterior are those of its own step.
+    Row i has log-weight ``log_w[i]``, existence ``r[i]`` and association
+    record ``assoc[i]`` (the records' frozensets, by reference).  Its
+    density is None unless ``dense[i]``.  Its ``n_ends[i]`` earlier end
+    cases are the entries from ``end_at[i]`` on of ``kappa``, ``end_beta``
+    and ``end_comp``, in the order of the record's end cases; where
+    ``alive[i]`` the end case at ``step`` follows them, with beta
+    ``beta[i]`` (0 elsewhere) and component ``comp[i]``, whose last state
+    has the moments ``mean[i]``, ``cov[i]``.  A component of None is the
+    single state of those moments, built where it is needed (``comps``):
+    the branches that ``predict`` spawns.  A row that loses its end at
+    ``step`` keeps that component and its moments, for ``form_hypotheses``.
     """
 
-    branch_id: tuple[int, ...]
     step: int
     log_w: np.ndarray  # (n,)
     r: np.ndarray  # (n,)
-    tracked: np.ndarray  # (n,) bool
-    means: np.ndarray  # (n, nx)
-    covs: np.ndarray  # (n, nx, nx)
+    assoc: np.ndarray  # (n,) object
+    dense: np.ndarray  # (n,) bool
+    alive: np.ndarray  # (n,) bool
+    beta: np.ndarray  # (n,)
+    comp: np.ndarray  # (n,) object
+    mean: np.ndarray  # (n, nx)
+    cov: np.ndarray  # (n, nx, nx)
+    n_ends: np.ndarray  # (n,) int
+    kappa: np.ndarray  # (E,) int
+    end_beta: np.ndarray  # (E,)
+    end_comp: np.ndarray  # (E,) object
 
-    def built(self, idx: list[int]) -> list[LocalHyp]:
-        """The local hypotheses at ``idx`` as records."""
-        at = [bi for bi in idx if self.tracked[bi]]
-        comps = spawn(self.means[at], self.covs[at])
-        density = {bi: BranchDensity({self.step: EndCase(1.0, c)}) for bi, c in zip(at, comps)}
-        log_w, r = self.log_w.tolist(), self.r.tolist()
-        return [LocalHyp(log_w[bi], r[bi], density.get(bi), frozenset()) for bi in idx]
+    @cached_property
+    def end_at(self) -> np.ndarray:
+        return np.cumsum(self.n_ends) - self.n_ends
+
+    def ends_of(self, idx: np.ndarray) -> np.ndarray:
+        """The entries of the earlier end cases of rows ``idx``, row by row."""
+        n = self.n_ends[idx]
+        return np.repeat(self.end_at[idx], n) + _aranges(n)
+
+    def take(self, idx: np.ndarray) -> HypTable:
+        """Rows ``idx``, in that order."""
+        e = self.ends_of(idx)
+        rows = (getattr(self, name)[idx] for name in _ROWS)
+        return HypTable(self.step, *rows, *(getattr(self, name)[e] for name in _ENDS))
+
+    def comps(self, idx: np.ndarray) -> list[GaussianBranchComponent]:
+        """The components of the ends at ``step`` of rows ``idx``."""
+        comps = self.comp[idx].tolist()
+        lazy = [i for i, c in enumerate(comps) if c is None]
+        if lazy:
+            at = idx[lazy]
+            for i, c in zip(lazy, spawn(self.mean[at], self.cov[at])):
+                comps[i] = c
+        return comps
+
+    def records(self, idx) -> list[LocalHyp]:
+        """Rows ``idx`` as records."""
+        idx = np.asarray(idx, dtype=np.intp)
+        alive = self.alive[idx]
+        comps = iter(self.comps(idx[alive]))
+        e = self.ends_of(idx)
+        ends = zip(self.kappa[e].tolist(), self.end_beta[e].tolist(), self.end_comp[e].tolist())
+        out = []
+        for log_w, r, assoc, dense, at_step, beta, n in zip(
+            self.log_w[idx].tolist(), self.r[idx].tolist(), self.assoc[idx].tolist(),
+            self.dense[idx].tolist(), alive.tolist(), self.beta[idx].tolist(),
+            self.n_ends[idx].tolist(),
+        ):
+            cases = {kappa: EndCase(b, c) for kappa, b, c in itertools.islice(ends, n)}
+            if at_step:
+                cases[self.step] = EndCase(beta, next(comps))
+            out.append(LocalHyp(log_w, r, BranchDensity(cases) if dense else None, assoc))
+        return out
+
+
+def _fresh(step, log_w, r, assoc, alive, beta, comp, mean, cov) -> HypTable:
+    """Rows without earlier end cases: where ``alive`` one end at ``step``,
+    elsewhere no density."""
+    ends = np.zeros(0, dtype=np.intp), np.zeros(0), _objects([])
+    return HypTable(
+        step, log_w, r, assoc, alive, alive, beta, comp, mean, cov,
+        np.zeros(len(r), dtype=np.intp), *ends,
+    )
+
+
+def _table_of(hyps: list[LocalHyp], step: int) -> HypTable:
+    """Records as rows; a record's end case at ``step`` goes last."""
+    n = len(hyps)
+    alive, beta, comps, n_ends, ends = [], [], [], [], []
+    for h in hyps:
+        cases = h.density.components if h.density is not None else {}
+        case = cases.get(step)
+        alive.append(case is not None)
+        beta.append(case.beta if case is not None else 0.0)
+        comps.append(case.comp if case is not None else None)
+        earlier = [(kappa, *c) for kappa, c in cases.items() if kappa != step]
+        n_ends.append(len(earlier))
+        ends += earlier
+    mean, cov = np.zeros((n, NX)), np.zeros((n, NX, NX))
+    at = [i for i, c in enumerate(comps) if c is not None]
+    if at:
+        mean[at], cov[at] = last_states([comps[i] for i in at])
+    kappa, end_beta, end_comp = zip(*ends) if ends else ((), (), ())
+    return HypTable(
+        step,
+        np.array([h.log_w for h in hyps], dtype=float),
+        np.array([h.r for h in hyps], dtype=float),
+        _objects([h.assoc for h in hyps]),
+        np.array([h.density is not None for h in hyps], dtype=bool),
+        np.array(alive, dtype=bool),
+        np.array(beta, dtype=float),
+        _objects(comps),
+        mean,
+        cov,
+        np.array(n_ends, dtype=np.intp),
+        np.array(kappa, dtype=np.intp),
+        np.array(end_beta, dtype=float),
+        _objects(end_comp),
+    )
+
+
+def _joined(tables: list[HypTable]) -> HypTable:
+    """The tables' rows, one table after the other."""
+    if len(tables) == 1:
+        return tables[0]
+    columns = (np.concatenate([getattr(t, name) for t in tables]) for name in _ROWS + _ENDS)
+    return HypTable(tables[0].step, *columns)
+
+
+def _with_end(t: HypTable, where: np.ndarray, kappa: int, beta, comp) -> HypTable:
+    """The table with one more earlier end case, (kappa, beta, comp), behind
+    the others of each row where the mask ``where`` holds."""
+    n_ends = t.n_ends + where
+    at = np.cumsum(n_ends) - n_ends
+    old, new = np.repeat(at, t.n_ends) + _aranges(t.n_ends), (at + t.n_ends)[where]
+    size = int(n_ends.sum())
+    kappas, betas, comps = np.empty(size, np.intp), np.empty(size), np.empty(size, object)
+    kappas[old], betas[old], comps[old] = t.kappa, t.end_beta, t.end_comp
+    kappas[new], betas[new], comps[new] = kappa, beta, comp
+    return replace(t, n_ends=n_ends, kappa=kappas, end_beta=betas, end_comp=comps)
+
+
+def _ends_kept(t: HypTable, keep: np.ndarray, **rows) -> HypTable:
+    """The table with only the earlier end cases where ``keep``, and these
+    row columns."""
+    of = np.repeat(np.arange(len(t.r)), t.n_ends)
+    n_ends = np.bincount(of[keep], minlength=len(t.r))
+    ends = t.kappa[keep], t.end_beta[keep], t.end_comp[keep]
+    return replace(t, **rows, n_ends=n_ends, kappa=ends[0], end_beta=ends[1], end_comp=ends[2])
+
+
+def _missed(t: HypTable, rows: np.ndarray, q: float) -> HypTable:
+    """The densities of ``rows`` given no detection at the step, which a
+    branch alive then yields with probability q: the end at the step scaled
+    by 1 - q, every end divided by 1 - q beta, zero ends dropped.  A row
+    left without ends, or with 1 - q beta <= 0, has no density and r = 0.
+    Other rows are kept as they are."""
+    on = np.zeros(len(t.r), dtype=bool)
+    on[rows] = True
+    norm = np.ones(len(t.r))
+    norm[rows] = 1.0 - q * t.beta[rows]
+    gone = norm <= 0.0
+    norm[gone] = 1.0
+    beta = t.beta.copy()
+    beta[rows] = t.beta[rows] * (1.0 - q) / norm[rows]
+    alive = t.alive & ~gone & ((beta > 0.0) | ~on)
+    of = np.repeat(np.arange(len(t.r)), t.n_ends)
+    end_beta = t.end_beta / norm[of]
+    keep = ~on[of] | ((end_beta > 0.0) & ~gone[of])
+    left = np.bincount(of[keep], minlength=len(t.r)) > 0
+    dense = t.dense & (~on | (~gone & (alive | left)))
+    t = replace(t, end_beta=end_beta)
+    return _ends_kept(
+        t, keep, dense=dense, alive=alive, beta=np.where(alive, beta, 0.0),
+        r=np.where(dense | ~on, t.r, 0.0),
+    )
+
+
+@dataclass(eq=False)  # not frozen, which would triple the cost of building one
+class HeldSlot:
+    """A slot with alive mass: its local hypotheses are rows ``lo:hi`` of
+    one step's ``HypTable``.
+
+    Every stage writes the rows of the held slots into one new table and
+    hands back new held slots over it.  ``prune`` turns a held slot into a
+    ``BranchSlot`` of records when it settles: when none of the hypotheses
+    it keeps has alive mass (beta > 0 on the end at the step).  Records are
+    built only for readers: ``hyps`` builds them on first use.
+    """
+
+    branch_id: tuple[int, ...]
+    table: HypTable
+    lo: int
+    hi: int
+
+    @property
+    def size(self) -> int:
+        return self.hi - self.lo
 
     @cached_property
     def hyps(self) -> tuple[LocalHyp, ...]:
         """Every local hypothesis as a record, for readers outside the step."""
-        return tuple(self.built(list(range(len(self.r)))))
+        return tuple(self.table.records(np.arange(self.lo, self.hi)))
 
 
 @dataclass(frozen=True)
 class BernoulliTree:
     start_time: int
-    slots: tuple[BranchSlot | SpawnedSlot, ...]
+    slots: tuple[BranchSlot | HeldSlot, ...]
 
 
 @dataclass(frozen=True)
@@ -225,6 +425,76 @@ def _rebuilt(trees: tuple[BernoulliTree, ...], new: dict) -> tuple[BernoulliTree
     return tuple(out)
 
 
+def _gathered(
+    post: Posterior, kappa: int
+) -> tuple[HypTable, list[int], list[tuple[int, ...]], np.ndarray]:
+    """One table of the local hypotheses of every slot with alive mass at
+    ``kappa``, slot after slot in column order, and each such slot's
+    column, branch id and size.
+
+    Those are the held slots, and the built slots with a hypothesis that
+    puts beta > 0 on an end at ``kappa``, whose records are converted.  The
+    table is the held slots' own when they cover it in order.
+    """
+    cols, ids, sizes, where, hyps = [], [], [], [], []
+    for col, slot in enumerate(slot for tree in post.trees for slot in tree.slots):
+        if isinstance(slot, HeldSlot):
+            where.append((slot.table, slot.lo))
+        elif slot.last_alive >= kappa and any(
+            h.density is not None and h.density.beta(kappa) > 0.0 for h in slot.hyps
+        ):
+            where.append((None, len(hyps)))
+            hyps += slot.hyps
+        else:
+            continue
+        cols.append(col)
+        ids.append(slot.branch_id)
+        sizes.append(slot.size)
+    parts = {table: table for table, _ in where if table is not None}
+    if hyps or not parts:
+        parts[None] = _table_of(hyps, kappa)
+    offset, n = {}, 0
+    for key, table in parts.items():
+        offset[key] = n
+        n += len(table.r)
+    starts = [offset[table] + lo for table, lo in where]
+    table = _joined(list(parts.values()))
+    if n != sum(sizes) or starts != list(itertools.accumulate([0] + sizes[:-1])):
+        counts = np.array(sizes, dtype=np.intp)
+        table = table.take(np.repeat(np.array(starts, dtype=np.intp), counts) + _aranges(counts))
+    return table, cols, ids, np.array(sizes, dtype=np.intp)
+
+
+def _held(table: HypTable, cols, ids, sizes) -> dict[int, HeldSlot]:
+    """Held slots over ``table`` at these columns, whose rows follow each
+    other in column order."""
+    out, lo = {}, 0
+    for col, branch_id, size in zip(cols, ids, np.asarray(sizes).tolist()):
+        out[col] = HeldSlot(branch_id, table, lo, lo + size)
+        lo += size
+    return out
+
+
+def _confident(slots, picks: list[int], gamma: float) -> list[LocalHyp | None]:
+    """The local hypothesis that each slot picks, as a record, where it has
+    a density and an existence above ``gamma``, and None elsewhere; the
+    held ones are built in one call per table."""
+    out, held = [], {}
+    for i, (slot, bi) in enumerate(zip(slots, picks)):
+        if isinstance(slot, HeldSlot):
+            held.setdefault(slot.table, []).append((i, slot.lo + bi))
+            out.append(None)
+            continue
+        h = slot.hyps[bi]
+        out.append(h if h.r > gamma and h.density is not None else None)
+    for table, items in held.items():
+        at, rows = (np.array(x, dtype=np.intp) for x in zip(*items))
+        sure = (table.r[rows] > gamma) & table.dense[rows]
+        for i, h in zip(at[sure].tolist(), table.records(rows[sure])):
+            out[i] = h
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------
@@ -237,13 +507,17 @@ def _birth_component(b: BirthComponent) -> GaussianBranchComponent:
 
 def _birth_tree(cfg: ScenarioConfig, k: int) -> BernoulliTree:
     """One Bernoulli tree per birth term (multi-Bernoulli birth mode)."""
-    slots = []
-    for b in cfg.births:
-        density = BranchDensity({k: EndCase(1.0, _birth_component(b))})
-        slots.append(
-            BranchSlot((1,), (LocalHyp(0.0, min(b.weight, 1.0), density, frozenset()),))
-        )
-    return BernoulliTree(k, tuple(slots))
+    n = len(cfg.births)
+    if not n:
+        return BernoulliTree(k, ())
+    comps = [_birth_component(b) for b in cfg.births]
+    r = np.array([min(b.weight, 1.0) for b in cfg.births])
+    alive = np.ones(n, dtype=bool)
+    table = _fresh(
+        k, np.zeros(n), r, np.full(n, _NO_ASSOC, dtype=object), alive, np.ones(n),
+        _objects(comps), *last_states(comps),
+    )
+    return BernoulliTree(k, tuple(HeldSlot((1,), table, i, i + 1) for i in range(n)))
 
 
 def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Posterior:
@@ -258,103 +532,109 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
     Every (spawning mode, parent slot) pair appends a new slot whose local
     hypotheses parallel the parent's, each existing with probability
     r * p_spawn * beta(k-1), with its offset taken at the survival move's
-    predicted mean; the new slots are held as arrays (``SpawnedSlot``).
-    Frozen or dead hypotheses pass through untouched; slots with no alive
-    existence mass produce no spawn slots (every spawn hypothesis would
-    carry exactly zero existence).  Intensity terms are thinned by p_S and
-    joined by the births.
+    predicted mean.  Frozen or dead hypotheses pass through untouched;
+    slots with no alive existence mass produce no spawn slots (every spawn
+    hypothesis would carry exactly zero existence).  Intensity terms are
+    thinned by p_S and joined by the births.
 
-    Spawned slots copy their parent's column, after their tree's columns;
-    the birth tree of 'trmbm' gets zero columns.  A tree without an end case
-    to move comes back as itself.
+    The slots with alive mass at k-1 (``_gathered``) are moved with array
+    ops on their table's rows and come back as held slots over the new
+    table, with the spawned slots; the other slots and the trees without
+    one are handed back as they were.  Spawned slots copy their parent's
+    column, after their tree's columns; the birth tree of 'trmbm' gets zero
+    columns.
     """
     k = post.step + 1
     surv = cfg.survival
     p_s = surv.prob
-    # one walk over the end cases at k-1 (prevs) records, per tree by slot,
-    # the ones that move (beta != 0) as (hyp, index into prevs); a slot with
-    # alive mass spawns one slot per spawning mode, whose hyps take the
-    # slot's span of the mode's arrays, with one parent row per end case:
-    # (index into prevs, position in the arrays, r)
-    prevs: list[EndCase] = []
-    moving: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    spans: dict[int, dict[int, tuple[int, int]]] = {}
-    parents: list[tuple[int, int, float]] = []
-    n = 0
-    for ti, tree in enumerate(post.trees):
-        for ji, slot in enumerate(tree.slots):
-            hits = []
-            for bi, h in enumerate(slot.hyps):
-                prev = h.density.components.get(k - 1) if h.density is not None else None
-                if prev is not None:
-                    hits.append((bi, len(prevs)))
-                    prevs.append(prev)
-            if not hits:
-                continue
-            moves = [(bi, c) for bi, c in hits if prevs[c].beta != 0.0]
-            if not moves:
-                continue
-            moving.setdefault(ti, {})[ji] = moves
-            if any(slot.hyps[bi].r > 0.0 for bi, _ in moves):
-                spans.setdefault(ti, {})[ji] = (n, n + len(slot.hyps))
-                parents += ((c, n + bi, slot.hyps[bi].r) for bi, c in hits)
-                n += len(slot.hyps)
+    t, hcols, ids, sizes = _gathered(post, k - 1)
+    n = len(t.r)
+    slot_of = np.repeat(np.arange(len(hcols)), sizes)
+    hit = np.flatnonzero(t.alive)  # the rows with an end case at k-1
+    moving = t.alive & (t.beta != 0.0)
+    spawning = np.bincount(slot_of[moving & (t.r > 0.0)], minlength=len(hcols)) > 0
     ppp = post.ppp if p_s > 0.0 and kind != "trmbm" else ()
-    comps = [case.comp for case in prevs] + [c.comp for c in ppp]
-    moved: dict[int, GaussianBranchComponent] = {}
-    modes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per mode: m, P, r
-    if comps:
-        means, covs = last_states(comps)
+    comps = np.empty(n, dtype=object)
+    comps[hit] = _objects(t.comps(hit))
+    means, covs = t.mean[hit], t.cov[hit]
+    if ppp:
+        ppp_states = last_states([c.comp for c in ppp])
+        means = np.concatenate([means, ppp_states.means])
+        covs = np.concatenate([covs, ppp_states.covs])
+    survived, moved_ppp = np.empty(n, dtype=object), []
+    mean_k, cov_k = np.zeros_like(t.mean), np.zeros_like(t.cov)
+    rows = np.flatnonzero(spawning[slot_of])  # every row of a spawning slot
+    spawned = []  # per spawning mode: one row per row of the spawning slots
+    if len(means):
         pm, pP = transition(means, covs, surv.F, surv.offsets_at(means), surv.Q)
         if p_s > 0.0:
-            go = [i for i, case in enumerate(prevs) if case.beta != 0.0]
-            go += range(len(prevs), len(comps))
-            survived = survive([comps[i] for i in go], pm[go], pP[go], surv.F, cfg.filters.lscan)
-            moved = dict(zip(go, survived))
-        if parents:
-            at_prev, at, r_parent = (list(x) for x in zip(*parents))
-            tracked, zeros = np.zeros(n, dtype=bool), np.zeros(n)
-            tracked[at] = True
-            beta = np.array([prevs[c].beta for c in at_prev])
-            for mode in cfg.spawn_modes:
-                sm, sP = transition(
-                    means[at_prev], covs[at_prev], mode.F, mode.offsets_at(pm[at_prev]), mode.Q
+            go = np.flatnonzero(moving[hit])
+            go_ppp = np.concatenate([go, np.arange(len(hit), len(means))])
+            out = survive(
+                [*comps[hit[go]], *(c.comp for c in ppp)], pm[go_ppp], pP[go_ppp], surv.F,
+                cfg.filters.lscan,
+            )
+            survived[hit[go]] = _objects(out[: len(go)])
+            moved_ppp = out[len(go) :]
+            mean_k[hit[go]], cov_k[hit[go]] = pm[go], pP[go]
+        tracked = t.alive[rows]
+        parent = (np.cumsum(t.alive) - 1)[rows[tracked]]  # its end case's place in hit
+        for mode in cfg.spawn_modes if len(rows) else ():
+            sm, sP = transition(
+                means[parent], covs[parent], mode.F, mode.offsets_at(pm[parent]), mode.Q
+            )
+            m, P, r = np.zeros((len(rows), NX)), np.zeros((len(rows), NX, NX)), np.zeros(len(rows))
+            m[tracked], P[tracked] = sm, sP
+            r[tracked] = t.r[rows[tracked]] * mode.prob * t.beta[rows[tracked]]
+            spawned.append(
+                _fresh(
+                    k, np.zeros(len(rows)), r, np.full(len(rows), _NO_ASSOC, dtype=object),
+                    tracked, tracked.astype(float), np.full(len(rows), None, dtype=object), m, P,
                 )
-                m, P, r = np.zeros((n, *sm.shape[1:])), np.zeros((n, *sP.shape[1:])), np.zeros(n)
-                m[at], P[at], r[at] = sm, sP, np.array(r_parent) * mode.prob * beta
-                modes.append((m, P, r))
+            )
+    # the end at k-1 keeps beta (1 - p_S), the end at k gets beta p_S
+    alive = moving & (p_s > 0.0)
+    moved = replace(
+        t, step=k, alive=alive, beta=np.where(alive, t.beta * p_s, 0.0), comp=survived,
+        mean=mean_k, cov=cov_k,
+    )
+    stays = t.alive & ~moving if p_s >= 1.0 else t.alive
+    moved = _with_end(moved, stays, k - 1, (t.beta * (1.0 - p_s))[stays], comps[stays])
 
+    # the new columns, tree by tree: its own slots, then its spawned ones,
+    # mode by mode, over the moved rows and then each mode's spawned rows
+    table = _joined([moved, *spawned])
+    sizes = sizes.tolist()
+    starts = list(itertools.accumulate([0] + sizes[:-1]))
+    spawners = np.flatnonzero(spawning).tolist()
+    spawn_at = dict(zip(spawners, itertools.accumulate([0] + [sizes[j] for j in spawners][:-1])))
+    bases = [n + m * len(rows) for m in range(len(spawned))]
     trees, cols = [], []
-    start = 0
-    for ti, tree in enumerate(post.trees):
-        own = range(start, start + len(tree.slots))
-        cols += own
-        start += len(tree.slots)
-        if ti not in moving:
+    i, lo = 0, 0
+    for tree in post.trees:
+        hi = lo + len(tree.slots)
+        cols += range(lo, hi)
+        own = []
+        while i < len(hcols) and hcols[i] < hi:
+            own.append(i)
+            i += 1
+        if not own:
             trees.append(tree)
+            lo = hi
             continue
         slots = list(tree.slots)
-        for ji, moves in moving[ti].items():
-            hyps = list(slots[ji].hyps)
-            for bi, c in moves:
-                prev, h = prevs[c], hyps[bi]
-                cases = dict(h.density.components)
-                if p_s < 1.0:
-                    cases[k - 1] = EndCase(prev.beta * (1.0 - p_s), prev.comp)
-                else:
-                    del cases[k - 1]
-                if p_s > 0.0:
-                    cases[k] = EndCase(prev.beta * p_s, moved[c])
-                hyps[bi] = LocalHyp(h.log_w, h.r, BranchDensity(cases), h.assoc)
-            slots[ji] = BranchSlot(slots[ji].branch_id, tuple(hyps))
-        for mark, (m, P, r) in enumerate(modes, start=2):
-            for ji, (lo, hi) in spans.get(ti, {}).items():
-                # the parent's marks at step k-1, then the spawning mark
-                marks = alive_marks(tree.slots[ji].branch_id, tree.start_time, k - 1) + (mark,)
-                held = (zeros[lo:hi], r[lo:hi], tracked[lo:hi], m[lo:hi], P[lo:hi])
-                slots.append(SpawnedSlot(marks, k, *held))
-                cols.append(own[ji])
+        for j in own:
+            slots[hcols[j] - lo] = HeldSlot(ids[j], table, starts[j], starts[j] + sizes[j])
+        for mark, base in enumerate(bases, start=2):
+            for j in own:
+                if j in spawn_at:
+                    marks = alive_marks(ids[j], tree.start_time, k - 1) + (mark,)
+                    at = base + spawn_at[j]
+                    slots.append(HeldSlot(marks, table, at, at + sizes[j]))
+                    cols.append(hcols[j])
         trees.append(BernoulliTree(tree.start_time, tuple(slots)))
+        lo = hi
+
     sel = post.sel[:, cols]
     if kind == "trmbm":
         new_ppp: tuple[PPPComponent, ...] = ()
@@ -365,8 +645,8 @@ def predict(post: Posterior, cfg: ScenarioConfig, kind: str = "trpmbm") -> Poste
     else:
         log_ps = _log(p_s)
         thinned = [
-            PPPComponent(c.log_weight + log_ps, c.start_time, moved[i])
-            for i, c in enumerate(ppp, start=len(prevs))
+            PPPComponent(c.log_weight + log_ps, c.start_time, comp)
+            for c, comp in zip(ppp, moved_ppp)
         ]
         births = [PPPComponent(_log(b.weight), k, _birth_component(b)) for b in cfg.births]
         new_ppp = tuple(thinned + births)
@@ -378,17 +658,23 @@ def truncate_window(post: Posterior, lscan: int) -> Posterior:
 
     ``predict`` already cuts every window it grows, so on its output this
     returns the same trees and intensity terms.  It stays for callers that
-    build posteriors themselves or change ``lscan``.  Spawned slots hold
-    single states, which every window fits.
+    build posteriors themselves or change ``lscan``.  A held slot's
+    components are cut in its table; a component held as moments is a
+    single state, which every window fits.
     """
     comps = [c.comp for c in post.ppp]
+    tables = {}
     for tree in post.trees:
         for slot in tree.slots:
-            if isinstance(slot, SpawnedSlot):
+            if isinstance(slot, HeldSlot):
+                tables[slot.table] = slot.table
                 continue
             for h in slot.hyps:
                 if h.density is not None:
                     comps += (case.comp for case in h.density.components.values())
+    for table in tables:
+        comps += (c for c in table.comp.tolist() if c is not None)
+        comps += table.end_comp.tolist()
     cut = {id(a): b for a, b in zip(comps, l_scan_truncate(comps, lscan)) if a is not b}
     if not cut:
         return post
@@ -402,13 +688,21 @@ def truncate_window(post: Posterior, lscan: int) -> Posterior:
         }
         return LocalHyp(h.log_w, h.r, BranchDensity(cases), h.assoc)
 
+    # a cut keeps the last state's moments: it re-symmetrises a symmetric block
+    for table in tables:
+        comp = _objects([cut.get(id(c), c) for c in table.comp.tolist()])
+        end_comp = _objects([cut.get(id(c), c) for c in table.end_comp.tolist()])
+        tables[table] = replace(table, comp=comp, end_comp=end_comp)
     ppp = tuple(
         PPPComponent(c.log_weight, c.start_time, cut.get(id(c.comp), c.comp)) for c in post.ppp
     )
     columns = {
-        col: _with_hyps(slot, list(map(hyp, slot.hyps)))
+        col: (
+            HeldSlot(slot.branch_id, tables[slot.table], slot.lo, slot.hi)
+            if isinstance(slot, HeldSlot)
+            else _with_hyps(slot, list(map(hyp, slot.hyps)))
+        )
         for col, slot in enumerate(slot for tree in post.trees for slot in tree.slots)
-        if not isinstance(slot, SpawnedSlot)
     }
     return Posterior(post.step, ppp, _rebuilt(post.trees, columns), post.log_w, post.sel)
 
@@ -421,15 +715,15 @@ def truncate_window(post: Posterior, lscan: int) -> Posterior:
 @dataclass(frozen=True)
 class UpdateMaps:
     """The association record: one row per local hypothesis with detectable
-    mass, of a built or a spawned slot alike, in (column, hyp) order, and
-    one column per measurement.  Other hypotheses have a missed-detection
-    factor of exactly 1 (log 0).  Outside the gate ``log_ratio`` and
-    ``log_det`` hold -inf and ``child`` holds -1.
+    mass, in (column, hyp) order, and one column per measurement.  Other
+    hypotheses have a missed-detection factor of exactly 1 (log 0).  Outside
+    the gate ``log_ratio`` and ``log_det`` hold -inf and ``child`` holds -1.
 
     A gated pair's ``child`` is the index its detected hypothesis has in the
     slot when every gated pair's is appended behind the missed ones, in row
     and measurement order.  ``form_hypotheses`` builds only the ones that a
-    formed row picks, from the predicted slots and the rows' innovation data.
+    formed row picks, from the rows' innovation data and their components,
+    which the updated table keeps.
     """
 
     col: np.ndarray  # (D,) the slot's column in the global-hypothesis table
@@ -441,7 +735,6 @@ class UpdateMaps:
     log_det: np.ndarray  # (D, m_k) log w_det, the detected hypothesis's weight
     S: np.ndarray  # (D, nz, nz) innovation covariances
     innov: np.ndarray  # (D, m_k, nz) innovations
-    predicted: tuple[BranchSlot | SpawnedSlot, ...]  # per column: the predicted slot
 
     @property
     def det_meas(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -459,7 +752,9 @@ def _new_trees(
 
     The intensity terms are gated against every measurement in one stacked
     call, the column sums and best terms are taken for all measurements at
-    once, and the new trees are conditioned grouped by their best term.
+    once, and the new trees are conditioned grouped by their best term.  A
+    tree whose measurement some term gates is held, in one table of two
+    rows per tree; the others are records with no density.
     """
     meas = cfg.measurement
     m_k = Z.shape[0]
@@ -478,9 +773,11 @@ def _new_trees(
     log_w = np.maximum(np.logaddexp(_log(meas.clutter_density), totals), LOG_FLOOR)
 
     found = np.flatnonzero(np.isfinite(totals))
-    new: dict[int, tuple[float, BranchDensity, int]] = {}
-    if len(found):
-        r = [math.exp(x) for x in (totals[found] - log_w[found]).tolist()]
+    n = len(found)
+    starts, comps = {}, []
+    table = None
+    if n:
+        r = np.array([math.exp(x) for x in (totals[found] - log_w[found]).tolist()])
         # best term per measurement: the largest weighted likelihood, ties
         # to the latest start, then to the last term
         cols = ppp_loglik[:, found]
@@ -489,17 +786,30 @@ def _new_trees(
         rank[order] = np.arange(len(ppp))
         best = np.where(cols == cols.max(axis=0), rank[:, None], -1).argmax(axis=0)
         terms, which = np.unique(best, return_inverse=True)
-        comps = [ppp[q].comp for q in terms.tolist()]
-        means, covs = condition(comps, meas.H, ppp_S[terms], which, ppp_innov[best, found])
-        for m, r2, q, w, mean in zip(found.tolist(), r, best.tolist(), which.tolist(), means):
-            comp = ppp[q].comp.with_live(mean, covs[w])
-            new[m] = (r2, BranchDensity({k: EndCase(1.0, comp)}), ppp[q].start_time)
-    trees = []
+        terms_comps = [ppp[q].comp for q in terms.tolist()]
+        means, covs = condition(terms_comps, meas.H, ppp_S[terms], which, ppp_innov[best, found])
+        for m, q, w, mean in zip(found.tolist(), best.tolist(), which.tolist(), means):
+            starts[m] = ppp[q].start_time
+            comps.append(ppp[q].comp.with_live(mean, covs[w]))
+        # per tree: the hypothesis of no target, then the one of its measurement
+        exist = np.arange(1, 2 * n, 2)
+        log_w2, r2, alive = np.zeros(2 * n), np.zeros(2 * n), np.zeros(2 * n, dtype=bool)
+        log_w2[exist], r2[exist], alive[exist] = log_w[found], r, True
+        comp, assoc = np.full(2 * n, None, dtype=object), np.full(2 * n, _NO_ASSOC, dtype=object)
+        comp[exist] = _objects(comps)
+        assoc[exist] = _objects([frozenset({(k, m)}) for m in found.tolist()])
+        mean2, cov2 = np.zeros((2 * n, NX)), np.zeros((2 * n, NX, NX))
+        mean2[exist], cov2[exist] = last_states(comps)
+        table = _fresh(k, log_w2, r2, assoc, alive, alive.astype(float), comp, mean2, cov2)
+    trees, held = [], itertools.count(0, 2)
     for m, log_w2 in enumerate(log_w.tolist()):
-        r2, density, start = new.get(m, (0.0, None, k))
-        hyp_none = LocalHyp(0.0, 0.0, None, frozenset())
-        hyp_exist = LocalHyp(log_w2, r2, density, frozenset({(k, m)}))
-        trees.append(BernoulliTree(start, (BranchSlot((1,), (hyp_none, hyp_exist)),)))
+        if m in starts:
+            lo = next(held)
+            trees.append(BernoulliTree(starts[m], (HeldSlot((1,), table, lo, lo + 2),)))
+        else:
+            none = LocalHyp(0.0, 0.0, None, _NO_ASSOC)
+            hyps = none, LocalHyp(log_w2, 0.0, None, frozenset({(k, m)}))
+            trees.append(BernoulliTree(k, (BranchSlot((1,), hyps),)))
     return trees, log_w
 
 
@@ -509,15 +819,15 @@ def update(
     """Measurement update: missed local hypotheses, the association record
     and new Bernoulli trees.
 
-    Built and spawned slots give one association table (a fresh spawn has
-    beta(k) = 1), and one block of array arithmetic gives each row its
+    The slots with alive mass at k give one table (``_gathered``), and one
+    block of array arithmetic gives each row with detectable mass its
     missed-detection factor 1 - r beta(k) p_D, missed log-weight and
-    existence, and detected base weight; built slots get
-    ``BranchDensity.missed`` records back, spawned slots thinned arrays.
-    Missed versions sit at the same index as their predicted hypothesis, so
-    previous global selections stay valid until form_hypotheses rewires the
-    detected ones, which it also builds.  The intensity terms and the
-    table's rows are each gated against every measurement in one stacked call.
+    existence, and detected base weight, and thins its density by the
+    missed-detection rule (``_missed``).  Missed versions sit at the same
+    index as their predicted hypothesis, so previous global selections stay
+    valid until form_hypotheses rewires the detected ones, which it also
+    builds.  The intensity terms and the table's rows are each gated
+    against every measurement in one stacked call.
 
     Approximation: a new tree's Bernoulli keeps the Gaussian of the one
     intensity term with the largest weighted likelihood for its measurement
@@ -543,90 +853,32 @@ def update(
             PPPComponent(c.log_weight + thin, c.start_time, c.comp) for c in post.ppp
         )
 
-    # --- Bernoulli trees: the association table -----------------------------
-    # per hypothesis alive at k: (column, hyp), log-weight, existence and
-    # beta(k), the built slots' rows first, then the spawned slots'
-    slots = [slot for tree in post.trees for slot in tree.slots]
-    sizes, cols, bis, log_w, r, beta, comps, spawned = [], [], [], [], [], [], [], []
-    for col, slot in enumerate(slots):
-        if isinstance(slot, SpawnedSlot):
-            sizes.append(len(slot.r))
-            spawned.append(col)
-            continue
-        sizes.append(len(slot.hyps))
-        for bi, h in enumerate(slot.hyps):
-            case = h.density.components.get(k) if h.density is not None else None
-            if case is not None and h.r > 0.0:
-                cols.append(col)
-                bis.append(bi)
-                log_w.append(h.log_w)
-                r.append(h.r)
-                beta.append(case.beta)
-                comps.append(case.comp)
-    table = [np.array(cols, dtype=np.intp), np.array(bis, dtype=np.intp), log_w, r, beta]
-    n_built = len(cols)
-    if spawned:
-        held = [slots[col] for col in spawned]
-        held_log_w, held_r, held_tracked, held_means, held_covs = (
-            np.concatenate([getattr(slot, name) for slot in held])
-            for name in ("log_w", "r", "tracked", "means", "covs")
-        )
-        held_sizes = [sizes[col] for col in spawned]
-        starts = np.cumsum([0] + held_sizes[:-1])
-        flat = np.flatnonzero(held_tracked)
-        of = np.repeat(np.arange(len(held)), held_sizes)[flat]
-        rows = [np.array(spawned)[of], flat - starts[of], held_log_w[flat], held_r[flat]]
-        table = [np.concatenate(pair) for pair in zip(table, rows + [np.ones(len(flat))])]
-    cols, bis, log_w, r, beta = (np.asarray(column) for column in table)
-    mass = r * beta * p_d
-    det = np.flatnonzero(mass > 0.0)
-    cols, bis, log_w, r, beta, mass = (x[det] for x in (cols, bis, log_w, r, beta, mass))
-
+    # --- Bernoulli trees: the missed-detection rule on every row ------------
+    t, hcols, ids, sizes = _gathered(post, k)
+    mass = t.r * t.beta * p_d
+    det = np.flatnonzero(mass > 0.0)  # the association record's rows
+    log_w, r, beta, mass = t.log_w[det], t.r[det], t.beta[det], mass[det]
     # the missed-detection factor, the missed log-weight and existence (the
-    # missed branch exists where BranchDensity.missed's norm 1 - beta(k) p_D
-    # is positive), and the detected log-weight but the likelihood
+    # missed branch exists where the rule's norm 1 - beta(k) p_D is
+    # positive), and the detected log-weight but the likelihood
     log_factor = _logs(1.0 - mass)
-    miss_log_w = log_w + log_factor
     log_miss = np.maximum(log_factor, LOG_FLOOR)
     exists = 1.0 - beta * p_d > 0.0
     r_miss = np.divide(r * (1.0 - beta * p_d), 1.0 - mass, out=np.zeros(len(det)), where=exists)
     log_base = log_w + _logs(r) + _logs(beta) + _log(p_d)
-
-    # one missed version per row, written back by slot kind
-    n_det = int(np.searchsorted(det, n_built))  # the built slots' rows
-    touched = cols[:n_det].tolist()
-    missed = {col: list(slots[col].hyps) for col in dict.fromkeys(touched)}
-    for col, bi, lw, rm in zip(touched, bis[:n_det].tolist(), miss_log_w.tolist(), r_miss.tolist()):
-        h = missed[col][bi]
-        density = h.density.missed(k, p_d)
-        missed[col][bi] = LocalHyp(lw, rm if density is not None else 0.0, density, h.assoc)
-    new = {col: BranchSlot(slots[col].branch_id, tuple(hyps)) for col, hyps in missed.items()}
-    states = [last_states([comps[i] for i in det[:n_det].tolist()])] if n_det else []
-    if n_det < len(det):
-        at = det[n_det:] - n_built
-        put = flat[at]
-        # np.concatenate copied the arrays, so the predicted slots keep theirs
-        held_log_w[put], held_r[put] = miss_log_w[n_det:], r_miss[n_det:]
-        held_tracked[put] = exists[n_det:]
-        for j in np.unique(of[at]).tolist():
-            slot, lo, hi = held[j], starts[j], starts[j] + held_sizes[j]
-            new[spawned[j]] = SpawnedSlot(
-                slot.branch_id, slot.step, held_log_w[lo:hi], held_r[lo:hi],
-                held_tracked[lo:hi], slot.means, slot.covs,
-            )
-        states.append(Moments(held_means[put], held_covs[put]))
-    order = np.argsort(cols, kind="stable")  # (column, hyp) order
-    cols, bis, log_w, log_miss, log_base = (
-        x[order] for x in (cols, bis, log_w, log_miss, log_base)
-    )
+    t_log_w, t_r = t.log_w.copy(), t.r.copy()
+    t_log_w[det], t_r[det] = log_w + log_factor, r_miss
+    thinned = _missed(replace(t, log_w=t_log_w, r=t_r), det, p_d)
+    slot_of = np.repeat(np.arange(len(hcols)), sizes)[det]
+    cols = np.array(hcols, dtype=np.intp)[slot_of]
+    bis = det - (np.cumsum(sizes) - sizes)[slot_of]
 
     # --- Bernoulli trees: the gated pairs -----------------------------------
-    n_rows, nz = len(cols), meas.H.shape[0]
+    n_rows, nz = len(det), meas.H.shape[0]
     gated, loglik = np.zeros((n_rows, m_k), dtype=bool), np.zeros((n_rows, m_k))
     S, innov = np.zeros((n_rows, nz, nz)), np.zeros((n_rows, m_k, nz))
     if n_rows and m_k:
-        means, covs = (np.concatenate(part)[order] for part in zip(*states))
-        zhat, S = innovation(Moments(means, covs), meas.H, meas.R)
+        zhat, S = innovation(Moments(t.mean[det], t.cov[det]), meas.H, meas.R)
         innov = Z - zhat[:, None, :]
         gated, loglik = gate_loglik(S, innov, cfg.filters.gate)
     log_det = np.where(gated, log_base[:, None] + loglik, -np.inf)
@@ -636,13 +888,12 @@ def update(
     prow, pm = np.nonzero(gated)
     pcol = cols[prow]
     child = np.full((n_rows, m_k), -1, dtype=post.sel.dtype)
-    child[prow, pm] = np.array(sizes)[pcol] + np.arange(len(prow)) - np.searchsorted(pcol, pcol)
+    child[prow, pm] = sizes[slot_of][prow] + np.arange(len(prow)) - np.searchsorted(pcol, pcol)
 
+    trees = _rebuilt(post.trees, _held(thinned, hcols, ids, sizes)) + tuple(new_trees)
     return (
-        Posterior(k, ppp, _rebuilt(post.trees, new) + tuple(new_trees), post.log_w, post.sel),
-        UpdateMaps(
-            cols, bis, log_miss, log_ratio, child, new_tree_logw, log_det, S, innov, tuple(slots)
-        ),
+        Posterior(k, ppp, trees, post.log_w, post.sel),
+        UpdateMaps(cols, bis, log_miss, log_ratio, child, new_tree_logw, log_det, S, innov),
     )
 
 
@@ -651,10 +902,21 @@ def update(
 # ---------------------------------------------------------------------------
 
 
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """Stable lexicographic order of the rows of a table whose entries are
+    >= 0: one sort of each row's bytes, big-endian, which order as the
+    entries do."""
+    if not rows.shape[1]:
+        return np.arange(len(rows))
+    big = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    keys = big.view(np.dtype((np.void, big.itemsize * rows.shape[1]))).ravel()
+    return np.argsort(keys, kind="stable")
+
+
 def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable lexicographic order of the rows, and where each run of equal
     rows starts in that order."""
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    order = _row_order(rows)
     ordered = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -663,7 +925,8 @@ def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _by_weight(log_w: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """Row order by decreasing weight, then increasing selection."""
-    return np.lexsort((*sel.T[::-1], -log_w))
+    order = _row_order(sel)
+    return order[np.argsort(-log_w[order], kind="stable")]
 
 
 def _merged(log_w: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -682,11 +945,6 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     pairwise, which can change the last bits); a fresh array, so the
     running sums are freed."""
     return np.hstack([np.zeros((len(x), 1)), x]).cumsum(axis=1)[:, -1].copy()
-
-
-def _aranges(counts: np.ndarray) -> np.ndarray:
-    """0, 1, ..., n - 1 for each count n, concatenated."""
-    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def form_hypotheses(
@@ -795,12 +1053,10 @@ def _detected(
     renumbering ``sel`` in place.
 
     ``sel`` holds the record's ``child`` indices.  The picked pairs are
-    conditioned in one stacked call and appended to their slots in index
-    order, and each picked index becomes its slot's size plus its rank
-    among the slot's picked ones.  That map is increasing per column, so it
-    keeps the order of the rows.  A spawned slot that gains one is built,
-    and the predicted hypotheses of its picked rows come from one
-    ``SpawnedSlot.built`` call.
+    conditioned in one stacked call and their rows appended to their slots
+    in index order, and each picked index becomes its slot's size plus its
+    rank among the slot's picked ones.  That map is increasing per column,
+    so it keeps the order of the rows.
     """
     k = post.step
     prow, pm = np.nonzero(maps.child >= 0)  # the gated pairs, by column
@@ -815,31 +1071,27 @@ def _detected(
     at, u = np.nonzero(hit[:, used])
     sel[at, ucol[u]] = (first + np.arange(len(used)) - np.searchsorted(ucol, ucol))[u]
 
+    t, hcols, ids, sizes = _gathered(post, k)
+    held = np.array(hcols, dtype=np.intp)
     urow, um = prow[used], pm[used]
     rows, item = np.unique(urow, return_inverse=True)
-    picked: dict[int, list[int]] = {}  # per column, its rows' hyps in order
-    for col, bi in zip(maps.col[rows].tolist(), maps.hyp[rows].tolist()):
-        picked.setdefault(col, []).append(bi)
-    predicted = []  # the predicted hyp of each row
-    for col, bis in picked.items():
-        slot = maps.predicted[col]
-        if isinstance(slot, SpawnedSlot):
-            predicted += slot.built(bis)
-        else:
-            predicted += [slot.hyps[bi] for bi in bis]
-    comps = [h.density.components[k].comp for h in predicted]
+    # the predicted rows in the table: components and measurement histories
+    # are those the rows had before update thinned them
+    src = (np.cumsum(sizes) - sizes)[np.searchsorted(held, maps.col[rows])] + maps.hyp[rows]
+    comps = t.comps(src)
     meas = cfg.measurement
     means, covs = condition(comps, meas.H, maps.S[rows], item, maps.innov[urow, um])
-    found: dict[int, list[LocalHyp]] = {}
-    for col, i, m, mean, log_w in zip(
-        ucol.tolist(), item.tolist(), um.tolist(), means, maps.log_det[urow, um].tolist()
-    ):
-        density = BranchDensity({k: EndCase(1.0, comps[i].with_live(mean, covs[i]))})
-        assoc = predicted[i].assoc | {(k, m)}
-        found.setdefault(col, []).append(LocalHyp(log_w, 1.0, density, assoc))
-    slots = [slot for tree in post.trees for slot in tree.slots]
-    grown = {col: slots[col].hyps + tuple(hyps) for col, hyps in found.items()}
-    return _rebuilt(post.trees, {c: BranchSlot(slots[c].branch_id, h) for c, h in grown.items()})
+    found = [comps[i].with_live(mean, covs[i]) for i, mean in zip(item.tolist(), means)]
+    assoc = [a | {(k, m)} for a, m in zip(t.assoc[src[item]].tolist(), um.tolist())]
+    n, alive = len(found), np.ones(len(found), dtype=bool)
+    part = _fresh(
+        k, maps.log_det[urow, um], np.ones(n), _objects(assoc), alive, np.ones(n),
+        _objects(found), *last_states(found),
+    )
+    # every slot's rows, then its detected ones
+    order = np.argsort(np.concatenate([np.repeat(held, sizes), ucol]), kind="stable")
+    grown = sizes + np.bincount(np.searchsorted(held, ucol), minlength=len(held))
+    return _rebuilt(post.trees, _held(_joined([t, part]).take(order), hcols, ids, grown))
 
 
 # ---------------------------------------------------------------------------
@@ -852,8 +1104,13 @@ def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
 
     Each kept column's local hypotheses shrink to the ones a kept row
     references, renumbered in order; a column whose remaining hypotheses
-    all have r = 0 is dropped, and a tree without columns with it.  Kept
-    spawned slots are built here.
+    all have r = 0 is dropped, and a tree without columns with it.  The
+    slots with alive mass (``_gathered``) are pruned on their table's rows:
+    Bernoulli pruning, then the alive-end cut, which is the
+    missed-detection rule with certain detection (``_missed``).  A kept one
+    stays held while one of its hypotheses has alive mass, and otherwise
+    settles into a ``BranchSlot`` of records.  Built slots have no alive
+    mass, and only Bernoulli pruning applies to them.
     """
     f = cfg.filters
     k = post.step
@@ -866,15 +1123,6 @@ def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
 
     keep_ppp = tuple(c for c in post.ppp if c.log_weight >= _log(f.gamma_ppp))
 
-    def shrink_hyp(h: LocalHyp) -> LocalHyp:
-        if 0.0 < h.r < f.gamma_bern:
-            h = LocalHyp(h.log_w, 0.0, None, h.assoc)
-        if h.density is not None and 0.0 < h.density.beta(k) < f.gamma_alive:
-            # the alive end cut: the missed-detection rule with certain detection
-            density = h.density.missed(k, 1.0)
-            h = LocalHyp(h.log_w, h.r if density is not None else 0.0, density, h.assoc)
-        return h
-
     # per column: the referenced hyps in increasing order, and every entry
     # renumbered to its rank among them
     order = np.argsort(sel, axis=0, kind="stable")
@@ -882,34 +1130,50 @@ def prune(post: Posterior, cfg: ScenarioConfig) -> Posterior:
     first = np.ones(sel.shape, dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]
     np.put_along_axis(sel, order, np.cumsum(first, axis=0) - 1, axis=0)
-    refs = np.split(ranked.T[first.T], np.cumsum(first.sum(axis=0))[:-1])
+    n_ref = first.sum(axis=0)
+    refs = ranked.T[first.T]  # column after column
+    ref_at = np.cumsum(n_ref) - n_ref
+
+    # the held columns' referenced rows, pruned
+    t, hcols, ids, sizes = _gathered(post, k)
+    held = np.array(hcols, dtype=np.intp)
+    counts = n_ref[held]
+    rows = refs[np.repeat(ref_at[held], counts) + _aranges(counts)]
+    t = t.take(rows + np.repeat(np.cumsum(sizes) - sizes, counts))
+    small = (t.r > 0.0) & (t.r < f.gamma_bern)
+    t = _ends_kept(
+        t, ~np.repeat(small, t.n_ends), r=np.where(small, 0.0, t.r), dense=t.dense & ~small,
+        alive=t.alive & ~small, beta=np.where(small, 0.0, t.beta),
+    )
+    t = _missed(t, np.flatnonzero((t.beta > 0.0) & (t.beta < f.gamma_alive)), 1.0)
+    slot_of = np.repeat(np.arange(len(held)), counts)
+    kept = np.bincount(slot_of, weights=t.r != 0.0, minlength=len(held)) > 0
+    live = np.bincount(slot_of, weights=t.beta > 0.0, minlength=len(held)) > 0
+    holds, settles = kept & live, kept & ~live
+    changed = _held(
+        t.take(np.flatnonzero(holds[slot_of])), held[holds].tolist(),
+        [ids[j] for j in np.flatnonzero(holds)], counts[holds],
+    )
+    hyps = iter(t.records(np.flatnonzero(settles[slot_of])))
+    for j in np.flatnonzero(settles).tolist():
+        changed[hcols[j]] = BranchSlot(ids[j], tuple(itertools.islice(hyps, counts[j])))
+    for j in np.flatnonzero(~kept).tolist():
+        changed[hcols[j]] = None
+
+    # the built columns: Bernoulli pruning of the referenced hyps
+    def shrink(h: LocalHyp) -> LocalHyp:
+        return LocalHyp(h.log_w, 0.0, None, h.assoc) if 0.0 < h.r < f.gamma_bern else h
 
     slots = [slot for tree in post.trees for slot in tree.slots]
-    # the spawned columns that a referenced hyp keeps: a spawned hyp keeps
-    # existence through shrink_hyp when r >= gamma_bern and its beta(k) = 1
-    # passes the alive end cut
-    spawned = [col for col, slot in enumerate(slots) if isinstance(slot, SpawnedSlot)]
-    live = set()
-    if spawned and f.gamma_alive <= 1.0:
-        held = [slots[col].r for col in spawned]
-        r = np.concatenate(held)
-        at = ranked[:, spawned] + np.cumsum([0] + [len(x) for x in held[:-1]])
-        alive = (r > 0.0) & (r >= f.gamma_bern)
-        live = set(np.compress(alive[at].any(axis=0), spawned).tolist())
-    # the kept columns, and the changed ones' slots of shrunk referenced
-    # hyps (None drops the column)
-    cols, changed = [], {}
-    for col, (slot, ref) in enumerate(zip(slots, refs)):
-        if isinstance(slot, SpawnedSlot):
-            hyps = tuple(map(shrink_hyp, slot.built(ref.tolist()))) if col in live else ()
-            new = BranchSlot(slot.branch_id, hyps) if hyps else None
-        else:
-            hyps = [shrink_hyp(slot.hyps[bi]) for bi in ref.tolist()]
-            new = _with_hyps(slot, hyps) if any(h.r != 0.0 for h in hyps) else None
+    refs, ref_at, ref_end = refs.tolist(), ref_at.tolist(), (ref_at + n_ref).tolist()
+    for col, slot in enumerate(slots):
+        if col in changed:  # a held column
+            continue
+        hyps = [shrink(slot.hyps[bi]) for bi in refs[ref_at[col] : ref_end[col]]]
+        new = _with_hyps(slot, hyps) if any(h.r != 0.0 for h in hyps) else None
         if new is not slot:
             changed[col] = new
-        if new is not None:
-            cols.append(col)
+    cols = [col for col, slot in enumerate(slots) if changed.get(col, slot) is not None]
     trees = _rebuilt(post.trees, changed)
 
     log_w, sel = _merged(post.log_w[keep], sel[:, cols])
@@ -922,7 +1186,7 @@ def _best_row(post: Posterior) -> int:
     best = int(np.argmax(post.log_w))
     top = np.flatnonzero(post.log_w == post.log_w[best])
     if len(top) > 1 and post.sel.shape[1]:
-        best = int(top[np.lexsort(post.sel[top].T[::-1])[-1]])
+        best = int(top[_row_order(post.sel[top])[-1]])
     return best
 
 
@@ -934,13 +1198,15 @@ def estimate(post: Posterior, cfg: ScenarioConfig) -> list[TreeTrajectory]:
     """
     if not len(post.log_w):
         return []
-    picks = iter(post.sel[_best_row(post)].tolist())
+    slots = [slot for tree in post.trees for slot in tree.slots]
+    picks = post.sel[_best_row(post)].tolist()
+    hyps = iter(_confident(slots, picks, cfg.filters.gamma_estimate))
     out = []
     for tree in post.trees:
         branches = []
         for slot in tree.slots:
-            h = slot.hyps[next(picks)]
-            if h.r <= cfg.filters.gamma_estimate or h.density is None:
+            h = next(hyps)
+            if h is None:
                 continue
             kappa = h.density.most_likely_end()
             comp = h.density.components[kappa].comp
@@ -1077,7 +1343,7 @@ def posterior_to_dict(post: Posterior) -> dict:
         assoc = sorted(h.assoc)
         return {"log_w": h.log_w, "r": h.r, "associations": assoc, "density": density}
 
-    def slot_dict(slot: BranchSlot, start: int) -> dict:
+    def slot_dict(slot: BranchSlot | HeldSlot, start: int) -> dict:
         hyps = [hyp_dict(h, slot.branch_id, start) for h in slot.hyps]
         return {"branch_id": list(slot.branch_id), "hypotheses": hyps}
 

@@ -249,7 +249,7 @@ def gate_loglik(
         det = a * c - b * b
         u, v = innovations[..., 0], innovations[..., 1]
         d2 = (c * u * u - 2.0 * b * u * v + a * v * v) / det
-        half_logdet = np.array([[0.5 * math.log(x)] for x in det[:, 0].tolist()])
+        half_logdet = 0.5 * np.fromiter(map(math.log, det[:, 0].tolist()), float, len(det))[:, None]
     else:
         L = np.linalg.cholesky(S)
         white = np.linalg.solve(L, innovations.swapaxes(1, 2))
@@ -323,20 +323,6 @@ class BranchDensity:
     def most_likely_end(self) -> int:
         # ties broken toward the latest end time
         return max(self.components, key=lambda k: (self.components[k].beta, k))
-
-    def missed(self, k: int, q: float) -> BranchDensity | None:
-        """The mixture given no detection at k, which the branch yields with
-        probability q if it is alive at k: beta(k) scaled by 1 - q, every end
-        divided by 1 - q beta(k), zero ends dropped; None if none is left."""
-        norm = 1.0 - q * self.beta(k)
-        if norm <= 0.0:
-            return None
-        cases = {}
-        for kappa, case in self.components.items():
-            beta = case.beta * (1.0 - q) / norm if kappa == k else case.beta / norm
-            if beta > 0.0:
-                cases[kappa] = EndCase(beta, case.comp)
-        return BranchDensity(cases) if cases else None
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ def run_filter_on(
             trajectory_metric(branches_as_tracks(est), truth_tracks, params, k, bases)
         )
         n_hyp.append(len(post.log_w))
-        n_local.append(sum(len(s.hyps) for t in post.trees for s in t.slots))
+        n_local.append(sum(s.size for t in post.trees for s in t.slots))
         n_trees.append(len(post.trees))
     stats = {
         "mean_hypotheses": float(np.mean(n_hyp)),

@@ -935,14 +935,15 @@ def new_trees_by_measurement(ppp, Z, cfg, k):
 
 # ---------------------------------------------------------------------------
 # End-time rules in the forms update's missed detection and prune's
-# alive-end cut first had: the references for `BranchDensity.missed`
+# alive-end cut first had: the references for `trpmbm.filter._missed`,
+# the rule on table rows
 # ---------------------------------------------------------------------------
 
 
 def missed_by_update(density, k, p_d):
     """The end-time mixture of a missed local hypothesis: beta(k) scaled by
     1 - p_D, the mixture renormalised and zero ends dropped; None when
-    detection was certain."""
+    detection was certain or no end is left."""
     beta_k = density.beta(k)
     norm = 1.0 - p_d * beta_k
     if norm <= 0.0:
@@ -954,7 +955,7 @@ def missed_by_update(density, k, p_d):
             beta = case.beta * (1.0 - p_d) / norm
         if beta > 0.0:
             cases[kappa] = EndCase(beta, case.comp)
-    return BranchDensity(cases)
+    return BranchDensity(cases) if cases else None
 
 
 def alive_cut_by_prune(density, k):
@@ -1019,7 +1020,7 @@ def update_eager(post, Z, cfg):
             if hyps is None:
                 hyps = columns[col] = list(predicted)
             miss_factor = 1.0 - detectable_mass
-            density = h.density.missed(k, p_d)
+            density = missed_by_update(h.density, k, p_d)
             r_miss = h.r * (1.0 - beta_k * p_d) / miss_factor if density is not None else 0.0
             hyps[bi] = LocalHyp(h.log_w + _log(miss_factor), r_miss, density, h.assoc)
             keys.append((col, bi))

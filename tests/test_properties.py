@@ -15,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trpmbm.cli import main
-from trpmbm.filter import KINDS, _merged, check_posterior, initial_posterior, step
+from trpmbm.filter import (
+    KINDS,
+    _by_weight,
+    _merged,
+    _row_order,
+    check_posterior,
+    initial_posterior,
+    step,
+)
 from trpmbm.gaussian import GaussianBranchComponent, gate_loglik, innovation, last_states
 from trpmbm.models import (
     BirthComponent,
@@ -103,6 +111,30 @@ def test_row_merge_matches_dict_reference(seed, n, cols, values):
     want_logs, want_rows = merged_by_dict(log_w, rows)
     assert np.array_equal(distinct, want_rows)
     assert np.array_equal(logs, want_logs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 30),
+    cols=st.integers(0, 6),
+    high=st.sampled_from([1, 2, 3, 2**31 - 1]),
+    kind=st.sampled_from(["int32", "bool", "int32 columns of a wider table"]),
+)
+def test_row_orders_match_lexsort(seed, n, cols, high, kind):
+    # tied rows (few values), constant columns, zero-width tables, entries
+    # that fill all four bytes, bool tables and a strided view
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, high, size=(n, cols), endpoint=True).astype(np.int32)
+    rows[:, rng.random(cols) < 0.3] = high
+    if kind == "bool":
+        rows = rows % 2 == 1
+    elif kind == "int32 columns of a wider table":
+        rows = np.hstack([rows, rows])[:, ::2]
+    want = np.lexsort(rows.T[::-1]) if cols else np.arange(n)
+    assert np.array_equal(_row_order(rows), want)
+    log_w = rng.integers(-2, 1, size=n).astype(float)  # tied weights
+    assert np.array_equal(_by_weight(log_w, rows), np.lexsort((*rows.T[::-1], -log_w)))
 
 
 _point = st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 400.0))
